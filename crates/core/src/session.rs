@@ -1557,16 +1557,22 @@ pub fn verify_circuit_parallel(
             .iter()
             .map(|shard| {
                 scope.spawn(move || -> Result<WorkerOut, VerifyError> {
-                    let mut session = VerifySession::new(circuit, initial, opts)?;
-                    let mut verdicts = Vec::with_capacity(shard.len());
-                    for &(idx, q) in shard {
-                        verdicts.push((idx, session.verify_target(q)?));
-                    }
-                    Ok(WorkerOut {
-                        construction_time: session.construction_time(),
-                        formula_nodes: session.formula_nodes(),
-                        verdicts,
-                    })
+                    let out = (|| {
+                        let mut session = VerifySession::new(circuit, initial, opts)?;
+                        let mut verdicts = Vec::with_capacity(shard.len());
+                        for &(idx, q) in shard {
+                            verdicts.push((idx, session.verify_target(q)?));
+                        }
+                        Ok(WorkerOut {
+                            construction_time: session.construction_time(),
+                            formula_nodes: session.formula_nodes(),
+                            verdicts,
+                        })
+                    })();
+                    // Hand the spans over before the join returns, so a
+                    // `take_all_spans` right after the sweep sees them.
+                    qb_obs::flush_thread_spans();
+                    out
                 })
             })
             .collect();

@@ -44,7 +44,7 @@ pub use metrics::{
 };
 pub use recorder::{ExemplarReason, FlightRecorder, RecordedRequest, DEFAULT_RECORDER_CAPACITY};
 pub use span::{
-    dropped_spans, enabled, now_ns, set_enabled, set_ring_capacity, span, span_with,
-    take_all_spans, take_spans, Span, SpanEvent,
+    dropped_spans, enabled, flush_thread_spans, now_ns, set_enabled, set_ring_capacity, span,
+    span_with, take_all_spans, take_spans, Span, SpanEvent,
 };
 pub use timeseries::{TimePoint, TimeSeries};

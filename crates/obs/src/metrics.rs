@@ -66,6 +66,36 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, String, Histogram)>,
 }
 
+/// Index of `(name, label)` in a sorted series list: `Ok` if present,
+/// `Err` with the insertion point otherwise.
+fn series_slot<T>(series: &[(String, String, T)], name: &str, label: &str) -> Result<usize, usize> {
+    series.binary_search_by(|(n, l, _)| (n.as_str(), l.as_str()).cmp(&(name, label)))
+}
+
+impl MetricsSnapshot {
+    /// Adds `by` to the counter `name{label}` of this copy, keeping the
+    /// sort order. Facts kept outside the registry (a daemon's own
+    /// counters) join an export this way instead of being counted twice.
+    pub fn add_counter(&mut self, name: &str, label: &str, by: u64) {
+        match series_slot(&self.counters, name, label) {
+            Ok(i) => self.counters[i].2 += by,
+            Err(i) => self
+                .counters
+                .insert(i, (name.to_string(), label.to_string(), by)),
+        }
+    }
+
+    /// Sets the gauge `name{label}` of this copy, keeping the sort order.
+    pub fn set_gauge(&mut self, name: &str, label: &str, value: i64) {
+        match series_slot(&self.gauges, name, label) {
+            Ok(i) => self.gauges[i].2 = value,
+            Err(i) => self
+                .gauges
+                .insert(i, (name.to_string(), label.to_string(), value)),
+        }
+    }
+}
+
 /// Snapshots all counters, gauges and histograms.
 pub fn metrics_snapshot() -> MetricsSnapshot {
     with_registry(|reg| MetricsSnapshot {
@@ -127,6 +157,29 @@ mod tests {
             .find(|(n, l, _)| n == "obs_test_gauge" && l == "q")
             .map(|(_, _, v)| *v);
         assert_eq!(v, Some(1));
+    }
+
+    #[test]
+    fn merged_series_keep_the_snapshot_sorted() {
+        let mut snap = MetricsSnapshot::default();
+        snap.add_counter("b", "x", 2);
+        snap.add_counter("a", "y", 1);
+        snap.add_counter("b", "x", 3);
+        snap.set_gauge("g", "2", 7);
+        snap.set_gauge("g", "1", 4);
+        snap.set_gauge("g", "2", 9);
+        let counters: Vec<(&str, &str, u64)> = snap
+            .counters
+            .iter()
+            .map(|(n, l, v)| (n.as_str(), l.as_str(), *v))
+            .collect();
+        assert_eq!(counters, vec![("a", "y", 1), ("b", "x", 5)]);
+        let gauges: Vec<(&str, i64)> = snap
+            .gauges
+            .iter()
+            .map(|(_, l, v)| (l.as_str(), *v))
+            .collect();
+        assert_eq!(gauges, vec![("1", 4), ("2", 9)]);
     }
 
     #[test]

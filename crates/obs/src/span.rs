@@ -104,10 +104,9 @@ impl Ring {
         }
         self.events.push_back(ev);
     }
-}
 
-impl Drop for Ring {
-    fn drop(&mut self) {
+    /// Moves every recorded event to the exited-thread pool.
+    fn drain_to_pool(&mut self) {
         if self.events.is_empty() {
             return;
         }
@@ -120,6 +119,12 @@ impl Drop for Ring {
                 DROPPED.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+}
+
+impl Drop for Ring {
+    fn drop(&mut self) {
+        self.drain_to_pool();
     }
 }
 
@@ -207,6 +212,15 @@ impl Drop for Span {
 /// completion. Spans recorded by other live threads are not touched.
 pub fn take_spans() -> Vec<SpanEvent> {
     RING.with(|r| r.borrow_mut().events.drain(..).collect())
+}
+
+/// Moves the calling thread's completed spans to the exited-thread pool,
+/// where [`take_all_spans`] collects them. Worker threads call this as
+/// their last act: `std::thread::scope` can return before a worker's
+/// thread-local ring is destroyed, so the ring's own hand-over at thread
+/// exit may come too late for a collector running right after the join.
+pub fn flush_thread_spans() {
+    let _ = RING.try_with(|r| r.borrow_mut().drain_to_pool());
 }
 
 /// Drains the current thread's spans *and* the pool left behind by exited
@@ -308,13 +322,31 @@ mod tests {
     #[test]
     fn exited_threads_drain_into_the_pool() {
         let evs = with_tracing(|| {
+            // `join` returns only after the thread's TLS destructors ran,
+            // so the ring's hand-over at exit has happened by then.
+            std::thread::spawn(|| {
+                let _s = span("worker", "w");
+            })
+            .join()
+            .unwrap();
+            take_all_spans()
+        });
+        assert!(evs.iter().any(|e| e.name == "worker"));
+    }
+
+    #[test]
+    fn flushed_scoped_workers_reach_the_pool() {
+        let evs = with_tracing(|| {
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    let _s = span("worker", "w");
+                    {
+                        let _s = span("scoped", "w");
+                    }
+                    flush_thread_spans();
                 });
             });
             take_all_spans()
         });
-        assert!(evs.iter().any(|e| e.name == "worker"));
+        assert!(evs.iter().any(|e| e.name == "scoped"));
     }
 }

@@ -135,6 +135,8 @@ pub struct Solver {
     ok: bool,
     model: Vec<bool>,
     stats: SolverStats,
+    /// `stats.propagations` as last published to the metrics registry.
+    published_propagations: u64,
     max_learnts: f64,
     cla_inc: f32,
     /// Clauses guarded by each selector variable (see
@@ -213,6 +215,7 @@ impl Solver {
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
+            published_propagations: 0,
             max_learnts: 0.0,
             cla_inc: 1.0,
             guarded: HashMap::new(),
@@ -358,7 +361,9 @@ impl Solver {
     /// added at decision level zero) or if a literal names an unallocated
     /// variable.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_ref(lits, false).0
+        let ok = self.add_clause_ref(lits, false).0;
+        self.publish_propagations();
+        ok
     }
 
     /// [`Solver::add_clause`], additionally reporting the attached clause
@@ -434,6 +439,7 @@ impl Solver {
         if let Some(cref) = cref {
             self.guarded.entry(selector.var().0).or_default().push(cref);
         }
+        self.publish_propagations();
         ok
     }
 
@@ -465,9 +471,10 @@ impl Solver {
         assert!(self.trail_lim.is_empty(), "level-zero operation only");
         for &v in vars {
             if self.assigns[v.index()] == VAL_UNDEF {
-                self.add_clause(&[Lit::neg(v)]);
+                self.add_clause_ref(&[Lit::neg(v)], false);
             }
         }
+        self.publish_propagations();
     }
 
     /// Detaches every clause (problem or learnt) that is satisfied by
@@ -559,6 +566,24 @@ impl Solver {
     ///
     /// Panics if called above decision level zero.
     pub fn vivify_base(&mut self, prop_budget: u64) -> usize {
+        let strengthened = self.vivify(prop_budget);
+        self.publish_propagations();
+        strengthened
+    }
+
+    /// Publishes the propagations made since the last publish to the
+    /// metrics registry, so the registry agrees with [`Solver::stats`].
+    /// Every public operation that can propagate (solving, vivification,
+    /// adding or retiring clauses) ends here, once per call.
+    fn publish_propagations(&mut self) {
+        let made = self.stats.propagations - self.published_propagations;
+        if made > 0 {
+            qb_obs::counter_add("solver_propagations", "sat", made);
+            self.published_propagations = self.stats.propagations;
+        }
+    }
+
+    fn vivify(&mut self, prop_budget: u64) -> usize {
         assert!(self.trail_lim.is_empty(), "level-zero operation only");
         if !self.ok || self.starts.is_empty() || self.vivify_candidates == 0 {
             // Everything eligible is already flagged: O(1) no-op (the
@@ -1714,11 +1739,7 @@ impl Solver {
         self.backtrack_to(0);
         // Always-on phase counters: one registry update per solve call,
         // negligible next to the solve itself.
-        qb_obs::counter_add(
-            "solver_propagations",
-            "sat",
-            self.stats.propagations - start_propagations,
-        );
+        self.publish_propagations();
         qb_obs::counter_add(
             "solver_conflicts",
             "sat",

@@ -75,7 +75,18 @@ pub(crate) enum ActorMsg {
 }
 
 impl ActorMsg {
-    fn name_and_ctx(self) -> (String, RequestCtx) {
+    fn ctx(&self) -> &RequestCtx {
+        match self {
+            ActorMsg::Verify { ctx, .. }
+            | ActorMsg::Edit { ctx, .. }
+            | ActorMsg::Describe { ctx, .. } => ctx,
+        }
+    }
+
+    /// Recovers the name and reply context from a message that never
+    /// reached (or bounced off) a mailbox, so the router can still
+    /// answer the client.
+    pub(crate) fn into_name_and_ctx(self) -> (String, RequestCtx) {
         match self {
             ActorMsg::Verify { name, ctx, .. }
             | ActorMsg::Edit { name, ctx, .. }
@@ -405,68 +416,49 @@ impl SessionActor {
     }
 
     fn handle_one(&mut self, msg: ActorMsg) {
-        let cmd;
-        let name;
-        let ctx;
+        // Queue time ends here, at dequeue; everything after is handle
+        // time.
+        let queue_ns = self.note_wait(msg.ctx());
+        let t0 = Instant::now();
         // Retained so a panic mid-edit rebuilds to the *post-edit*
         // program the routing table was already rekeyed to.
         let mut pending_source: Option<String> = None;
-        let result = match msg {
+        let (name, ctx, result) = match msg {
             ActorMsg::Verify {
-                name: n,
+                name,
                 targets,
                 deadline_ms,
                 trace,
-                ctx: c,
+                ctx,
             } => {
-                cmd = "verify";
-                name = n;
-                ctx = c;
-                self.note_wait(&ctx);
                 let rid = ctx.request_id;
-                let t0 = Instant::now();
                 let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     self.verify(&name, targets, deadline_ms, trace, rid)
                 }));
-                (t0, r)
+                (name, ctx, r)
             }
             ActorMsg::Edit {
-                name: n,
+                name,
                 program,
                 source,
-                ctx: c,
+                ctx,
             } => {
-                cmd = "edit";
-                name = n;
-                ctx = c;
-                self.note_wait(&ctx);
                 pending_source = Some(source.clone());
-                let t0 = Instant::now();
                 let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     self.edit(&name, program, source)
                 }));
-                (t0, r)
+                (name, ctx, r)
             }
-            ActorMsg::Describe {
-                name: n,
-                extra,
-                ctx: c,
-            } => {
-                cmd = ctx_cmd(&c);
-                name = n;
-                ctx = c;
-                self.note_wait(&ctx);
-                let t0 = Instant::now();
+            ActorMsg::Describe { name, extra, ctx } => {
                 let r = std::panic::catch_unwind(AssertUnwindSafe(|| self.describe(&name, extra)));
-                (t0, r)
+                (name, ctx, r)
             }
         };
-        let (t0, result) = result;
         let response = match result {
             Ok(response) => {
                 // A clean verify or edit proves the session healthy:
                 // close the breaker. (Describe summaries prove nothing.)
-                if matches!(cmd, "verify" | "edit") {
+                if matches!(ctx.cmd, "verify" | "edit") {
                     if let Ok(mut breaker) = self.shared.breaker.lock() {
                         breaker.note_ok();
                     }
@@ -505,11 +497,10 @@ impl SessionActor {
             }
         };
         let handle_ns = t0.elapsed().as_nanos() as u64;
-        let queue_ns = queue_ns(&ctx);
         self.publish();
         self.router.finish(
             ctx.request_id,
-            cmd,
+            ctx.cmd,
             response,
             queue_ns,
             handle_ns,
@@ -518,13 +509,13 @@ impl SessionActor {
     }
 
     /// Records this message's mailbox wait (the concurrent daemon's
-    /// queue-wait: time between routing and dequeue).
-    fn note_wait(&self, ctx: &RequestCtx) {
-        let ns = queue_ns(ctx);
-        qb_obs::observe_ns("request_mailbox_wait", ctx.cmd, ns);
+    /// queue wait: time between receipt and dequeue) and returns it.
+    fn note_wait(&self, ctx: &RequestCtx) -> u64 {
+        let ns = ctx.enqueued.elapsed().as_nanos() as u64;
         if let Ok(mut h) = self.shared.mailbox_wait.lock() {
             h.record(ns);
         }
+        ns
     }
 
     /// Tears down the (presumed poisoned) session and rebuilds it from
@@ -880,18 +871,4 @@ impl SessionActor {
             published.root_latency = stats.root_latency;
         }
     }
-}
-
-fn ctx_cmd(ctx: &RequestCtx) -> &'static str {
-    ctx.cmd
-}
-
-fn queue_ns(ctx: &RequestCtx) -> u64 {
-    ctx.enqueued.elapsed().as_nanos() as u64
-}
-
-/// Recovers the name and reply context from a message the (closed)
-/// mailbox bounced, so the router can still answer the client.
-pub(crate) fn bounce(msg: ActorMsg) -> (String, RequestCtx) {
-    msg.name_and_ctx()
 }

@@ -35,7 +35,7 @@ use crate::router::{
 };
 use qb_core::VerifyOptions;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -243,17 +243,17 @@ impl Server {
 
     /// Number of live (hash-distinct) sessions.
     pub fn loaded_sessions(&self) -> usize {
-        self.router.loaded_sessions()
+        self.router.snapshot().sessions.len()
     }
 
     /// Total sessions evicted by the LRU bound or the idle sweep.
     pub fn session_evictions(&self) -> u64 {
-        self.router.session_evictions()
+        self.router.snapshot().session_evictions
     }
 
     /// Total sessions quarantined after a panic.
     pub fn quarantined_sessions(&self) -> u64 {
-        self.router.quarantined_sessions()
+        self.router.snapshot().quarantines
     }
 }
 
@@ -351,10 +351,10 @@ pub fn run(opts: &ServeOptions) -> std::io::Result<()> {
         let log = opts.log;
         std::thread::Builder::new()
             .name("qb-accept-tcp".into())
-            .spawn(move || accept_loop(TcpAccept(listener), &router, &stop, log))
+            .spawn(move || accept_loop(Listener::Tcp(listener), &router, &stop, log))
             .expect("spawn tcp accept loop")
     });
-    accept_loop(UnixAccept(listener), &router, &stop, opts.log);
+    accept_loop(Listener::Unix(listener), &router, &stop, opts.log);
     if let Some(thread) = tcp_thread {
         let _ = thread.join();
     }
@@ -373,52 +373,45 @@ pub fn run(opts: &ServeOptions) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One transport's accept source: yields connections already wrapped in
-/// a closure that serves them (the two transports differ in framing).
-trait Accept {
-    fn accept_and_serve(&self, router: &Arc<Router>, log: bool) -> std::io::Result<()>;
-    fn transport(&self) -> &'static str;
+/// A bound listener of either transport.
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
 }
 
-struct UnixAccept(UnixListener);
+impl Listener {
+    fn transport(&self) -> &'static str {
+        match self {
+            Listener::Unix(_) => "unix",
+            Listener::Tcp(_) => "tcp",
+        }
+    }
 
-impl Accept for UnixAccept {
+    /// Accepts one connection and spawns the thread that serves it.
     fn accept_and_serve(&self, router: &Arc<Router>, log: bool) -> std::io::Result<()> {
-        let (stream, _) = self.0.accept()?;
+        type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>, Framing);
+        let (reader, writer, framing): Halves = match self {
+            Listener::Unix(listener) => {
+                let (stream, _) = listener.accept()?;
+                let reader = stream.try_clone()?;
+                (Box::new(reader), Box::new(stream), Framing::Newline)
+            }
+            Listener::Tcp(listener) => {
+                let (stream, _) = listener.accept()?;
+                let _ = stream.set_nodelay(true);
+                let reader = stream.try_clone()?;
+                (Box::new(reader), Box::new(stream), Framing::LengthPrefixed)
+            }
+        };
         let router = Arc::clone(router);
         std::thread::Builder::new()
-            .name("qb-conn-unix".into())
+            .name(format!("qb-conn-{}", self.transport()))
             .spawn(move || {
-                if let Err(e) = serve_unix_connection(stream, &router, log) {
+                if let Err(e) = serve_connection(reader, writer, framing, &router, log) {
                     eprintln!("qb-serve: connection error: {e}");
                 }
             })?;
         Ok(())
-    }
-
-    fn transport(&self) -> &'static str {
-        "unix"
-    }
-}
-
-struct TcpAccept(TcpListener);
-
-impl Accept for TcpAccept {
-    fn accept_and_serve(&self, router: &Arc<Router>, log: bool) -> std::io::Result<()> {
-        let (stream, _) = self.0.accept()?;
-        let router = Arc::clone(router);
-        std::thread::Builder::new()
-            .name("qb-conn-tcp".into())
-            .spawn(move || {
-                if let Err(e) = serve_tcp_connection(stream, &router, log) {
-                    eprintln!("qb-serve: connection error: {e}");
-                }
-            })?;
-        Ok(())
-    }
-
-    fn transport(&self) -> &'static str {
-        "tcp"
     }
 }
 
@@ -426,7 +419,7 @@ impl Accept for TcpAccept {
 /// transient network errors) is counted and backed off exponentially —
 /// 10ms doubling to a 1s cap, reset on the next success — instead of
 /// spinning hot on a persistent error.
-fn accept_loop(listener: impl Accept, router: &Arc<Router>, stop: &Arc<AtomicBool>, log: bool) {
+fn accept_loop(listener: Listener, router: &Arc<Router>, stop: &Arc<AtomicBool>, log: bool) {
     let floor = Duration::from_millis(10);
     let cap = Duration::from_secs(1);
     let mut backoff = floor;
@@ -459,6 +452,95 @@ fn accept_loop(listener: impl Accept, router: &Arc<Router>, stop: &Arc<AtomicBoo
 /// one connection exhaust the daemon's memory.
 const MAX_REQUEST_LINE: u64 = 16 * 1024 * 1024;
 
+/// How requests and responses are delimited on a connection:
+/// newline-terminated JSON on the Unix socket, a u32 big-endian byte
+/// length before each JSON payload on TCP.
+#[derive(Clone, Copy)]
+enum Framing {
+    Newline,
+    LengthPrefixed,
+}
+
+impl Framing {
+    /// What one request is called in error messages.
+    fn unit(self) -> &'static str {
+        match self {
+            Framing::Newline => "line",
+            Framing::LengthPrefixed => "frame",
+        }
+    }
+
+    /// Reads one request. `Ok(None)` is the client hanging up cleanly;
+    /// `Ok(Some(Err(response)))` an oversized or non-UTF-8 request,
+    /// already skipped so the stream stays in sync, with the error to
+    /// answer it with.
+    fn read(self, reader: &mut impl BufRead) -> std::io::Result<Option<Result<String, Json>>> {
+        let oversized = || {
+            coded_error_response(
+                &format!("request {} exceeds {MAX_REQUEST_LINE} bytes", self.unit()),
+                "oversized",
+            )
+        };
+        let bytes = match self {
+            Framing::Newline => {
+                let mut buf = Vec::new();
+                let mut capped = reader.by_ref().take(MAX_REQUEST_LINE + 1);
+                if capped.read_until(b'\n', &mut buf)? == 0 {
+                    return Ok(None);
+                }
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                } else if buf.len() as u64 > MAX_REQUEST_LINE {
+                    // The cap truncated the line mid-way: discard the
+                    // rest of it so the stream resynchronises on the
+                    // next newline.
+                    drain_to_newline(reader)?;
+                    return Ok(Some(Err(oversized())));
+                }
+                buf
+            }
+            Framing::LengthPrefixed => {
+                let mut len = [0u8; 4];
+                match reader.read_exact(&mut len) {
+                    Ok(()) => {}
+                    // A clean EOF between frames is the client hanging up.
+                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+                    Err(e) => return Err(e),
+                }
+                let len = u32::from_be_bytes(len) as u64;
+                if len > MAX_REQUEST_LINE {
+                    // The length prefix makes skipping the frame exact.
+                    std::io::copy(&mut reader.by_ref().take(len), &mut std::io::sink())?;
+                    return Ok(Some(Err(oversized())));
+                }
+                let mut payload = vec![0u8; len as usize];
+                reader.read_exact(&mut payload)?;
+                payload
+            }
+        };
+        Ok(Some(String::from_utf8(bytes).map_err(|_| {
+            coded_error_response(
+                &format!("request {} is not valid UTF-8", self.unit()),
+                "invalid_utf8",
+            )
+        })))
+    }
+
+    fn write(self, writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+        match self {
+            Framing::Newline => {
+                writer.write_all(line.as_bytes())?;
+                writer.write_all(b"\n")?;
+            }
+            Framing::LengthPrefixed => {
+                writer.write_all(&(line.len() as u32).to_be_bytes())?;
+                writer.write_all(line.as_bytes())?;
+            }
+        }
+        writer.flush()
+    }
+}
+
 /// Spawns the per-connection writer thread: responses are rendered on
 /// whatever thread finished the request and arrive here via the reply
 /// channel, in routing order for this connection. After a write error
@@ -467,7 +549,7 @@ const MAX_REQUEST_LINE: u64 = 16 * 1024 * 1024;
 fn spawn_conn_writer<W: Write + Send + 'static>(
     mut writer: W,
     router: &Arc<Router>,
-    frame: fn(&mut W, &str) -> std::io::Result<()>,
+    framing: Framing,
 ) -> (crate::actor::ReplySender, std::thread::JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel::<String>();
     let router = Arc::clone(router);
@@ -477,25 +559,13 @@ fn spawn_conn_writer<W: Write + Send + 'static>(
             let mut healthy = true;
             for line in rx {
                 if healthy {
-                    healthy = frame(&mut writer, &line).is_ok();
+                    healthy = framing.write(&mut writer, &line).is_ok();
                 }
                 router.reply_flushed();
             }
         })
         .expect("spawn connection writer");
     (tx, handle)
-}
-
-fn frame_newline<W: Write>(writer: &mut W, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-fn frame_length_prefixed<W: Write>(writer: &mut W, line: &str) -> std::io::Result<()> {
-    writer.write_all(&(line.len() as u32).to_be_bytes())?;
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
 }
 
 /// Routes one parsed-off-the-wire line, returning `true` when it was a
@@ -528,59 +598,35 @@ fn route_one(
     }
 }
 
-/// Serves one newline-JSON Unix-socket connection.
+/// Serves one connection in either framing: reads requests, routes
+/// them, and hands replies to the connection's writer thread.
 ///
-/// Malformed input never drops the connection: an oversized line is
-/// drained and answered with an `"oversized"`-coded error, invalid UTF-8
+/// Malformed input never drops the connection: an oversized request is
+/// skipped and answered with an `"oversized"`-coded error, invalid UTF-8
 /// with `"invalid_utf8"`, and the client can keep sending requests.
-fn serve_unix_connection(
-    stream: UnixStream,
+fn serve_connection(
+    reader: Box<dyn Read + Send>,
+    writer: Box<dyn Write + Send>,
+    framing: Framing,
     router: &Arc<Router>,
     log: bool,
 ) -> std::io::Result<()> {
-    let writer = stream.try_clone()?;
-    let (tx, writer_handle) = spawn_conn_writer(writer, router, frame_newline);
-    let mut reader = BufReader::new(stream);
+    let (tx, writer_handle) = spawn_conn_writer(writer, router, framing);
+    let mut reader = BufReader::new(reader);
     // Stamp of the last routed request (or connection start): a request
     // that was already buffered when it was taken has been queuing since
     // then.
     let mut idle_since = Instant::now();
     let result = loop {
         let pipelined = !reader.buffer().is_empty();
-        let mut buf: Vec<u8> = Vec::new();
-        let n = match (&mut reader)
-            .take(MAX_REQUEST_LINE + 1)
-            .read_until(b'\n', &mut buf)
-        {
-            Ok(n) => n,
-            Err(e) => break Err(e),
-        };
-        if n == 0 {
-            break Ok(()); // client hung up
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-        } else if buf.len() as u64 > MAX_REQUEST_LINE {
-            // The cap truncated the line mid-way: discard the rest of it
-            // so the stream resynchronises on the next newline.
-            if let Err(e) = drain_to_newline(&mut reader) {
-                break Err(e);
-            }
-            let response = coded_error_response(
-                &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-                "oversized",
-            );
-            router.send_reply(&tx, response.to_string());
-            continue;
-        }
-        let line = match String::from_utf8(buf) {
-            Ok(s) => s,
-            Err(_) => {
-                let response =
-                    coded_error_response("request line is not valid UTF-8", "invalid_utf8");
+        let line = match framing.read(&mut reader) {
+            Ok(Some(Ok(line))) => line,
+            Ok(Some(Err(response))) => {
                 router.send_reply(&tx, response.to_string());
                 continue;
             }
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
         };
         if line.trim().is_empty() {
             continue;
@@ -599,70 +645,6 @@ fn serve_unix_connection(
         }
     };
     drop(tx); // close the reply channel so the writer drains and exits
-    let _ = writer_handle.join();
-    result
-}
-
-/// Serves one length-prefixed TCP connection: each request and each
-/// response is a u32 big-endian byte length followed by that many bytes
-/// of JSON. Oversized frames are skipped (the length prefix makes
-/// resynchronisation exact) and answered with an `"oversized"` error.
-fn serve_tcp_connection(stream: TcpStream, router: &Arc<Router>, log: bool) -> std::io::Result<()> {
-    let _ = stream.set_nodelay(true);
-    let writer = stream.try_clone()?;
-    let (tx, writer_handle) = spawn_conn_writer(writer, router, frame_length_prefixed);
-    let mut reader = BufReader::new(stream);
-    let mut idle_since = Instant::now();
-    let result = loop {
-        let pipelined = !reader.buffer().is_empty();
-        let mut len_buf = [0u8; 4];
-        match reader.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            // A clean EOF between frames is the client hanging up.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break Ok(()),
-            Err(e) => break Err(e),
-        }
-        let len = u32::from_be_bytes(len_buf) as u64;
-        if len > MAX_REQUEST_LINE {
-            let drained = std::io::copy(&mut (&mut reader).take(len), &mut std::io::sink());
-            if let Err(e) = drained {
-                break Err(e);
-            }
-            let response = coded_error_response(
-                &format!("request frame exceeds {MAX_REQUEST_LINE} bytes"),
-                "oversized",
-            );
-            router.send_reply(&tx, response.to_string());
-            continue;
-        }
-        let mut payload = vec![0u8; len as usize];
-        if let Err(e) = reader.read_exact(&mut payload) {
-            break Err(e);
-        }
-        let line = match String::from_utf8(payload) {
-            Ok(s) => s,
-            Err(_) => {
-                let response =
-                    coded_error_response("request frame is not valid UTF-8", "invalid_utf8");
-                router.send_reply(&tx, response.to_string());
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let queue_ns = if pipelined {
-            idle_since.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        let shutdown = route_one(router, &line, queue_ns, &tx, log);
-        idle_since = Instant::now();
-        if shutdown {
-            break Ok(());
-        }
-    };
-    drop(tx);
     let _ = writer_handle.join();
     result
 }
@@ -1573,6 +1555,47 @@ mod tests {
         assert_eq!(full.get("unknowns").and_then(Json::as_usize), Some(0));
     }
 
+    /// `queue_ns` is the wait before the actor dequeued the request, not
+    /// the time to its reply: a slowed verify on an idle mailbox queues
+    /// for microseconds while its handle time carries the whole delay.
+    #[test]
+    fn queue_ns_excludes_handle_time() {
+        let _guard = FAILPOINT_LOCK.lock().unwrap();
+        let mut server = Server::new(VerifyOptions::default());
+        let load = handle(
+            &mut server,
+            &Request::Load {
+                name: "cccnot".into(),
+                source: GOOD.into(),
+                backend: None,
+            }
+            .to_line(),
+        );
+        assert!(ok(&load), "{load}");
+        // Every hit, not one-shot: a verify in a test that does not hold
+        // the lock must not use the delay up.
+        qb_testutil::failpoints::arm(
+            "slow_solve",
+            qb_testutil::failpoints::Action::Delay(150),
+            None,
+        );
+        let verify = handle(
+            &mut server,
+            &Request::Verify {
+                name: "cccnot".into(),
+                targets: None,
+                deadline_ms: None,
+                trace: false,
+            }
+            .to_line(),
+        );
+        qb_testutil::failpoints::clear("slow_solve");
+        assert!(ok(&verify), "{verify}");
+        let ns = |key: &str| verify.get(key).and_then(Json::as_i64).unwrap();
+        assert!(ns("handle_ns") >= 150_000_000, "{verify}");
+        assert!(ns("queue_ns") * 10 < ns("handle_ns"), "{verify}");
+    }
+
     #[test]
     fn default_deadline_applies_when_request_has_none() {
         let _guard = FAILPOINT_LOCK.lock().unwrap();
@@ -1880,8 +1903,12 @@ mod tests {
         std::env::temp_dir().join(format!("qb-serve-{tag}-{}", std::process::id()))
     }
 
+    // The snapshot tests write state files, so they hold
+    // FAILPOINT_LOCK: a write racing `snapshot_write_failure_is_not_fatal`
+    // would use up its one-shot `snapshot_write` failpoint.
     #[test]
     fn snapshot_restores_programs_backends_and_auto_winners() {
+        let _guard = FAILPOINT_LOCK.lock().unwrap();
         let dir = temp_state_dir("roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let mut first = Server::new(VerifyOptions::default());
@@ -1965,6 +1992,7 @@ mod tests {
 
     #[test]
     fn torn_snapshot_is_rejected_and_daemon_starts_cold() {
+        let _guard = FAILPOINT_LOCK.lock().unwrap();
         let dir = temp_state_dir("torn");
         let _ = std::fs::remove_dir_all(&dir);
         let mut first = Server::new(VerifyOptions::default());

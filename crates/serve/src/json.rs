@@ -99,7 +99,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -183,7 +183,8 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -197,10 +198,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 members.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -222,7 +223,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -234,7 +235,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => keyword(bytes, pos, "null", Json::Null),
@@ -273,7 +274,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses a string literal at `pos`. `pos` only ever advances over whole
+/// characters, so it stays on a `char` boundary of `text`.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -310,13 +314,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of unescaped characters up to the next
+                // quote or backslash (both ASCII, so the run ends on a
+                // char boundary); multi-byte sequences pass through.
+                let run = text[*pos..]
+                    .find(['"', '\\'])
+                    .map_or(text.len(), |i| *pos + i);
+                out.push_str(&text[*pos..run]);
+                *pos = run;
             }
         }
     }
@@ -367,6 +372,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn large_multibyte_strings_round_trip() {
+        let source: String = "borrow q⊕a; // café → ∀x\n\t\"x\"\\".repeat(20_000);
+        let line = Json::obj(vec![("source", Json::Str(source.clone()))]).to_string();
+        assert!(line.len() > 500_000);
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(
+            parsed.get("source").and_then(Json::as_str),
+            Some(source.as_str())
+        );
+        assert_eq!(parsed.to_string(), line);
     }
 
     #[test]

@@ -57,6 +57,7 @@ mod daemon;
 mod json;
 mod protocol;
 mod router;
+mod snapshot;
 
 pub use client::{shed_retry_after, Client, RetryBudget};
 pub use daemon::{run, ServeOptions, Server, ServerLimits};

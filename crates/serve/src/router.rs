@@ -12,18 +12,19 @@
 //! client never serializes behind another client's sweep.
 //!
 //! Lock order (outermost first): an actor's `send_lock`, then `table`,
-//! then `auto_winners`. `persist_lock`, `snap_stop` and the reply
+//! then `auto_winners`. An actor's `published`, `mailbox_wait` and
+//! `breaker` locks are leaves ([`Router::snapshot`] reads them under
+//! `table`). `persist_lock`, `snap_stop`, `timeseries` and the reply
 //! counter are leaves taken while holding none of the above (except
 //! `mark_dirty`, which takes `snap_stop` alone).
 
-use crate::actor::{
-    bounce, spawn_actor, ActorMsg, ActorShared, ReplySender, RequestCtx, MAILBOX_CAP,
-};
+use crate::actor::{spawn_actor, ActorMsg, ActorShared, ReplySender, RequestCtx, MAILBOX_CAP};
 use crate::daemon::ServerLimits;
 use crate::json::Json;
 use crate::protocol::{
     coded_error_response, error_response, overloaded_response, unavailable_response, Request,
 };
+use crate::snapshot::{DaemonSnapshot, RecorderCounts, SessionRow, TOP_WINDOW_NS};
 use qb_core::{AutoPreference, BackendKind, InitialValue, VerifyOptions, VerifySession};
 use qb_lang::{elaborate, gate_diff, parse, structural_hash, ElaboratedProgram, QubitKind};
 use qb_obs::{FlightRecorder, RecordedRequest, SpanEvent, TimeSeries};
@@ -32,7 +33,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Key of a warm session: programs are shared by structural hash *per
@@ -54,9 +55,6 @@ pub(crate) const STATE_FILE: &str = "state.json";
 /// Sampler-ring capacity: ten minutes of history at the default 1s
 /// cadence.
 const TIMESERIES_CAP: usize = 600;
-
-/// The trailing window `top` computes its rates and percentiles over.
-const TOP_WINDOW_NS: u64 = 60_000_000_000;
 
 /// Daemon health states, ordered by severity. The numeric values are
 /// what the `qb_health` gauge exports.
@@ -174,6 +172,33 @@ pub(crate) struct ActorEntry {
     /// Wall-clock time of the last touch (idle eviction).
     last_used_at: Instant,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ActorEntry {
+    /// This session's row of a [`DaemonSnapshot`], aliased by `names`.
+    fn row(&self, names: Vec<String>) -> SessionRow {
+        let shared = &self.shared;
+        // A poisoned summary is still a readable (if stale) summary:
+        // `publish` only ever overwrites whole fields.
+        let published = shared
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        SessionRow {
+            label: format!("{}/{}", hash_hex(self.key.0), self.key.1),
+            names,
+            idle_ms: self.last_used_at.elapsed().as_millis() as u64,
+            queue_depth: shared.queue_depth.load(Ordering::SeqCst),
+            worker_alive: shared.alive.load(Ordering::SeqCst),
+            breaker_open: shared.breaker.lock().is_ok_and(|b| b.is_open()),
+            mailbox_wait: shared.mailbox_wait.lock().map(|h| *h).unwrap_or_default(),
+            summary: published.pairs.clone(),
+            arena_nodes: published.arena_nodes,
+            bdd_resident_nodes: published.bdd_resident_nodes,
+            target_latency: published.target_latency,
+            root_latency: published.root_latency,
+        }
+    }
 }
 
 /// Everything behind the table lock: actors by id, key → actor, client
@@ -343,9 +368,8 @@ pub(crate) struct Router {
     /// [`HEALTH_OVERLOADED`]), driven by `total_queued` against the
     /// queue budget with hysteresis so it cannot flap.
     health: AtomicU8,
-    /// Cumulative shed counts by reason (the `status` mirror of the
-    /// `qb_shed_total` counter). Leaf lock.
-    sheds: Mutex<BTreeMap<&'static str, u64>>,
+    /// Cumulative shed counts, indexed like [`SHED_REASONS`].
+    sheds: [AtomicU64; SHED_REASONS.len()],
     state_dir: Mutex<Option<PathBuf>>,
     /// Set by mutating requests; cleared when a snapshot is written.
     state_dirty: AtomicBool,
@@ -408,12 +432,13 @@ pub(crate) fn route_line(
             return Routed::Done;
         }
     };
+    let cmd = request_cmd(&request);
     if router.shutting_down.load(Ordering::SeqCst)
         && !matches!(request, Request::Status | Request::Shutdown)
     {
         router.finish(
             request_id,
-            request_cmd(&request),
+            cmd,
             coded_error_response("daemon is shutting down", "shutting_down"),
             queue_ns,
             started.elapsed().as_nanos() as u64,
@@ -433,102 +458,61 @@ pub(crate) fn route_line(
         enqueued,
         reply: reply.clone(),
     };
-    match request {
+    // Session work is answered by its actor; control-lane requests are
+    // answered right here.
+    let answer = match request {
         Request::Load {
             name,
             source,
             backend,
-        } => route_load(router, name, &source, &backend, ctx("load")),
+        } => {
+            route_load(router, name, &source, &backend, ctx("load"));
+            None
+        }
         Request::Verify {
             name,
             targets,
             deadline_ms,
             trace,
         } => match router.resolve(&name) {
-            Err(response) => router.finish(
-                request_id,
-                "verify",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            ),
-            Ok(pair) => router.dispatch(
-                pair,
-                ActorMsg::Verify {
+            Err(response) => Some(response),
+            Ok(pair) => {
+                let msg = ActorMsg::Verify {
                     name,
                     targets,
                     deadline_ms,
                     trace,
                     ctx: ctx("verify"),
-                },
-            ),
+                };
+                router.dispatch(pair, msg);
+                None
+            }
         },
         Request::Edit {
             name,
             source,
             backend,
-        } => route_edit(router, name, &source, &backend, ctx("edit")),
+        } => {
+            route_edit(router, name, &source, &backend, ctx("edit"));
+            None
+        }
         Request::Status => {
             // `status` flushes any pending snapshot synchronously first,
             // so state read over the socket is already on disk if the
             // process dies right after (kill -9 determinism for the
             // crash-recovery tests).
             router.persist_once();
-            let response = router.status();
-            router.finish(
-                request_id,
-                "status",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            );
+            Some(router.snapshot().status())
         }
-        Request::Metrics => {
-            let response = router.metrics();
-            router.finish(
-                request_id,
-                "metrics",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            );
-        }
+        Request::Metrics => Some(router.snapshot().metrics()),
         Request::Top => {
-            let response = router.top();
-            router.finish(
-                request_id,
-                "top",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            );
+            // Gather first: the ring is locked afterwards so it never
+            // nests inside the table lock.
+            let snapshot = router.snapshot();
+            Some(snapshot.top(&router.timeseries.lock().unwrap()))
         }
-        Request::Trace { request_id: traced } => {
-            let response = router.trace_of(traced);
-            router.finish(
-                request_id,
-                "trace",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            );
-        }
-        Request::Unload { name } => {
-            let response = router.unload(&name);
-            router.finish(
-                request_id,
-                "unload",
-                response,
-                queue_ns,
-                started.elapsed().as_nanos() as u64,
-                reply,
-            );
-        }
+        Request::Trace { request_id: traced } => Some(router.trace_of(traced)),
+        Request::Unload { name } => Some(router.unload(&name)),
         Request::Shutdown => {
             // The reply is deferred: the caller drains and persists
             // first, so a shutdown acknowledgement means the final
@@ -538,6 +522,16 @@ pub(crate) fn route_line(
                 started,
             };
         }
+    };
+    if let Some(response) = answer {
+        router.finish(
+            request_id,
+            cmd,
+            response,
+            queue_ns,
+            started.elapsed().as_nanos() as u64,
+            reply,
+        );
     }
     router.after_request();
     Routed::Done
@@ -594,17 +588,35 @@ fn route_load(
         Ok(s) => s,
         Err(e) => return router.finish_direct(ctx, error_response(&e)),
     };
-    let (pair, reused) = {
-        let mut t = router.table.lock().unwrap();
-        if let Some(&aid) = t.keys.get(&key) {
-            // Lost a race: an identical load landed first. Alias to it
-            // and drop our freshly built session.
-            bind_name(&mut t, &name, aid, backend, source);
-            touch(&mut t, aid, router.requests.load(Ordering::SeqCst));
-            evict_over_capacity(&mut t, router.limits.max_sessions, aid);
-            let e = &t.actors[&aid];
-            ((e.tx.clone(), Arc::clone(&e.shared)), true)
-        } else {
+    let (pair, reused) = bind_or_spawn(router, &name, key, program, session, source);
+    router.mark_dirty();
+    router.dispatch(
+        pair,
+        ActorMsg::Describe {
+            name,
+            extra: vec![("ok", Json::Bool(true)), ("reused", Json::Bool(reused))],
+            ctx,
+        },
+    );
+}
+
+/// Binds `name` to the session for `key` under one table lock: the warm
+/// actor if a concurrent request already built one (our freshly built
+/// `session` is dropped), else a new actor over `program`/`session`.
+/// Returns the mailbox and whether an existing actor was reused.
+fn bind_or_spawn(
+    router: &Arc<Router>,
+    name: &str,
+    key: SessionKey,
+    program: ElaboratedProgram,
+    session: VerifySession,
+    source: &str,
+) -> ((SyncSender<ActorMsg>, Arc<ActorShared>), bool) {
+    let mut t = router.table.lock().unwrap();
+    let stamp = router.requests.load(Ordering::SeqCst);
+    let (aid, reused) = match t.keys.get(&key) {
+        Some(&aid) => (aid, true),
+        None => {
             let aid = t.next_actor;
             t.next_actor += 1;
             let (tx, shared, handle) = spawn_actor(
@@ -615,33 +627,24 @@ fn route_load(
                 session,
                 source.to_string(),
             );
-            t.actors.insert(
-                aid,
-                ActorEntry {
-                    tx: tx.clone(),
-                    shared: Arc::clone(&shared),
-                    key,
-                    last_used: router.requests.load(Ordering::SeqCst),
-                    last_used_at: Instant::now(),
-                    handle: Some(handle),
-                },
-            );
+            let entry = ActorEntry {
+                tx,
+                shared,
+                key,
+                last_used: stamp,
+                last_used_at: Instant::now(),
+                handle: Some(handle),
+            };
+            t.actors.insert(aid, entry);
             t.keys.insert(key, aid);
-            bind_name(&mut t, &name, aid, backend, source);
-            touch(&mut t, aid, router.requests.load(Ordering::SeqCst));
-            evict_over_capacity(&mut t, router.limits.max_sessions, aid);
-            ((tx, shared), false)
+            (aid, false)
         }
     };
-    router.mark_dirty();
-    router.dispatch(
-        pair,
-        ActorMsg::Describe {
-            name,
-            extra: vec![("ok", Json::Bool(true)), ("reused", Json::Bool(reused))],
-            ctx,
-        },
-    );
+    bind_name(&mut t, name, aid, key.1, source);
+    touch(&mut t, aid, stamp);
+    evict_over_capacity(&mut t, router.limits.max_sessions, aid);
+    let e = &t.actors[&aid];
+    ((e.tx.clone(), Arc::clone(&e.shared)), reused)
 }
 
 /// What an edit should do, decided under the table lock. The exclusive
@@ -839,16 +842,8 @@ fn route_edit(
                     let msg = match err {
                         TrySendError::Full(m) | TrySendError::Disconnected(m) => m,
                     };
-                    let (bounced_name, ctx) = bounce(msg);
-                    let queue_ns = ctx.enqueued.elapsed().as_nanos() as u64;
-                    router.finish(
-                        ctx.request_id,
-                        ctx.cmd,
-                        not_loaded_response(&bounced_name),
-                        queue_ns,
-                        0,
-                        &ctx.reply,
-                    );
+                    let (bounced_name, ctx) = msg.into_name_and_ctx();
+                    router.finish_direct(ctx, not_loaded_response(&bounced_name));
                 }
                 return;
             }
@@ -881,42 +876,7 @@ fn route_edit(
                     extra.push(("added_gates", Json::Int(diff.added as i64)));
                 }
                 let new_key = (new_hash, backend);
-                let pair = {
-                    let mut t = router.table.lock().unwrap();
-                    if let Some(&other) = t.keys.get(&new_key) {
-                        bind_name(&mut t, &name, other, backend, source);
-                        touch(&mut t, other, router.requests.load(Ordering::SeqCst));
-                        let e = &t.actors[&other];
-                        (e.tx.clone(), Arc::clone(&e.shared))
-                    } else {
-                        let aid = t.next_actor;
-                        t.next_actor += 1;
-                        let (tx, shared, handle) = spawn_actor(
-                            Arc::clone(router),
-                            aid,
-                            new_key,
-                            forked,
-                            session,
-                            source.to_string(),
-                        );
-                        t.actors.insert(
-                            aid,
-                            ActorEntry {
-                                tx: tx.clone(),
-                                shared: Arc::clone(&shared),
-                                key: new_key,
-                                last_used: router.requests.load(Ordering::SeqCst),
-                                last_used_at: Instant::now(),
-                                handle: Some(handle),
-                            },
-                        );
-                        t.keys.insert(new_key, aid);
-                        bind_name(&mut t, &name, aid, backend, source);
-                        touch(&mut t, aid, router.requests.load(Ordering::SeqCst));
-                        evict_over_capacity(&mut t, router.limits.max_sessions, aid);
-                        (tx, shared)
-                    }
-                };
+                let (pair, _) = bind_or_spawn(router, &name, new_key, forked, session, source);
                 router.mark_dirty();
                 return router.dispatch(pair, ActorMsg::Describe { name, extra, ctx });
             }
@@ -1071,7 +1031,7 @@ impl Router {
             snapshot_failures: AtomicU64::new(0),
             total_queued: AtomicUsize::new(0),
             health: AtomicU8::new(HEALTH_OK),
-            sheds: Mutex::new(BTreeMap::new()),
+            sheds: Default::default(),
             state_dir: Mutex::new(None),
             state_dirty: AtomicBool::new(false),
             persist_lock: Mutex::new(()),
@@ -1152,9 +1112,7 @@ impl Router {
         let guard = shared.send_lock.lock().unwrap();
         if let Some(response) = self.admission_check(&shared, &msg) {
             drop(guard);
-            let (_, ctx) = bounce(msg);
-            let queue_ns = ctx.enqueued.elapsed().as_nanos() as u64;
-            self.finish(ctx.request_id, ctx.cmd, response, queue_ns, 0, &ctx.reply);
+            self.finish_direct(msg.into_name_and_ctx().1, response);
             return;
         }
         shared.queue_depth.fetch_add(1, Ordering::SeqCst);
@@ -1170,33 +1128,17 @@ impl Router {
                     self.note_shed("mailbox_full");
                     let depth = shared.queue_depth.load(Ordering::SeqCst);
                     let est = self.drain_estimate_ms(&shared, depth);
-                    let (_, ctx) = bounce(msg);
-                    let queue_ns = ctx.enqueued.elapsed().as_nanos() as u64;
-                    self.finish(
-                        ctx.request_id,
-                        ctx.cmd,
-                        overloaded_response(
-                            "session mailbox is full",
-                            retry_after_ms(est),
-                            depth,
-                            est,
-                        ),
-                        queue_ns,
-                        0,
-                        &ctx.reply,
+                    let response = overloaded_response(
+                        "session mailbox is full",
+                        retry_after_ms(est),
+                        depth,
+                        est,
                     );
+                    self.finish_direct(msg.into_name_and_ctx().1, response);
                 }
                 TrySendError::Disconnected(msg) => {
-                    let (name, ctx) = bounce(msg);
-                    let queue_ns = ctx.enqueued.elapsed().as_nanos() as u64;
-                    self.finish(
-                        ctx.request_id,
-                        ctx.cmd,
-                        not_loaded_response(&name),
-                        queue_ns,
-                        0,
-                        &ctx.reply,
-                    );
+                    let (name, ctx) = msg.into_name_and_ctx();
+                    self.finish_direct(ctx, not_loaded_response(&name));
                 }
             }
         }
@@ -1360,18 +1302,19 @@ impl Router {
                 .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                qb_obs::gauge_set("health", "daemon", next as i64);
                 return;
             }
         }
     }
 
     /// Counts one shed request under `reason` (a [`SHED_REASONS`]
-    /// label), in both the metrics registry (`qb_shed_total`) and the
-    /// `status` mirror.
-    fn note_shed(&self, reason: &'static str) {
-        qb_obs::counter_add("shed", reason, 1);
-        *self.sheds.lock().unwrap().entry(reason).or_insert(0) += 1;
+    /// label).
+    fn note_shed(&self, reason: &str) {
+        let i = SHED_REASONS
+            .iter()
+            .position(|&r| r == reason)
+            .expect("known shed reason");
+        self.sheds[i].fetch_add(1, Ordering::SeqCst);
     }
 
     /// Answers a request that never reached a mailbox.
@@ -1562,382 +1505,46 @@ impl Router {
 
     // ---- control-lane rendering ----------------------------------------
 
-    fn status(&self) -> Json {
-        let t = self.table.lock().unwrap();
-        let mut names: Vec<&String> = t.names.keys().collect();
-        names.sort();
-        let programs: Vec<Json> = names
-            .iter()
-            .filter_map(|name| {
-                let aid = t.names[*name];
-                let entry = t.actors.get(&aid)?;
-                let mut pairs = vec![
-                    ("name", Json::Str((*name).clone())),
-                    (
-                        "idle_ms",
-                        Json::Int(entry.last_used_at.elapsed().as_millis() as i64),
-                    ),
-                    (
-                        "queue_depth",
-                        Json::Int(entry.shared.queue_depth.load(Ordering::SeqCst) as i64),
-                    ),
-                    (
-                        "worker_alive",
-                        Json::Bool(entry.shared.alive.load(Ordering::SeqCst)),
-                    ),
-                ];
-                if let Ok(wait) = entry.shared.mailbox_wait.lock() {
-                    pairs.push((
-                        "mailbox_wait_p50_us",
-                        Json::Int((wait.p50() / 1_000) as i64),
-                    ));
-                    pairs.push((
-                        "mailbox_wait_p95_us",
-                        Json::Int((wait.p95() / 1_000) as i64),
-                    ));
-                }
-                let published = entry.shared.published.lock().ok()?;
-                pairs.extend(published.pairs.clone());
-                Some(Json::obj(pairs))
-            })
-            .collect();
-        let mut resident_nodes = 0usize;
-        let mut resident_bdd = 0usize;
-        let mut breakers_open = 0usize;
-        for entry in t.actors.values() {
-            if let Ok(published) = entry.shared.published.lock() {
-                resident_nodes += published.arena_nodes;
-                resident_bdd += published.bdd_resident_nodes;
-            }
-            if let Ok(breaker) = entry.shared.breaker.lock() {
-                if breaker.is_open() {
-                    breakers_open += 1;
-                }
-            }
-        }
-        let sessions = t.actors.len();
-        let evictions = t.session_evictions;
-        drop(t);
-        let sheds = self.sheds.lock().unwrap().clone();
-        let sheds_total: u64 = sheds.values().sum();
-        let shed_pairs: Vec<(&'static str, Json)> = SHED_REASONS
-            .iter()
-            .map(|&reason| (reason, Json::Int(*sheds.get(reason).unwrap_or(&0) as i64)))
-            .collect();
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            (
-                "health",
-                Json::Str(health_name(self.health.load(Ordering::SeqCst)).to_string()),
-            ),
-            (
-                "queued_requests",
-                Json::Int(self.total_queued.load(Ordering::SeqCst) as i64),
-            ),
-            ("queue_budget", Json::Int(self.limits.queue_budget as i64)),
-            ("sheds_total", Json::Int(sheds_total as i64)),
-            ("sheds", Json::obj(shed_pairs)),
-            ("breakers_open", Json::Int(breakers_open as i64)),
-            ("programs", Json::Arr(programs)),
-            ("sessions", Json::Int(sessions as i64)),
-            (
-                "max_sessions",
-                match self.limits.max_sessions {
-                    Some(n) => Json::Int(n as i64),
-                    None => Json::Null,
-                },
-            ),
-            ("session_evictions", Json::Int(evictions as i64)),
-            ("resident_arena_nodes", Json::Int(resident_nodes as i64)),
-            ("resident_bdd_nodes", Json::Int(resident_bdd as i64)),
-            (
-                "auto_winners_remembered",
-                Json::Int(self.auto_winners.lock().unwrap().len() as i64),
-            ),
-            (
-                "quarantines",
-                Json::Int(self.quarantines.load(Ordering::SeqCst) as i64),
-            ),
-            (
-                "accept_errors",
-                Json::Int(self.accept_errors.load(Ordering::SeqCst) as i64),
-            ),
-            (
-                "snapshot_failures",
-                Json::Int(self.snapshot_failures.load(Ordering::SeqCst) as i64),
-            ),
-            (
-                "state_persisted",
-                Json::Bool(self.state_dir.lock().unwrap().is_some()),
-            ),
-            (
-                "default_deadline_ms",
-                match self.limits.default_deadline {
-                    Some(d) => Json::Int(d.as_millis() as i64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "requests",
-                Json::Int(self.requests.load(Ordering::SeqCst) as i64),
-            ),
-            ("dropped_spans", Json::Int(qb_obs::dropped_spans() as i64)),
-            (
-                "recorder_recorded",
-                Json::Int(self.recorder.recorded() as i64),
-            ),
-            (
-                "recorder_overflow",
-                Json::Int(self.recorder.overflowed() as i64),
-            ),
-            ("exemplars", Json::Int(self.recorder.exemplars() as i64)),
-        ])
-    }
-
-    /// Renders the process metrics registry — request counters and
-    /// latency histograms, solver-phase counters, backend cache rates —
-    /// in the Prometheus text exposition format, folding in every warm
-    /// session's per-target, per-root and mailbox-wait histograms and
-    /// publishing per-session queue-depth gauges.
-    fn metrics(&self) -> Json {
-        let mut target = qb_obs::Histogram::new();
-        let mut root = qb_obs::Histogram::new();
-        let mut wait = qb_obs::Histogram::new();
-        let (sessions, requests) = {
+    /// Gathers every daemon fact the views render: the session rows
+    /// under one table lock (with each actor's leaf locks inside it),
+    /// then the daemon-wide counters.
+    pub(crate) fn snapshot(&self) -> DaemonSnapshot {
+        let (sessions, session_evictions) = {
             let t = self.table.lock().unwrap();
-            for entry in t.actors.values() {
-                if let Ok(published) = entry.shared.published.lock() {
-                    target.merge(&published.target_latency);
-                    root.merge(&published.root_latency);
-                }
-                if let Ok(h) = entry.shared.mailbox_wait.lock() {
-                    wait.merge(&h);
-                }
-                qb_obs::gauge_set(
-                    "session_queue_depth",
-                    &format!("{}/{}", hash_hex(entry.key.0), entry.key.1),
-                    entry.shared.queue_depth.load(Ordering::SeqCst) as i64,
-                );
+            let mut names: HashMap<ActorId, Vec<String>> = HashMap::new();
+            for (name, &aid) in &t.names {
+                names.entry(aid).or_default().push(name.clone());
             }
-            (t.actors.len(), self.requests.load(Ordering::SeqCst))
-        };
-        // Health and daemon-wide queue pressure ride in the scrape too:
-        // `qb_health` is 0 ok / 1 degraded / 2 overloaded.
-        qb_obs::gauge_set(
-            "health",
-            "daemon",
-            self.health.load(Ordering::SeqCst) as i64,
-        );
-        qb_obs::gauge_set(
-            "queued_requests",
-            "daemon",
-            self.total_queued.load(Ordering::SeqCst) as i64,
-        );
-        // Observability of the observability: monotone gauges exposing
-        // span loss and flight-recorder ring overflow in the scrape.
-        qb_obs::gauge_set("obs_dropped_spans", "all", qb_obs::dropped_spans() as i64);
-        qb_obs::gauge_set(
-            "recorder_overflow",
-            "all",
-            self.recorder.overflowed() as i64,
-        );
-        qb_obs::gauge_set("recorder_recorded", "all", self.recorder.recorded() as i64);
-        let text = qb_obs::prometheus_text(
-            &qb_obs::metrics_snapshot(),
-            &[
-                ("target_latency", "all", target),
-                ("root_latency", "all", root),
-                ("session_mailbox_wait", "all", wait),
-            ],
-        );
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("metrics", Json::Str(text)),
-            ("sessions", Json::Int(sessions as i64)),
-            ("requests", Json::Int(requests as i64)),
-        ])
-    }
-
-    /// Renders the live dashboard snapshot: windowed rates from the
-    /// sampler ring, per-request-type latency over the trailing window,
-    /// and per-session gauges. Everything a scraping `client top` needs
-    /// in one compact object.
-    fn top(&self) -> Json {
-        // Per-session facts come from the live table first; the ring is
-        // locked afterwards so the two locks never nest.
-        struct SessionRow {
-            label: String,
-            queue_depth: i64,
-            wait_p50_us: i64,
-            wait_p95_us: i64,
-            arena_nodes: i64,
-            bdd_resident_nodes: i64,
-        }
-        let (mut rows, resident_arena, resident_bdd, sessions_count) = {
-            let t = self.table.lock().unwrap();
-            let mut rows = Vec::with_capacity(t.actors.len());
-            let mut arena = 0i64;
-            let mut bdd = 0i64;
-            for entry in t.actors.values() {
-                let (wait_p50_us, wait_p95_us) = entry
-                    .shared
-                    .mailbox_wait
-                    .lock()
-                    .map(|h| ((h.p50() / 1_000) as i64, (h.p95() / 1_000) as i64))
-                    .unwrap_or((0, 0));
-                let (arena_nodes, bdd_resident_nodes) = entry
-                    .shared
-                    .published
-                    .lock()
-                    .map(|p| (p.arena_nodes as i64, p.bdd_resident_nodes as i64))
-                    .unwrap_or((0, 0));
-                arena += arena_nodes;
-                bdd += bdd_resident_nodes;
-                rows.push(SessionRow {
-                    label: format!("{}/{}", hash_hex(entry.key.0), entry.key.1),
-                    queue_depth: entry.shared.queue_depth.load(Ordering::SeqCst) as i64,
-                    wait_p50_us,
-                    wait_p95_us,
-                    arena_nodes,
-                    bdd_resident_nodes,
-                });
-            }
+            let mut rows: Vec<SessionRow> = t
+                .actors
+                .iter()
+                .map(|(aid, entry)| entry.row(names.remove(aid).unwrap_or_default()))
+                .collect();
             rows.sort_by(|a, b| a.label.cmp(&b.label));
-            (rows, arena, bdd, t.actors.len())
+            (rows, t.session_evictions)
         };
-        let ts = self.timeseries.lock().unwrap();
-        let float_or_null = |v: Option<f64>| match v {
-            Some(v) => Json::Float(v),
-            None => Json::Null,
-        };
-        let rates = Json::obj(vec![
-            (
-                "req_per_s",
-                float_or_null(ts.counter_rate("requests", TOP_WINDOW_NS)),
-            ),
-            (
-                "verify_per_s",
-                float_or_null(ts.counter_rate_for("requests", "verify", TOP_WINDOW_NS)),
-            ),
-            (
-                "conflicts_per_s",
-                float_or_null(ts.counter_rate("solver_conflicts", TOP_WINDOW_NS)),
-            ),
-            (
-                "propagations_per_s",
-                float_or_null(ts.counter_rate("solver_propagations", TOP_WINDOW_NS)),
-            ),
-        ]);
-        // Windowed shed rates, total and by reason, so a dashboard
-        // shows *why* load is being turned away, not just that it is.
-        let shed_rates = {
-            let mut pairs: Vec<(&str, Json)> = vec![(
-                "per_s",
-                float_or_null(ts.counter_rate("shed", TOP_WINDOW_NS)),
-            )];
-            for &reason in &SHED_REASONS {
-                pairs.push((
-                    reason,
-                    float_or_null(ts.counter_rate_for("shed", reason, TOP_WINDOW_NS)),
-                ));
-            }
-            Json::obj(pairs)
-        };
-        // One row per request type seen by the newest snapshot: its
-        // windowed rate and the latency percentiles of just the window.
-        let request_types: Vec<Json> = {
-            let mut cmds: Vec<String> = ts
-                .latest()
-                .map(|p| {
-                    p.snapshot
-                        .counters
-                        .iter()
-                        .filter(|(n, _, _)| n == "requests")
-                        .map(|(_, l, _)| l.clone())
-                        .collect()
-                })
-                .unwrap_or_default();
-            cmds.sort();
-            cmds.dedup();
-            cmds.into_iter()
-                .map(|cmd| {
-                    let mut pairs = vec![
-                        ("cmd", Json::Str(cmd.clone())),
-                        (
-                            "rate_per_s",
-                            float_or_null(ts.counter_rate_for("requests", &cmd, TOP_WINDOW_NS)),
-                        ),
-                    ];
-                    match ts.histogram_delta("request_handle", &cmd, TOP_WINDOW_NS) {
-                        Some(h) if h.count() > 0 => {
-                            pairs.push(("p50_us", Json::Int((h.p50() / 1_000) as i64)));
-                            pairs.push(("p95_us", Json::Int((h.p95() / 1_000) as i64)));
-                        }
-                        _ => {
-                            pairs.push(("p50_us", Json::Null));
-                            pairs.push(("p95_us", Json::Null));
-                        }
-                    }
-                    Json::obj(pairs)
-                })
-                .collect()
-        };
-        let sessions: Vec<Json> = rows
-            .drain(..)
-            .map(|row| {
-                let depth_max = ts
-                    .gauge_max("session_queue_depth", &row.label, TOP_WINDOW_NS)
-                    .map_or(Json::Null, Json::Int);
-                Json::obj(vec![
-                    ("session", Json::Str(row.label)),
-                    ("queue_depth", Json::Int(row.queue_depth)),
-                    ("queue_depth_max", depth_max),
-                    ("mailbox_wait_p50_us", Json::Int(row.wait_p50_us)),
-                    ("mailbox_wait_p95_us", Json::Int(row.wait_p95_us)),
-                    ("arena_nodes", Json::Int(row.arena_nodes)),
-                    ("bdd_resident_nodes", Json::Int(row.bdd_resident_nodes)),
-                ])
-            })
-            .collect();
-        let samples = ts.len();
-        let window_ms = ts.span_ns().min(TOP_WINDOW_NS) / 1_000_000;
-        drop(ts);
-        let sheds_total: u64 = self.sheds.lock().unwrap().values().sum();
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("samples", Json::Int(samples as i64)),
-            ("window_ms", Json::Int(window_ms as i64)),
-            (
-                "health",
-                Json::Str(health_name(self.health.load(Ordering::SeqCst)).to_string()),
-            ),
-            (
-                "queued_requests",
-                Json::Int(self.total_queued.load(Ordering::SeqCst) as i64),
-            ),
-            ("shed", shed_rates),
-            ("sheds_total", Json::Int(sheds_total as i64)),
-            ("rates", rates),
-            ("request_types", Json::Arr(request_types)),
-            ("sessions", Json::Arr(sessions)),
-            ("sessions_count", Json::Int(sessions_count as i64)),
-            ("resident_arena_nodes", Json::Int(resident_arena)),
-            ("resident_bdd_nodes", Json::Int(resident_bdd)),
-            (
-                "requests",
-                Json::Int(self.requests.load(Ordering::SeqCst) as i64),
-            ),
-            ("dropped_spans", Json::Int(qb_obs::dropped_spans() as i64)),
-            (
-                "recorder",
-                Json::obj(vec![
-                    ("recorded", Json::Int(self.recorder.recorded() as i64)),
-                    ("retained", Json::Int(self.recorder.len() as i64)),
-                    ("overflow", Json::Int(self.recorder.overflowed() as i64)),
-                    ("exemplars", Json::Int(self.recorder.exemplars() as i64)),
-                ]),
-            ),
-        ])
+        let load = |n: &AtomicU64| n.load(Ordering::SeqCst);
+        DaemonSnapshot {
+            sessions,
+            health: self.health.load(Ordering::SeqCst),
+            queued: self.total_queued.load(Ordering::SeqCst),
+            sheds: self.sheds.each_ref().map(load),
+            quarantines: load(&self.quarantines),
+            accept_errors: load(&self.accept_errors),
+            snapshot_failures: load(&self.snapshot_failures),
+            requests: load(&self.requests),
+            session_evictions,
+            auto_winners: self.auto_winners.lock().unwrap().len(),
+            dropped_spans: qb_obs::dropped_spans(),
+            recorder: RecorderCounts {
+                recorded: self.recorder.recorded(),
+                retained: self.recorder.len(),
+                overflow: self.recorder.overflowed(),
+                exemplars: self.recorder.exemplars(),
+            },
+            limits: self.limits,
+            state_persisted: self.state_dir.lock().unwrap().is_some(),
+        }
     }
 
     /// Fetches a retained request trace: from the flight-recorder ring
@@ -2018,37 +1625,19 @@ impl Router {
         self.recorder.set_slow_threshold(threshold);
     }
 
-    /// One sampler beat: refresh the per-session gauges, then append
-    /// the cumulative metrics snapshot to the ring.
+    /// One sampler beat: append the registry, joined with the daemon's
+    /// own facts, to the ring.
     pub(crate) fn sample_tick(&self) {
-        {
-            let t = self.table.lock().unwrap();
-            for entry in t.actors.values() {
-                qb_obs::gauge_set(
-                    "session_queue_depth",
-                    &format!("{}/{}", hash_hex(entry.key.0), entry.key.1),
-                    entry.shared.queue_depth.load(Ordering::SeqCst) as i64,
-                );
-            }
-        }
         // Health is re-evaluated on a timer too, not only on queue
         // traffic: a daemon that went quiet after a storm still decays
-        // back to `ok` and the gauge tracks the current state.
+        // back to `ok` and the ring tracks the current state.
         self.eval_health();
-        qb_obs::gauge_set(
-            "health",
-            "daemon",
-            self.health.load(Ordering::SeqCst) as i64,
-        );
-        qb_obs::gauge_set(
-            "queued_requests",
-            "daemon",
-            self.total_queued.load(Ordering::SeqCst) as i64,
-        );
+        let mut metrics = qb_obs::metrics_snapshot();
+        self.snapshot().merge_into(&mut metrics);
         self.timeseries
             .lock()
             .unwrap()
-            .tick(qb_obs::now_ns(), qb_obs::metrics_snapshot());
+            .tick(qb_obs::now_ns(), metrics);
     }
 
     /// Tells the sampler thread to exit.
@@ -2364,7 +1953,6 @@ impl Router {
     /// daemon spinning on EMFILE is visible).
     pub(crate) fn note_accept_error(&self) {
         self.accept_errors.fetch_add(1, Ordering::SeqCst);
-        qb_obs::counter_add("accept_errors", "accept", 1);
     }
 
     /// Tells the snapshot writer thread to exit.
@@ -2372,20 +1960,6 @@ impl Router {
         let mut stop = self.snap_stop.lock().unwrap();
         *stop = true;
         self.snap_cvar.notify_all();
-    }
-
-    // ---- accessors -----------------------------------------------------
-
-    pub(crate) fn loaded_sessions(&self) -> usize {
-        self.table.lock().unwrap().actors.len()
-    }
-
-    pub(crate) fn session_evictions(&self) -> u64 {
-        self.table.lock().unwrap().session_evictions
-    }
-
-    pub(crate) fn quarantined_sessions(&self) -> u64 {
-        self.quarantines.load(Ordering::SeqCst)
     }
 }
 

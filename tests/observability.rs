@@ -11,10 +11,11 @@ use qborrow::lang::adder_source;
 use qborrow::obs;
 use qborrow::serve::{run, Client, Json, ServeOptions};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 static SOCKET_COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -110,6 +111,35 @@ fn assert_trace_balanced(trace: &Json) -> usize {
     events.len()
 }
 
+/// Parses the Prometheus text of a `metrics` response into `(name,
+/// labels, value)` samples, asserting every sample line is well formed.
+fn prometheus_samples(resp: &Json) -> Vec<(String, String, f64)> {
+    let text = resp
+        .get("metrics")
+        .and_then(Json::as_str)
+        .expect("metrics text");
+    let mut samples = Vec::new();
+    for line in text.lines() {
+        if line.starts_with('#') || line.trim().is_empty() {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("non-numeric sample value in {line:?}"));
+        let (name, labels) = match series.split_once('{') {
+            Some((n, rest)) => (n, rest.strip_suffix('}').expect("closed label set")),
+            None => (series, ""),
+        };
+        assert!(
+            name.starts_with("qb_") && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+            "bad metric name in {line:?}"
+        );
+        samples.push((name.to_string(), labels.to_string(), value));
+    }
+    samples
+}
+
 /// Tentpole acceptance: tracing an adder-16 SAT sweep end-to-end yields
 /// spans whose intervals nest properly per thread and whose Chrome
 /// export replays as balanced brackets with the full hierarchy present.
@@ -187,32 +217,8 @@ fn daemon_metrics_scrape_parses_as_prometheus_text() {
     client.verify("adder", None).unwrap();
     let resp = client.metrics().unwrap();
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-    let text = resp
-        .get("metrics")
-        .and_then(Json::as_str)
-        .expect("metrics text")
-        .to_string();
+    let samples = prometheus_samples(&resp);
     shutdown(client, handle);
-
-    let mut samples: Vec<(String, String, f64)> = Vec::new();
-    for line in text.lines() {
-        if line.starts_with('#') || line.trim().is_empty() {
-            continue;
-        }
-        let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
-        let value: f64 = value
-            .parse()
-            .unwrap_or_else(|_| panic!("non-numeric sample value in {line:?}"));
-        let (name, labels) = match series.split_once('{') {
-            Some((n, rest)) => (n, rest.strip_suffix('}').expect("closed label set")),
-            None => (series, ""),
-        };
-        assert!(
-            name.starts_with("qb_") && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-            "bad metric name in {line:?}"
-        );
-        samples.push((name.to_string(), labels.to_string(), value));
-    }
 
     let count = |name: &str, label_frag: &str| {
         samples
@@ -476,4 +482,205 @@ fn client_top_once_json_reports_rates_over_a_real_socket() {
     assert!(parsed.get("rates").is_some());
 
     shutdown(client, handle);
+}
+
+/// A `qborrow serve` child process, killed if the test fails before it
+/// shuts the daemon down.
+struct DaemonProcess(std::process::Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Every fact shown on more than one daemon surface reads the same on
+/// all of them: `status`, `top` and the Prometheus `metrics` text. The
+/// daemon is the compiled binary in its own process, so the metrics
+/// registry holds only its traffic and registry totals compare exactly.
+#[test]
+fn daemon_facts_agree_across_status_top_and_metrics() {
+    let socket = std::env::temp_dir().join(format!(
+        "qborrow-obs-xsurface-{}-{}.sock",
+        std::process::id(),
+        SOCKET_COUNTER.fetch_add(1, Ordering::SeqCst)
+    ));
+    // Every sweep takes 300ms longer, so a pipelined burst is still
+    // queued when the shed probe arrives; a queue budget of 4 turns two
+    // queued requests into `degraded` health.
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_qborrow"))
+        .args(["serve", "--quiet", "--queue-budget", "4"])
+        .args(["--sample-interval-ms", "50", "--socket"])
+        .arg(&socket)
+        .env("QB_FAILPOINTS", "slow_solve=delay-300")
+        .spawn()
+        .expect("qborrow serve starts");
+    let mut daemon = DaemonProcess(child);
+    let mut client = (0..500)
+        .find_map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            Client::connect(&socket).ok()
+        })
+        .expect("daemon comes up");
+    let ok = |resp: &Json| resp.get("ok").and_then(Json::as_bool) == Some(true);
+
+    // Warm traffic on both decision pipelines, and an incremental edit.
+    let sat_source = adder_source(16);
+    assert!(ok(&client
+        .load_with("sat", &sat_source, Some("sat"))
+        .unwrap()));
+    assert!(ok(&client
+        .load_with("auto", &adder_source(8), Some("auto"))
+        .unwrap()));
+    assert!(ok(&client.verify("sat", None).unwrap()));
+    assert!(ok(&client.verify("auto", None).unwrap()));
+    let edit = client
+        .edit("sat", &format!("{sat_source}X[q[1]];\nX[q[1]];\n"))
+        .unwrap();
+    assert_eq!(
+        edit.get("strategy").and_then(Json::as_str),
+        Some("incremental")
+    );
+    assert!(ok(&client.verify("sat", None).unwrap()));
+
+    // Force exactly one shed: three deadline-carrying verifies (never
+    // brownout-shed) queue behind the slowed sweep, which degrades
+    // health; an unbounded verify is then shed by brownout.
+    let mut burst = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let verify_line =
+        |deadline: &str| format!("{{\"cmd\":\"verify\",\"name\":\"sat\"{deadline}}}\n");
+    let queued = verify_line(",\"deadline_ms\":600000").repeat(3);
+    burst.write_all(queued.as_bytes()).unwrap();
+    // Polls `status` until health reads `want`; panics with the last
+    // status after 30s rather than hanging the run.
+    let wait_for_health = |client: &mut Client, want: &str, poll: Duration| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let status = client.status().unwrap();
+            if status.get("health").and_then(Json::as_str) == Some(want) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "health never became {want}; last status: {status}"
+            );
+            std::thread::sleep(poll);
+        }
+    };
+    wait_for_health(&mut client, "degraded", Duration::from_millis(1));
+    burst.write_all(verify_line("").as_bytes()).unwrap();
+    let mut replies = BufReader::new(burst);
+    // Replies come in completion order: the shed one first.
+    let mut codes: Vec<Option<String>> = (0..4)
+        .map(|_| {
+            let mut line = String::new();
+            replies.read_line(&mut line).unwrap();
+            let resp = Json::parse(line.trim()).unwrap();
+            resp.get("code").and_then(Json::as_str).map(String::from)
+        })
+        .collect();
+    codes.sort();
+    assert_eq!(
+        codes,
+        vec![None, None, None, Some("overloaded".to_string())]
+    );
+    wait_for_health(&mut client, "ok", Duration::from_millis(5));
+
+    // One read of each surface, nothing else in flight.
+    let status = client.status().unwrap();
+    let top = client.top().unwrap();
+    let metrics = client.metrics().unwrap();
+    let samples = prometheus_samples(&metrics);
+    let prom = |name: &str, label: &str| -> i64 {
+        samples
+            .iter()
+            .filter(|(n, l, _)| {
+                n == name && (label.is_empty() || *l == format!("kind=\"{label}\""))
+            })
+            .map(|(_, _, v)| *v as i64)
+            .sum()
+    };
+    let int = |v: &Json, key: &str| -> i64 {
+        v.get(key)
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("{key} missing from {v}"))
+    };
+    let programs = status.get("programs").and_then(Json::as_arr).unwrap();
+    let rows = top.get("sessions").and_then(Json::as_arr).unwrap();
+    let sum = |items: &[Json], key: &str| items.iter().map(|v| int(v, key)).sum::<i64>();
+
+    // Sessions (one name each) and their resident nodes.
+    assert_eq!(int(&status, "sessions"), 2);
+    for count in [
+        programs.len() as i64,
+        int(&top, "sessions_count"),
+        rows.len() as i64,
+        int(&metrics, "sessions"),
+        prom("qb_sessions", "daemon"),
+    ] {
+        assert_eq!(count, 2);
+    }
+    for key in ["resident_arena_nodes", "resident_bdd_nodes"] {
+        let per_session = key
+            .replace("resident_", "")
+            .replace("bdd_nodes", "bdd_resident_nodes");
+        let total = int(&status, key);
+        assert!(total > 0 || key == "resident_bdd_nodes", "{key}: {status}");
+        assert_eq!(int(&top, key), total, "{key}");
+        assert_eq!(sum(programs, &per_session), total, "{key}");
+        assert_eq!(sum(rows, &per_session), total, "{key}");
+    }
+
+    // Health, queue pressure and sheds.
+    assert_eq!(status.get("health"), top.get("health"));
+    assert_eq!(prom("qb_health", "daemon"), 0);
+    assert_eq!(int(&status, "queued_requests"), 0);
+    assert_eq!(int(&top, "queued_requests"), 0);
+    assert_eq!(prom("qb_queued_requests", "daemon"), 0);
+    let sheds = status.get("sheds").unwrap();
+    for reason in ["mailbox_full", "deadline", "brownout", "breaker"] {
+        let expected = i64::from(reason == "brownout");
+        assert_eq!(int(sheds, reason), expected, "{reason}");
+        assert_eq!(prom("qb_shed_total", reason), expected, "{reason}");
+    }
+    assert_eq!(int(&status, "sheds_total"), 1);
+    assert_eq!(int(&top, "sheds_total"), 1);
+
+    // Requests: each read is itself a request, and a counter of finished
+    // requests (the registry's, the recorder's) does not yet include the
+    // one being answered.
+    let requests = int(&status, "requests");
+    assert_eq!(int(&top, "requests"), requests + 1);
+    assert_eq!(int(&metrics, "requests"), requests + 2);
+    assert_eq!(prom("qb_requests_total", ""), requests + 1);
+    let recorder = top.get("recorder").unwrap();
+    assert_eq!(int(&status, "recorder_recorded"), requests - 1);
+    assert_eq!(int(recorder, "recorded"), requests);
+    assert_eq!(prom("qb_recorder_recorded", "all"), requests + 1);
+    assert_eq!(int(&status, "recorder_overflow"), int(recorder, "overflow"));
+    assert_eq!(
+        int(&status, "recorder_overflow"),
+        prom("qb_recorder_overflow", "all")
+    );
+    // The shed answered `ok: false`, which promotes it to an exemplar.
+    assert!(int(&status, "exemplars") >= 1);
+    assert_eq!(int(&status, "exemplars"), int(recorder, "exemplars"));
+    assert_eq!(int(&status, "exemplars"), prom("qb_exemplars_total", ""));
+    assert_eq!(int(&status, "dropped_spans"), int(&top, "dropped_spans"));
+    assert_eq!(
+        int(&status, "dropped_spans"),
+        prom("qb_obs_dropped_spans", "all")
+    );
+
+    // Solver work: the sessions' own counters add up to the registry's,
+    // vivification included.
+    let propagations = sum(programs, "solver_propagations");
+    assert!(propagations > 0, "{status}");
+    assert_eq!(prom("qb_solver_propagations_total", "sat"), propagations);
+
+    let resp = client.shutdown().unwrap();
+    assert!(ok(&resp));
+    let exit = daemon.0.wait().expect("daemon exits");
+    assert!(exit.success(), "daemon exit: {exit:?}");
 }

@@ -42,7 +42,7 @@ use std::collections::HashMap;
 
 /// Error raised when a construction would exceed the manager's node
 /// budget. Callers treat it as "backend inapplicable" (the auto
-/// portfolio falls back to SAT).
+/// ladder moves down to SAT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BddOverflow {
     /// The node budget that was exceeded.

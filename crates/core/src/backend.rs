@@ -7,21 +7,23 @@
 //! * [`BackendKind::Sat`] — Tseitin encoding + the `qb-sat` CDCL solver
 //!   (the workhorse; produces concrete counterexample models);
 //! * [`BackendKind::Anf`] — canonical algebraic-normal-form
-//!   normalisation: a formula is unsatisfiable iff its ANF is `0`. Exact
-//!   but may blow up (reported as [`BackendError::AnfOverflow`]);
+//!   normalisation: a formula is unsatisfiable iff its ANF is `0`, and a
+//!   minimum-degree term of a nonzero ANF is a witness. Exact but may
+//!   blow up (reported as [`BackendError::AnfOverflow`]);
 //! * [`BackendKind::Bdd`] — reduced ordered BDDs (complement edges) in
 //!   circuit variable order: unsatisfiable iff the diagram is the false
 //!   edge. Bounded by [`BackendOptions::bdd_node_budget`] (reported as
 //!   [`BackendError::BddOverflow`]);
-//! * [`BackendKind::Auto`] — per-query portfolio: BDD first under its
-//!   node budget, falling back to SAT on blow-up, so canonical structure
-//!   answers the cheap queries and search handles the rest.
+//! * [`BackendKind::Auto`] — a cheapest-first ladder ANF → BDD → SAT
+//!   (see [`AutoPreference`]): ANF under the small
+//!   [`AUTO_ANF_TERM_CAP`], BDD under its node budget, SAT for the rest.
+//!   An overflow moves down one rung.
 //!
 //! Mirroring the paper's CVC5-vs-Bitwuzla comparison, the backends have
 //! different scaling behaviour on the two benchmark families (see
 //! EXPERIMENTS.md and README.md, "Choosing a backend").
 
-use qb_bdd::{BddOverflow, BddSession};
+use qb_bdd::BddSession;
 use qb_formula::{encode, Anf, Arena, NodeId, Var};
 use qb_sat::{Lit, SatResult, Solver};
 use std::collections::HashMap;
@@ -37,7 +39,8 @@ pub enum BackendKind {
     Anf,
     /// Reduced ordered BDDs.
     Bdd,
-    /// Portfolio: BDD under a node budget, SAT on blow-up.
+    /// Ladder: ANF under [`AUTO_ANF_TERM_CAP`], then BDD under its node
+    /// budget, then SAT.
     Auto,
 }
 
@@ -121,8 +124,7 @@ pub struct Decision {
     /// condition holds).
     pub unsat: bool,
     /// A satisfying assignment of the *circuit input variables* when the
-    /// condition is violated and the backend can produce one (SAT and BDD
-    /// backends; ANF reports `None`).
+    /// condition is violated (variables it leaves out are `false`).
     pub model: Option<HashMap<Var, bool>>,
     /// Backend-specific size statistic: CNF clauses, total ANF terms, or
     /// peak BDD nodes.
@@ -132,10 +134,11 @@ pub struct Decision {
 /// Per-backend knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendOptions {
-    /// Term cap for the ANF backend.
+    /// Term cap for the ANF backend (the auto ladder's ANF rung uses
+    /// [`AUTO_ANF_TERM_CAP`] instead).
     pub anf_cap: usize,
-    /// Resident-node budget for the BDD backend; the auto portfolio
-    /// falls back to SAT once a query's diagrams would exceed it.
+    /// Resident-node budget for the BDD backend; the auto ladder moves
+    /// down to SAT once a query's diagrams would exceed it.
     pub bdd_node_budget: usize,
 }
 
@@ -148,14 +151,83 @@ impl Default for BackendOptions {
     }
 }
 
+/// Per-node term cap of the auto ladder's ANF rung. ANF decides the
+/// paper's MCX family in milliseconds with polynomials far below it,
+/// while an adder's carry chain overflows it on the first root within a
+/// few milliseconds, so a wrong first guess is cheap.
+pub const AUTO_ANF_TERM_CAP: usize = 256;
+
+/// The rung of the [`BackendKind::Auto`] ladder a circuit sits on: what
+/// the ladder has learned about which backend wins its condition roots.
+///
+/// The ladder is ANF → BDD → SAT, cheapest first. Each root is tried on
+/// the current rung; an overflow (ANF past [`AUTO_ANF_TERM_CAP`], BDD
+/// past its node budget) moves the circuit down one rung for good and
+/// retries the root there, so a circuit pays each losing attempt at most
+/// once. The daemon persists the rung per structural hash and seeds
+/// reloaded sessions with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AutoPreference {
+    /// No evidence yet: start at ANF.
+    #[default]
+    Undecided,
+    /// ANF decided a root within its term cap.
+    Anf,
+    /// ANF overflowed on this circuit: start at BDD.
+    Bdd,
+    /// BDD blew its budget on this circuit: go straight to SAT.
+    Sat,
+}
+
+impl AutoPreference {
+    /// Wire/status name.
+    pub fn name(self) -> &'static str {
+        match self {
+            AutoPreference::Undecided => "undecided",
+            AutoPreference::Anf => "anf",
+            AutoPreference::Bdd => "bdd",
+            AutoPreference::Sat => "sat",
+        }
+    }
+
+    /// Inverse of [`AutoPreference::name`], for persisted daemon state.
+    pub fn parse(name: &str) -> Option<AutoPreference> {
+        [
+            AutoPreference::Undecided,
+            AutoPreference::Anf,
+            AutoPreference::Bdd,
+            AutoPreference::Sat,
+        ]
+        .into_iter()
+        .find(|p| p.name() == name)
+    }
+
+    /// The backend this rung runs.
+    pub fn backend(self) -> BackendKind {
+        match self {
+            AutoPreference::Undecided | AutoPreference::Anf => BackendKind::Anf,
+            AutoPreference::Bdd => BackendKind::Bdd,
+            AutoPreference::Sat => BackendKind::Sat,
+        }
+    }
+
+    /// The rung an overflow on this one moves to (SAT is the floor).
+    pub fn demoted(self) -> AutoPreference {
+        match self {
+            AutoPreference::Undecided | AutoPreference::Anf => AutoPreference::Bdd,
+            AutoPreference::Bdd | AutoPreference::Sat => AutoPreference::Sat,
+        }
+    }
+}
+
 /// Decides whether `⋁ roots` is unsatisfiable over `arena`.
 ///
 /// The SAT backend materialises the disjunction exactly as the paper's
 /// formula (6.2) does (one query); the ANF and BDD backends decide each
 /// disjunct separately (the disjunction is unsatisfiable iff every
-/// disjunct is), which avoids needless structure. The auto portfolio
-/// tries the BDD backend under its node budget and falls back to SAT on
-/// blow-up.
+/// disjunct is), which avoids needless structure. The auto ladder walks
+/// ANF → BDD → SAT from the top for every call (a one-shot call has no
+/// session to remember a demotion in).
 ///
 /// # Errors
 ///
@@ -170,12 +242,21 @@ pub fn decide_unsat(
     match kind {
         BackendKind::Sat => Ok(decide_sat(arena, roots)),
         BackendKind::Anf => decide_anf(arena, roots, opts.anf_cap),
-        BackendKind::Bdd => decide_bdd(arena, roots, opts.bdd_node_budget)
-            .map_err(|e| BackendError::BddOverflow { budget: e.budget }),
-        BackendKind::Auto => match decide_bdd(arena, roots, opts.bdd_node_budget) {
-            Ok(d) => Ok(d),
-            Err(_) => Ok(decide_sat(arena, roots)),
-        },
+        BackendKind::Bdd => decide_bdd(arena, roots, opts.bdd_node_budget),
+        BackendKind::Auto => {
+            let mut rung = AutoPreference::Undecided;
+            loop {
+                let attempt = match rung.backend() {
+                    BackendKind::Anf => decide_anf(arena, roots, AUTO_ANF_TERM_CAP),
+                    BackendKind::Bdd => decide_bdd(arena, roots, opts.bdd_node_budget),
+                    _ => return Ok(decide_sat(arena, roots)),
+                };
+                match attempt {
+                    Ok(d) => return Ok(d),
+                    Err(_) => rung = rung.demoted(),
+                }
+            }
+        }
     }
 }
 
@@ -234,22 +315,28 @@ fn solver_add_clause(solver: &mut Solver, clause: &[Lit]) -> bool {
 fn decide_anf(arena: &Arena, roots: &[NodeId], cap: usize) -> Result<Decision, BackendError> {
     let polys =
         Anf::from_arena(arena, roots, cap).map_err(|e| BackendError::AnfOverflow { cap: e.cap })?;
-    let size = polys.iter().map(Anf::len).sum();
-    let unsat = polys.iter().all(Anf::is_zero);
+    let model = polys.iter().find_map(anf_witness);
     Ok(Decision {
-        unsat,
-        model: None,
-        size,
+        unsat: model.is_none(),
+        model,
+        size: polys.iter().map(Anf::len).sum(),
     })
+}
+
+/// The witness of a nonzero polynomial (see [`Anf::satisfying_vars`]);
+/// `None` when it is zero, i.e. unsatisfiable.
+pub(crate) fn anf_witness(poly: &Anf) -> Option<HashMap<Var, bool>> {
+    poly.satisfying_vars()
+        .map(|ones| ones.iter().map(|&v| (v, true)).collect())
 }
 
 /// One-shot BDD decision (a throwaway [`BddSession`]; long-lived
 /// verification sessions keep a persistent one instead — see
 /// `qb_core::VerifySession`).
-fn decide_bdd(arena: &Arena, roots: &[NodeId], budget: usize) -> Result<Decision, BddOverflow> {
+fn decide_bdd(arena: &Arena, roots: &[NodeId], budget: usize) -> Result<Decision, BackendError> {
     let mut session = BddSession::new(budget);
     let bdds = session.build(arena, roots).map_err(|e| match e {
-        qb_bdd::BddBuildError::Overflow(o) => o,
+        qb_bdd::BddBuildError::Overflow(o) => BackendError::BddOverflow { budget: o.budget },
         // One-shot sessions never install a cancellation token.
         qb_bdd::BddBuildError::Interrupted => {
             unreachable!("no cancel token installed on one-shot BDD session")
@@ -405,9 +492,34 @@ mod tests {
     }
 
     #[test]
+    fn anf_backend_produces_model() {
+        // (x ∧ ¬y) ⊕ z = x ⊕ xy ⊕ z: setting one degree-1 term satisfies it.
+        let mut arena = Arena::new(Simplify::Raw);
+        let x = arena.var(0);
+        let y = arena.var(1);
+        let z = arena.var(2);
+        let ny = arena.not(y);
+        let xny = arena.and2(x, ny);
+        let root = arena.xor2(xny, z);
+        let d = decide_unsat(
+            &mut arena,
+            &[root],
+            BackendKind::Anf,
+            &BackendOptions::default(),
+        )
+        .unwrap();
+        assert!(!d.unsat);
+        let model = d.model.unwrap();
+        let value = |v: Var| model.get(&v).copied().unwrap_or(false);
+        assert!(arena.eval(root, &[value(0), value(1), value(2)]));
+    }
+
+    #[test]
     fn bdd_overflow_is_reported_and_auto_falls_back() {
+        // 2^12 ANF terms: past the auto ladder's ANF cap too, so auto
+        // walks all three rungs.
         let build = |arena: &mut Arena| -> Vec<NodeId> {
-            let factors: Vec<NodeId> = (0..6)
+            let factors: Vec<NodeId> = (0..12)
                 .map(|i| {
                     let a = arena.var(2 * i);
                     let b = arena.var(2 * i + 1);
@@ -425,7 +537,7 @@ mod tests {
         let err = decide_unsat(&mut arena, &roots, BackendKind::Bdd, &opts).unwrap_err();
         assert_eq!(err, BackendError::BddOverflow { budget: 4 });
 
-        // The portfolio decides the same query via SAT instead.
+        // The ladder decides the same query via SAT instead.
         let mut arena = Arena::new(Simplify::Raw);
         let roots = build(&mut arena);
         let d = decide_unsat(&mut arena, &roots, BackendKind::Auto, &opts).unwrap();
@@ -440,6 +552,29 @@ mod tests {
         }
         assert_eq!(BackendKind::parse("cvc5"), None);
         assert_eq!(BackendKind::valid_names(), "sat, anf, bdd, auto");
+    }
+
+    #[test]
+    fn auto_ladder_runs_anf_then_bdd_then_sat() {
+        let ladder: Vec<BackendKind> = [
+            AutoPreference::Undecided,
+            AutoPreference::Anf,
+            AutoPreference::Bdd,
+            AutoPreference::Sat,
+        ]
+        .into_iter()
+        .map(|p| p.backend())
+        .collect();
+        use BackendKind::{Anf, Bdd, Sat};
+        assert_eq!(ladder, [Anf, Anf, Bdd, Sat]);
+        assert_eq!(AutoPreference::Undecided.demoted(), AutoPreference::Bdd);
+        assert_eq!(AutoPreference::Anf.demoted(), AutoPreference::Bdd);
+        assert_eq!(AutoPreference::Bdd.demoted(), AutoPreference::Sat);
+        assert_eq!(AutoPreference::Sat.demoted(), AutoPreference::Sat);
+        for name in ["undecided", "anf", "bdd", "sat"] {
+            assert_eq!(AutoPreference::parse(name).map(|p| p.name()), Some(name));
+        }
+        assert_eq!(AutoPreference::parse("cvc5"), None);
     }
 
     #[test]

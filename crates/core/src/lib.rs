@@ -50,12 +50,15 @@ mod session;
 mod symbolic;
 mod verifier;
 
-pub use backend::{decide_unsat, BackendError, BackendKind, BackendOptions, Decision};
+pub use backend::{
+    decide_unsat, AutoPreference, BackendError, BackendKind, BackendOptions, Decision,
+    AUTO_ANF_TERM_CAP,
+};
 pub use conditions::{build_clean_condition, build_conditions, Conditions};
 pub use qb_sat::CancelToken;
 pub use session::{
-    verify_circuit_parallel, verify_program_parallel, AutoPreference, EditStats,
-    GenericVerifySession, SessionStats, VerifyLimits, VerifySession,
+    verify_circuit_parallel, verify_program_parallel, EditStats, GenericVerifySession,
+    SessionStats, VerifyLimits, VerifySession,
 };
 pub use symbolic::{symbolic_execute, InitialValue, NotClassicalCircuit, SymbolicState};
 pub use verifier::{

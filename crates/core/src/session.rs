@@ -26,7 +26,9 @@
 //! `std::thread::scope` workers (one session per worker, no external
 //! dependencies) and reassembles verdicts in request order.
 
-use crate::backend::{BackendError, BackendKind, Decision};
+use crate::backend::{
+    anf_witness, AutoPreference, BackendError, BackendKind, Decision, AUTO_ANF_TERM_CAP,
+};
 use crate::conditions::{build_conditions_memo, CofactorMemo};
 use crate::symbolic::{
     initial_formulas, symbolic_apply, symbolic_execute, InitialValue, SymbolicState,
@@ -37,7 +39,7 @@ use crate::verifier::{
 };
 use qb_bdd::{BddBuildError, BddSession};
 use qb_circuit::{Circuit, Gate};
-use qb_formula::{Anf, AnfCache, CnfSink, IncrementalEncoder, NodeId, Var};
+use qb_formula::{Anf, AnfCache, AnfOverflow, CnfSink, IncrementalEncoder, NodeId, Var};
 use qb_lang::{gate_common_prefix, ElaboratedProgram, QubitKind};
 use qb_obs::Histogram;
 use qb_sat::{CancelToken, CdclSolver, Lit, SatResult, SatVar, Solver};
@@ -147,6 +149,41 @@ struct CachedDecision {
 }
 
 impl<S: CdclSolver> SatSession<S> {
+    /// Permanently encodes the base graph — the per-qubit final formulas
+    /// and the input variables — unguarded: every query of every target
+    /// builds on these literals, and learnt clauses about them carry
+    /// across the session. Then opens an (initially empty) suffix scope
+    /// so the session is editable: the first edit rolls this scope back
+    /// and re-encodes the changed tail behind a fresh selector.
+    fn new(state: &mut SymbolicState) -> Self {
+        let mut encoder = IncrementalEncoder::new();
+        let mut solver = S::default();
+        let mut base_roots = state.formulas.clone();
+        for q in 0..state.num_qubits() {
+            let var_node = state.arena.var(state.vars[q]);
+            base_roots.push(var_node);
+        }
+        let mut sink = SolverSink {
+            solver: &mut solver,
+            guard: None,
+            clauses: 0,
+            new_vars: Vec::new(),
+        };
+        encoder.encode_roots(&state.arena, &base_roots, &mut sink);
+        let selector = Lit::pos(solver.new_selector());
+        encoder.begin_named_scope(SUFFIX_CHECKPOINT);
+        SatSession {
+            encoder,
+            solver,
+            suffix: SuffixScope {
+                selector,
+                vars: Vec::new(),
+            },
+            compactions: 0,
+            encode_time: Duration::ZERO,
+        }
+    }
+
     /// Opens a fresh suffix scope and encodes `roots` (the current final
     /// formulas) into it, guarded by a new selector.
     fn open_suffix(&mut self, arena: &qb_formula::Arena, roots: &[NodeId]) -> usize {
@@ -240,8 +277,8 @@ pub struct SessionStats {
     pub edits: u64,
     /// Distinct condition roots with a memoised decision. The cache is
     /// keyed by [`NodeId`] and shared across backends: a root decided by
-    /// the BDD manager is never re-decided by SAT (or vice versa in the
-    /// auto portfolio).
+    /// the BDD manager is never re-decided by SAT (or by any other rung
+    /// of the auto ladder).
     pub cached_decisions: usize,
     /// Queries answered from the decision cache (no backend call).
     pub decision_hits: u64,
@@ -267,16 +304,20 @@ pub struct SessionStats {
     pub bdd_collections: u64,
     /// Total BDD-manager nodes reclaimed across collections.
     pub bdd_nodes_collected: u64,
-    /// Auto-portfolio queries that blew the BDD node budget and fell
-    /// back to SAT.
+    /// Auto-ladder demotions from ANF to BDD (an ANF attempt overflowed
+    /// [`crate::AUTO_ANF_TERM_CAP`]); at most one per session unless the
+    /// rung is re-seeded.
+    pub anf_fallbacks: u64,
+    /// Auto-ladder queries that blew the BDD node budget and fell back
+    /// to SAT.
     pub bdd_fallbacks: u64,
     /// Backend solves interrupted by a cancellation token (deadline,
     /// budget or explicit cancel) under [`crate::VerifyLimits`].
     pub interrupts: u64,
-    /// Auto-portfolio roots where the preferred backend was interrupted
-    /// and the other backend was raced with the remaining budget.
+    /// Auto-ladder roots where the BDD or SAT rung was interrupted and
+    /// the other of the two was raced with the remaining budget.
     pub deadline_fallbacks: u64,
-    /// Learned auto-portfolio backend preference for this circuit.
+    /// The auto-ladder rung this circuit sits on.
     pub auto_preference: AutoPreference,
     /// Memoised per-node ANF polynomials currently held.
     pub anf_cached_polys: usize,
@@ -316,44 +357,6 @@ pub struct SessionStats {
     /// included — the cache-hit spike and the solve tail land in visibly
     /// different buckets.
     pub root_latency: Histogram,
-}
-
-/// What the [`BackendKind::Auto`] portfolio has learned about this
-/// circuit: which backend wins its condition roots. `Sat` is set the
-/// first time a BDD attempt blows the node budget — from then on the
-/// session skips the losing BDD attempt entirely. The daemon persists
-/// the preference per structural hash and seeds reloaded sessions with
-/// it, so a re-opened circuit never re-pays the failed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AutoPreference {
-    /// No evidence yet: try BDD first, fall back per root.
-    #[default]
-    Undecided,
-    /// BDD handled a full sweep without overflowing.
-    Bdd,
-    /// BDD blew its budget on this circuit: go straight to SAT.
-    Sat,
-}
-
-impl AutoPreference {
-    /// Wire/status name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AutoPreference::Undecided => "undecided",
-            AutoPreference::Bdd => "bdd",
-            AutoPreference::Sat => "sat",
-        }
-    }
-
-    /// Inverse of [`AutoPreference::name`], for persisted daemon state.
-    pub fn parse(name: &str) -> Option<AutoPreference> {
-        match name {
-            "undecided" => Some(AutoPreference::Undecided),
-            "bdd" => Some(AutoPreference::Bdd),
-            "sat" => Some(AutoPreference::Sat),
-            _ => None,
-        }
-    }
 }
 
 /// Resource limits for one bounded verification sweep
@@ -444,9 +447,10 @@ pub struct GenericVerifySession<S: CdclSolver> {
     construction_time: Duration,
     sat: Option<SatSession<S>>,
     /// Persistent BDD manager + arena-node translation cache
-    /// ([`BackendKind::Bdd`] and the [`BackendKind::Auto`] portfolio).
+    /// ([`BackendKind::Bdd`] and the [`BackendKind::Auto`] ladder).
     bdd: Option<BddSession>,
-    /// Memoised per-node ANF polynomials ([`BackendKind::Anf`]).
+    /// Memoised per-node ANF polynomials ([`BackendKind::Anf`], and the
+    /// auto ladder until it demotes past ANF).
     anf: Option<AnfCache>,
     /// Number of leading gates whose symbolic structure is encoded
     /// *permanently* (unguarded). Edits shrink this to the common prefix;
@@ -475,16 +479,18 @@ pub struct GenericVerifySession<S: CdclSolver> {
     arena_collections: u64,
     arena_nodes_collected: u64,
     edits: u64,
-    /// Auto-portfolio roots whose BDD attempt blew the node budget.
+    /// Auto-ladder demotions from ANF (see [`SessionStats`]).
+    anf_fallbacks: u64,
+    /// Auto-ladder roots whose BDD attempt blew the node budget.
     bdd_fallbacks: u64,
     /// Backend solves interrupted by the installed cancellation token.
     interrupts: u64,
-    /// Auto-portfolio interrupt races (see [`SessionStats`]).
+    /// Auto-ladder interrupt races (see [`SessionStats`]).
     deadline_fallbacks: u64,
     /// The token installed for the duration of a bounded sweep
     /// ([`VerifyLimits`]); `None` during unlimited verification.
     cancel: Option<CancelToken>,
-    /// Learned auto-portfolio backend preference (see [`AutoPreference`]).
+    /// The auto-ladder rung (see [`AutoPreference`]).
     auto_pref: AutoPreference,
     /// Cumulative per-backend wall time (see [`SessionStats`]).
     sat_time: Duration,
@@ -526,52 +532,17 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     ) -> Result<Self, VerifyError> {
         let t0 = Instant::now();
         let mut state = symbolic_execute(circuit, initial, opts.simplify)?;
-        let sat = match opts.backend {
-            BackendKind::Sat | BackendKind::Auto => {
-                // Permanently encode the base graph — the per-qubit final
-                // formulas and the input variables — unguarded: every
-                // query of every target builds on these literals, and
-                // learnt clauses about them carry across the session.
-                let mut encoder = IncrementalEncoder::new();
-                let mut solver = S::default();
-                let mut base_roots = state.formulas.clone();
-                for q in 0..state.num_qubits() {
-                    let var_node = state.arena.var(state.vars[q]);
-                    base_roots.push(var_node);
-                }
-                let mut sink = SolverSink {
-                    solver: &mut solver,
-                    guard: None,
-                    clauses: 0,
-                    new_vars: Vec::new(),
-                };
-                encoder.encode_roots(&state.arena, &base_roots, &mut sink);
-                // Open an (initially empty) suffix scope so the session
-                // is editable: the first edit rolls this scope back and
-                // re-encodes the changed tail behind a fresh selector.
-                let selector = Lit::pos(solver.new_selector());
-                let mut sat = SatSession {
-                    encoder,
-                    solver,
-                    suffix: SuffixScope {
-                        selector,
-                        vars: Vec::new(),
-                    },
-                    compactions: 0,
-                    encode_time: Duration::ZERO,
-                };
-                sat.encoder.begin_named_scope(SUFFIX_CHECKPOINT);
-                Some(sat)
-            }
-            _ => None,
-        };
+        // The auto ladder builds its SAT state on first use (see
+        // `ensure_sat`): a circuit decided on the ANF or BDD rung never
+        // pays for the base encoding.
+        let sat = (opts.backend == BackendKind::Sat).then(|| SatSession::new(&mut state));
         let bdd = match opts.backend {
             BackendKind::Bdd | BackendKind::Auto => {
                 Some(BddSession::new(opts.backend_options.bdd_node_budget))
             }
             _ => None,
         };
-        let anf = (opts.backend == BackendKind::Anf).then(AnfCache::new);
+        let anf = matches!(opts.backend, BackendKind::Anf | BackendKind::Auto).then(AnfCache::new);
         let construction_time = t0.elapsed();
         let arena_watermark = (state.arena.len() * ARENA_GC_GROWTH).max(ARENA_GC_MIN_NODES);
         Ok(GenericVerifySession {
@@ -595,6 +566,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             arena_collections: 0,
             arena_nodes_collected: 0,
             edits: 0,
+            anf_fallbacks: 0,
             bdd_fallbacks: 0,
             interrupts: 0,
             deadline_fallbacks: 0,
@@ -651,19 +623,27 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         }
     }
 
-    /// The learned auto-portfolio preference (meaningful for
-    /// [`BackendKind::Auto`] sessions; `Undecided` otherwise).
+    /// The auto-ladder rung (meaningful for [`BackendKind::Auto`]
+    /// sessions; `Undecided` otherwise).
     pub fn auto_preference(&self) -> AutoPreference {
         self.auto_pref
     }
 
-    /// Seeds the auto-portfolio preference, typically from a serving
-    /// layer that remembered which backend won this circuit (keyed by
-    /// structural hash) in an earlier session. A `Sat` seed makes the
-    /// first sweep skip the doomed BDD attempts it would otherwise
-    /// re-discover; `Undecided` re-enables probing.
+    /// Seeds the auto-ladder rung, typically from a serving layer that
+    /// remembered which backend won this circuit (keyed by structural
+    /// hash) in an earlier session. A `Bdd` or `Sat` seed makes the first
+    /// sweep skip the losing attempts it would otherwise re-discover;
+    /// `Undecided` starts again at ANF. An auto session below the ANF
+    /// rung holds no ANF cache.
     pub fn set_auto_preference(&mut self, pref: AutoPreference) {
         self.auto_pref = pref;
+        if self.opts.backend == BackendKind::Auto {
+            if pref.backend() == BackendKind::Anf {
+                self.anf.get_or_insert_with(AnfCache::new);
+            } else {
+                self.anf = None;
+            }
+        }
     }
 
     /// The options the session was created with.
@@ -731,6 +711,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             bdd_translation_hits: bdd.translation_hits,
             bdd_collections: bdd.collections,
             bdd_nodes_collected: bdd.nodes_collected,
+            anf_fallbacks: self.anf_fallbacks,
             bdd_fallbacks: self.bdd_fallbacks,
             interrupts: self.interrupts,
             deadline_fallbacks: self.deadline_fallbacks,
@@ -1033,6 +1014,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     ) -> Result<Decision, VerifyError> {
         let _span = qb_obs::span("backend", "sat");
         let t0 = Instant::now();
+        self.ensure_sat();
         let sat = self.sat.as_mut().expect("SAT backend state");
         let guard = *scope.get_or_insert_with(|| {
             sat.encoder.begin_scope();
@@ -1041,6 +1023,21 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         let d = Self::run_query(sat, &self.state.arena, &[root], guard, scope_vars);
         self.sat_time += t0.elapsed();
         d
+    }
+
+    /// Builds the SAT state on first use (auto sessions), counting the
+    /// base encoding as encoding time and arming the installed
+    /// cancellation token. Encoding the *current* final formulas is sound
+    /// after edits too: permanent Tseitin definitions constrain only
+    /// their own auxiliary variables.
+    fn ensure_sat(&mut self) {
+        if self.sat.is_none() {
+            let clock = Instant::now();
+            let mut sat = SatSession::<S>::new(&mut self.state);
+            sat.encode_time += clock.elapsed();
+            sat.solver.set_cancel_token(self.cancel.clone());
+            self.sat = Some(sat);
+        }
     }
 
     /// Decides one root on the persistent BDD manager: translate (warm
@@ -1066,30 +1063,75 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         })
     }
 
-    /// Decides one root by canonical ANF normalisation, memoised per
-    /// arena node: unsat exactly when the polynomial is zero.
-    fn run_anf_root(&mut self, root: NodeId) -> Result<Decision, VerifyError> {
+    /// Decides one root by canonical ANF normalisation under a per-node
+    /// term `cap`, memoised per arena node: unsat exactly when the
+    /// polynomial is zero, otherwise a minimum-degree term is the
+    /// witness.
+    fn run_anf_root(&mut self, root: NodeId, cap: usize) -> Result<Decision, AnfOverflow> {
         let _span = qb_obs::span("backend", "anf");
         let t0 = Instant::now();
         let cache = self.anf.as_mut().expect("ANF backend state");
-        let cap = self.opts.backend_options.anf_cap;
         let polys = Anf::from_arena_cached(&self.state.arena, &[root], cap, cache);
         self.anf_time += t0.elapsed();
-        let poly = polys
-            .map_err(|e| VerifyError::Backend(BackendError::AnfOverflow { cap: e.cap }))?
-            .remove(0);
+        let poly = polys?.remove(0);
+        let model = anf_witness(&poly);
         Ok(Decision {
-            unsat: poly.is_zero(),
-            model: None,
+            unsat: model.is_none(),
+            model,
             size: poly.len(),
         })
     }
 
+    /// Decides one root on the auto ladder (see [`AutoPreference`]): try
+    /// the current rung; an overflow demotes the session one rung for
+    /// good (dropping the ANF cache once past ANF) and retries the root
+    /// there. An interrupt is circumstance, not evidence: it leaves the
+    /// rung alone and races the other of BDD and SAT with whatever
+    /// budget remains.
+    fn run_auto_root(
+        &mut self,
+        root: NodeId,
+        scope: &mut Option<Lit>,
+        scope_vars: &mut Vec<SatVar>,
+    ) -> Result<Decision, VerifyError> {
+        loop {
+            match self.auto_pref.backend() {
+                BackendKind::Anf => match self.run_anf_root(root, AUTO_ANF_TERM_CAP) {
+                    Ok(d) => {
+                        self.auto_pref = AutoPreference::Anf;
+                        return Ok(d);
+                    }
+                    Err(_) => self.anf_fallbacks += 1,
+                },
+                BackendKind::Bdd => match self.run_bdd_root(root) {
+                    Ok(d) => return Ok(d),
+                    Err(BddBuildError::Overflow(_)) => self.bdd_fallbacks += 1,
+                    Err(BddBuildError::Interrupted) => {
+                        self.interrupts += 1;
+                        self.deadline_fallbacks += 1;
+                        return self.run_sat_root(root, scope, scope_vars);
+                    }
+                },
+                _ => {
+                    return match self.run_sat_root(root, scope, scope_vars) {
+                        Err(VerifyError::Interrupted) => {
+                            self.interrupts += 1;
+                            self.deadline_fallbacks += 1;
+                            self.run_bdd_root(root)
+                                .map_err(|_| VerifyError::Interrupted)
+                        }
+                        other => other,
+                    }
+                }
+            }
+            self.set_auto_preference(self.auto_pref.demoted());
+        }
+    }
+
     /// Decides one condition root, consulting the shared memoised
-    /// decision cache first, then dispatching on the session backend —
-    /// for [`BackendKind::Auto`], BDD first under its node budget with a
-    /// SAT fallback on blow-up. A fully cached target never touches any
-    /// backend at all.
+    /// decision cache first, then dispatching on the session backend
+    /// ([`GenericVerifySession::run_auto_root`] for the auto ladder). A
+    /// fully cached target never touches any backend at all.
     fn decide_root(
         &mut self,
         root: NodeId,
@@ -1131,39 +1173,10 @@ impl<S: CdclSolver> GenericVerifySession<S> {
                 }
                 BddBuildError::Interrupted => VerifyError::Interrupted,
             }),
-            BackendKind::Anf => self.run_anf_root(root),
-            BackendKind::Auto => match self.auto_pref {
-                // The circuit already defeated the BDD backend once:
-                // skip the losing attempt. If SAT is interrupted, race
-                // BDD with whatever budget remains before giving up —
-                // an interrupt is circumstance, not evidence, so the
-                // learned preference is left alone.
-                AutoPreference::Sat => match self.run_sat_root(root, scope, scope_vars) {
-                    Err(VerifyError::Interrupted) => {
-                        self.interrupts += 1;
-                        self.deadline_fallbacks += 1;
-                        self.run_bdd_root(root)
-                            .map_err(|_| VerifyError::Interrupted)
-                    }
-                    other => other,
-                },
-                _ => match self.run_bdd_root(root) {
-                    Ok(d) => {
-                        self.auto_pref = AutoPreference::Bdd;
-                        Ok(d)
-                    }
-                    Err(BddBuildError::Overflow(_)) => {
-                        self.bdd_fallbacks += 1;
-                        self.auto_pref = AutoPreference::Sat;
-                        self.run_sat_root(root, scope, scope_vars)
-                    }
-                    Err(BddBuildError::Interrupted) => {
-                        self.interrupts += 1;
-                        self.deadline_fallbacks += 1;
-                        self.run_sat_root(root, scope, scope_vars)
-                    }
-                },
-            },
+            BackendKind::Anf => self
+                .run_anf_root(root, self.opts.backend_options.anf_cap)
+                .map_err(|e| VerifyError::Backend(BackendError::AnfOverflow { cap: e.cap })),
+            BackendKind::Auto => self.run_auto_root(root, scope, scope_vars),
         };
         let d = match decided {
             Ok(d) => d,
@@ -2214,6 +2227,8 @@ mod tests {
         // A leaky circuit (unsafe verdicts need witnesses) under a BDD
         // budget too small for any diagram: every root falls back to
         // SAT, verdicts and witnesses still match the fresh pipeline.
+        // The session is seeded on the BDD rung: ANF would decide this
+        // small circuit before BDD is ever tried.
         let mut c = Circuit::new(4);
         c.toffoli(0, 1, 2).cnot(2, 3);
         let opts = VerifyOptions {
@@ -2225,6 +2240,7 @@ mod tests {
             ..VerifyOptions::default()
         };
         let mut session = VerifySession::new(&c, &[InitialValue::Free; 4], &opts).unwrap();
+        session.set_auto_preference(AutoPreference::Bdd);
         let verdicts = session.verify_targets(&[0, 1, 2, 3]).unwrap();
         let stats = session.stats();
         assert!(stats.bdd_fallbacks > 0, "{stats:?}");
@@ -2250,6 +2266,54 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.bdd_fallbacks, 0, "{stats:?}");
         assert_eq!(stats.sat_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn auto_builds_its_sat_state_only_when_the_ladder_reaches_sat() {
+        // Edits on the ANF rung leave no SAT state behind. Once seeded on
+        // the SAT rung, the first query encodes the *current* circuit and
+        // later edits re-encode suffixes on top of it; verdicts match the
+        // fresh pipeline throughout.
+        use qb_testutil::Rng;
+        let mut rng = Rng::new(0xA070_05A7);
+        const N: usize = 4;
+        let opts = VerifyOptions {
+            backend: BackendKind::Auto,
+            ..VerifyOptions::default()
+        };
+        let mut base = Circuit::new(N);
+        base.toffoli(0, 1, 2).cnot(2, 3);
+        let mut session = VerifySession::new(&base, &[InitialValue::Free; N], &opts).unwrap();
+        for cycle in 0..30 {
+            if cycle == 10 {
+                let stats = session.stats();
+                assert_eq!(stats.auto_preference, AutoPreference::Anf, "{stats:?}");
+                assert_eq!(stats.solver_vars, 0, "no SAT state yet: {stats:?}");
+                session.set_auto_preference(AutoPreference::Sat);
+                assert_eq!(session.stats().anf_cached_polys, 0, "ANF cache dropped");
+            }
+            let mut edited = base.clone();
+            for _ in 0..rng.gen_below(4) {
+                match rng.gen_below(3) {
+                    0 => {
+                        edited.x(rng.gen_below(N));
+                    }
+                    1 => {
+                        let (c, t) = rng.gen_distinct2(N);
+                        edited.cnot(c, t);
+                    }
+                    _ => {
+                        let (c1, c2, t) = rng.gen_distinct3(N);
+                        edited.toffoli(c1, c2, t);
+                    }
+                }
+            }
+            session.apply_edit(&edited).unwrap();
+            assert_edit_matches_fresh(&mut session, &edited, &opts);
+        }
+        let stats = session.stats();
+        assert_eq!(stats.auto_preference, AutoPreference::Sat, "{stats:?}");
+        assert!(stats.solver_vars > 0, "{stats:?}");
     }
 
     #[test]

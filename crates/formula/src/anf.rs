@@ -204,6 +204,18 @@ impl Anf {
         self.terms.iter().map(Monomial::degree).max().unwrap_or(0)
     }
 
+    /// A satisfying assignment, as the variables to set to `1` (every
+    /// other variable `0`): those of a minimum-degree term. No other term
+    /// is a subset of it, so under that assignment exactly one term is
+    /// `1` and the polynomial evaluates to `1`. `None` for the zero
+    /// polynomial, which no assignment satisfies.
+    pub fn satisfying_vars(&self) -> Option<&[Var]> {
+        self.terms
+            .iter()
+            .min_by_key(|t| t.degree())
+            .map(Monomial::vars)
+    }
+
     /// GF(2) sum (exclusive-or) of two polynomials.
     pub fn xor(&self, other: &Anf) -> Anf {
         let mut out = Vec::with_capacity(self.terms.len() + other.terms.len());
@@ -717,6 +729,29 @@ mod tests {
             }
         }
         assert!(failed, "expected blow-up past the cap");
+    }
+
+    #[test]
+    fn satisfying_vars_satisfy_every_nonzero_polynomial() {
+        // Every polynomial over three variables: each subset of the
+        // eight monomials.
+        let monomials: Vec<Monomial> = (0..8u32)
+            .map(|m| Monomial::from_vars((0..3).filter(|v| m & (1 << v) != 0)))
+            .collect();
+        for subset in 0..256u32 {
+            let p = Anf::from_terms(
+                (0..8)
+                    .filter(|i| subset & (1 << i) != 0)
+                    .map(|i| monomials[i].clone()),
+            );
+            match p.satisfying_vars() {
+                None => assert!(p.is_zero()),
+                Some(ones) => {
+                    let env: Vec<bool> = (0..3).map(|v| ones.contains(&v)).collect();
+                    assert!(p.eval(&env), "{p} at {env:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -608,6 +608,7 @@ impl SessionActor {
             ("solve_ns", Json::Int(solve_ns)),
             ("verifies", Json::Int(self.verifies as i64)),
             ("compactions", Json::Int(stats.compactions as i64)),
+            ("anf_fallbacks", Json::Int(stats.anf_fallbacks as i64)),
             ("bdd_fallbacks", Json::Int(stats.bdd_fallbacks as i64)),
             ("interrupts", Json::Int(stats.interrupts as i64)),
             (
@@ -817,6 +818,7 @@ impl SessionActor {
                 Json::Int(stats.bdd_cached_translations as i64),
             ),
             ("bdd_collections", Json::Int(stats.bdd_collections as i64)),
+            ("anf_fallbacks", Json::Int(stats.anf_fallbacks as i64)),
             ("bdd_fallbacks", Json::Int(stats.bdd_fallbacks as i64)),
             ("interrupts", Json::Int(stats.interrupts as i64)),
             (

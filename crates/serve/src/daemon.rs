@@ -1991,6 +1991,96 @@ mod tests {
     }
 
     #[test]
+    fn restart_restores_learned_auto_rungs_without_relearning() {
+        let _guard = FAILPOINT_LOCK.lock().unwrap();
+        let dir = temp_state_dir("ladder");
+        let _ = std::fs::remove_dir_all(&dir);
+        // MCX stays on the ANF rung; the adder's carry chain overflows
+        // the ANF cap once and settles on BDD.
+        let programs = [
+            ("mcx", qb_lang::mcx_source(64), "anf", 0),
+            ("adder", qb_lang::adder_source(16), "bdd", 1),
+        ];
+        let auto_verify = |server: &mut Server, name: &str| {
+            let verify = handle(
+                server,
+                &Request::Verify {
+                    name: name.into(),
+                    targets: None,
+                    deadline_ms: None,
+                    trace: false,
+                }
+                .to_line(),
+            );
+            assert!(ok(&verify), "{verify}");
+            assert_eq!(verify.get("all_safe").and_then(Json::as_bool), Some(true));
+            verify
+        };
+        let mut first = Server::new(VerifyOptions::default());
+        first.set_state_dir(Some(dir.clone()));
+        for (name, source, rung, demotions) in &programs {
+            let load = handle(
+                &mut first,
+                &Request::Load {
+                    name: (*name).into(),
+                    source: source.clone(),
+                    backend: Some("auto".into()),
+                }
+                .to_line(),
+            );
+            assert!(ok(&load), "{load}");
+            let verify = auto_verify(&mut first, name);
+            assert_eq!(
+                verify.get("auto_preference").and_then(Json::as_str),
+                Some(*rung),
+                "{verify}"
+            );
+            assert_eq!(
+                verify.get("anf_fallbacks").and_then(Json::as_i64),
+                Some(*demotions),
+                "{verify}"
+            );
+        }
+        drop(first);
+
+        let mut second = Server::new(VerifyOptions::default());
+        second.set_state_dir(Some(dir.clone()));
+        assert_eq!(second.restore_state(), 2);
+        let status = handle(&mut second, &Request::Status.to_line());
+        assert_eq!(
+            status.get("auto_winners_remembered").and_then(Json::as_i64),
+            Some(2),
+            "{status}"
+        );
+        let rows = status.get("programs").and_then(Json::as_arr).unwrap();
+        for (name, _, rung, _) in &programs {
+            let row = rows
+                .iter()
+                .find(|p| p.get("name").and_then(Json::as_str) == Some(*name))
+                .unwrap_or_else(|| panic!("{name} restored: {status}"));
+            assert_eq!(
+                row.get("auto_preference").and_then(Json::as_str),
+                Some(*rung),
+                "restored before any verify: {status}"
+            );
+            // The restored session starts on its rung: the adder does
+            // not pay the losing ANF attempt again.
+            let verify = auto_verify(&mut second, name);
+            assert_eq!(
+                verify.get("auto_preference").and_then(Json::as_str),
+                Some(*rung),
+                "{verify}"
+            );
+            assert_eq!(
+                verify.get("anf_fallbacks").and_then(Json::as_i64),
+                Some(0),
+                "{verify}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_snapshot_is_rejected_and_daemon_starts_cold() {
         let _guard = FAILPOINT_LOCK.lock().unwrap();
         let dir = temp_state_dir("torn");

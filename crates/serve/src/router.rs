@@ -350,9 +350,10 @@ pub(crate) struct Router {
     verify: VerifyOptions,
     limits: ServerLimits,
     table: Mutex<Table>,
-    /// Per-circuit auto-portfolio memory: which backend won, keyed by
-    /// structural hash. Survives session eviction and unload, so a
-    /// reloaded circuit skips the losing backend attempt immediately.
+    /// Per-circuit auto-ladder memory: the rung the circuit settled on,
+    /// keyed by structural hash. Survives session eviction and unload,
+    /// so a reloaded circuit skips the losing backend attempts
+    /// immediately.
     /// LRU-bounded ([`AUTO_WINNERS_CAP`]) like every other piece of
     /// per-circuit daemon state.
     auto_winners: Mutex<HashMap<u64, (AutoPreference, u64)>>,
@@ -1651,8 +1652,8 @@ impl Router {
 
     /// Builds a session for `program` on `backend`, applying the
     /// configured per-session memory bounds and seeding the auto
-    /// portfolio with the backend this circuit's structural hash is
-    /// remembered to prefer. Takes no table lock: safe from actors.
+    /// ladder with the rung this circuit's structural hash is
+    /// remembered on. Takes no table lock: safe from actors.
     pub(crate) fn new_session(
         &self,
         program: &ElaboratedProgram,

@@ -2,9 +2,12 @@
 //! elaborate, verify with every backend, and cross-check against the
 //! direct circuit generators.
 
-use qborrow::core::{verify_program, BackendKind, BackendOptions, VerifyOptions, Violation};
+use qborrow::core::{
+    verify_program, AutoPreference, BackendKind, BackendOptions, InitialValue, SessionStats,
+    VerifyOptions, VerifySession, Violation,
+};
 use qborrow::formula::Simplify;
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/programs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -154,4 +157,52 @@ fn scheduler_composes_with_verifier_end_to_end() {
     let mut sorted = perm.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, (0..perm.len()).collect::<Vec<_>>());
+}
+
+/// Verifies every target of `source` on one cold `auto` session and
+/// returns the session's counters.
+fn auto_sweep(source: &str) -> SessionStats {
+    let program = elaborate(&parse(source).unwrap()).unwrap();
+    let initial: Vec<InitialValue> = program
+        .qubit_kinds
+        .iter()
+        .map(|k| match k {
+            QubitKind::Clean => InitialValue::Zero,
+            _ => InitialValue::Free,
+        })
+        .collect();
+    let opts = VerifyOptions {
+        backend: BackendKind::Auto,
+        ..VerifyOptions::default()
+    };
+    let mut session = VerifySession::new(&program.circuit, &initial, &opts).unwrap();
+    let verdicts = session.verify_targets(&program.qubits_to_verify()).unwrap();
+    assert!(
+        verdicts.iter().all(|v| v.safe),
+        "the paper's programs are safe"
+    );
+    session.stats()
+}
+
+#[test]
+fn auto_ladder_decides_the_paper_mcx_on_anf() {
+    // m = 1750: ANF stays within its small term cap on every root, so
+    // BDD and SAT never run.
+    let stats = auto_sweep(&fixture("mcx.qbr"));
+    assert_eq!(stats.auto_preference, AutoPreference::Anf, "{stats:?}");
+    assert_eq!(stats.anf_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.bdd_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.bdd_cached_translations, 0, "{stats:?}");
+    assert_eq!(stats.solver_decisions, 0, "{stats:?}");
+}
+
+#[test]
+fn auto_ladder_demotes_the_paper_adder_to_bdd_once() {
+    // The carry chain overflows the ANF cap: one demotion, after which
+    // BDD decides every root within its budget and the ANF cache is gone.
+    let stats = auto_sweep(&fixture("adder.qbr"));
+    assert_eq!(stats.auto_preference, AutoPreference::Bdd, "{stats:?}");
+    assert_eq!(stats.anf_fallbacks, 1, "{stats:?}");
+    assert_eq!(stats.bdd_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.anf_cached_polys, 0, "{stats:?}");
 }

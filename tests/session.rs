@@ -10,6 +10,7 @@ use qborrow::core::{
     VerificationReport, VerifyOptions, Violation,
 };
 use qborrow::formula::Simplify;
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
 use qborrow::synth::{carry_gadget, gidney_mcx};
 
 fn sat_options() -> Vec<VerifyOptions> {
@@ -47,7 +48,7 @@ fn assert_witnesses_replay(circuit: &Circuit, report: &VerificationReport, tag: 
         let bits = ce
             .basis_assignment
             .as_ref()
-            .expect("SAT produces witnesses");
+            .unwrap_or_else(|| panic!("{tag}: every backend produces witnesses"));
         match ce.violation {
             Violation::ZeroNotRestored => {
                 let mut input = bits.clone();
@@ -236,4 +237,42 @@ fn solver_counters_are_observable_through_session_stats() {
     let stats = session.stats();
     assert_eq!(stats.solver_propagations, 0, "{stats:?}");
     assert_eq!(stats.solver_vars, 0, "{stats:?}");
+}
+
+/// ANF and the auto ladder return witnesses too, in both pipelines: on
+/// the missing-uncompute MCX mutant (`CNOT[anc, t]` before `release
+/// anc`, decided on the ANF rung) and on leaky Håner adders (an appended
+/// `CNOT[a[2], q[3]]`; auto stays on ANF at 8 bits and demotes to BDD at
+/// 32), every unsafe verdict replays on the concrete circuit.
+#[test]
+fn anf_and_auto_witnesses_replay() {
+    let mcx_leak = mcx_source(128).replacen("release anc;", "CNOT[anc, t];\nrelease anc;", 1);
+    let adder_leak = |n: usize| adder_source(n) + "CNOT[a[2], q[3]];\n";
+    let cases = [
+        ("mcx-128-leak", mcx_leak.clone(), BackendKind::Anf),
+        ("mcx-128-leak", mcx_leak, BackendKind::Auto),
+        ("adder-8-leak", adder_leak(8), BackendKind::Anf),
+        ("adder-8-leak", adder_leak(8), BackendKind::Auto),
+        ("adder-32-leak", adder_leak(32), BackendKind::Auto),
+    ];
+    for (name, source, backend) in cases {
+        let program = elaborate(&parse(&source).unwrap()).unwrap();
+        let initial = vec![InitialValue::Free; program.num_qubits()];
+        let targets = program.qubits_to_verify();
+        let opts = VerifyOptions {
+            backend,
+            ..VerifyOptions::default()
+        };
+        let session = verify_circuit(&program.circuit, &initial, &targets, &opts).unwrap();
+        let fresh = verify_circuit_fresh(&program.circuit, &initial, &targets, &opts).unwrap();
+        for (pipeline, report) in [("session", &session), ("fresh", &fresh)] {
+            let tag = format!("{name}/{backend}/{pipeline}");
+            assert_eq!(
+                report.verdicts.iter().filter(|v| !v.safe).count(),
+                1,
+                "{tag}: exactly one leaking qubit"
+            );
+            assert_witnesses_replay(&program.circuit, report, &tag);
+        }
+    }
 }

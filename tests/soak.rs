@@ -9,8 +9,8 @@
 use qb_testutil::Rng;
 use qborrow::circuit::Circuit;
 use qborrow::core::{
-    verify_circuit_fresh, BackendKind, CancelToken, InitialValue, VerifyLimits, VerifyOptions,
-    VerifySession,
+    verify_circuit_fresh, AutoPreference, BackendKind, CancelToken, InitialValue, VerifyLimits,
+    VerifyOptions, VerifySession,
 };
 use qborrow::lang::{adder_source, elaborate, parse, QubitKind};
 use qborrow::serve::{run, Client, Json, ServeOptions, ServerLimits};
@@ -107,7 +107,9 @@ fn session_soak_memory_stays_bounded_over_200_edit_cycles() {
 /// arena stays bounded (collections fire, the backend memo tables follow
 /// the node remap), and the BDD manager's resident node count stays
 /// bounded across `Arena::collect` cycles instead of growing
-/// monotonically with edit history.
+/// monotonically with edit history. `auto` runs twice: from the top of
+/// its ladder (ANF decides these small circuits) and seeded on the BDD
+/// rung, so both of its memoising backends are soaked.
 #[test]
 fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
     const N: usize = 4;
@@ -116,7 +118,12 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
     const BDD_BOUND: usize = 600;
     const CACHE_CAP: usize = 8;
 
-    for backend in [BackendKind::Bdd, BackendKind::Anf, BackendKind::Auto] {
+    for (backend, seed_rung) in [
+        (BackendKind::Bdd, None),
+        (BackendKind::Anf, None),
+        (BackendKind::Auto, None),
+        (BackendKind::Auto, Some(AutoPreference::Bdd)),
+    ] {
         let mut rng = Rng::new(0x50A1_0002 ^ backend as u64);
         let opts = VerifyOptions {
             backend,
@@ -130,6 +137,9 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
             c
         };
         let mut session = VerifySession::new(&base, &initial, &opts).expect("session builds");
+        if let Some(rung) = seed_rung {
+            session.set_auto_preference(rung);
+        }
         session.set_memory_limits(Some(64), Some(CACHE_CAP));
         session.set_backend_limits(Some(64), Some(128), Some(64));
 
@@ -204,8 +214,13 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
             stats.decision_hits > 0,
             "{backend}: revisited roots answer from the shared decision cache: {stats:?}"
         );
-        match backend {
-            BackendKind::Bdd | BackendKind::Auto => {
+        // The backend that decided the roots: auto's is its rung.
+        let decided_by = match backend {
+            BackendKind::Auto => stats.auto_preference.backend(),
+            other => other,
+        };
+        match decided_by {
+            BackendKind::Bdd => {
                 assert!(
                     stats.bdd_collections >= 1,
                     "{backend}: manager GC fires: {stats:?}"
@@ -224,14 +239,14 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
             BackendKind::Anf => {
                 assert!(
                     stats.anf_hits > 0,
-                    "anf: memoised polynomials reused: {stats:?}"
+                    "{backend}: memoised polynomials reused: {stats:?}"
                 );
                 assert!(
                     stats.anf_cached_polys <= 64,
-                    "anf: polynomial cache bounded: {stats:?}"
+                    "{backend}: polynomial cache bounded: {stats:?}"
                 );
             }
-            BackendKind::Sat => unreachable!(),
+            _ => unreachable!("{backend} decided on {decided_by}: {stats:?}"),
         }
     }
 }

@@ -579,9 +579,9 @@ impl BddManager {
     /// node reachable from `x`). Complement bits are irrelevant.
     pub fn depends_on(&self, x: BddRef, v: Var) -> bool {
         let mut stack = vec![x.index()];
-        let mut seen: HashMap<usize, ()> = HashMap::new();
+        let mut seen = vec![false; self.nodes.len()];
         while let Some(idx) = stack.pop() {
-            if idx == 0 || seen.insert(idx, ()).is_some() {
+            if idx == 0 || std::mem::replace(&mut seen[idx], true) {
                 continue;
             }
             let node = &self.nodes[idx];
@@ -598,21 +598,49 @@ impl BddManager {
 
     /// The sorted support (set of variables the function depends on).
     pub fn support(&self, x: BddRef) -> Vec<Var> {
-        let mut vars = Vec::new();
-        let mut stack = vec![x.index()];
-        let mut seen: HashMap<usize, ()> = HashMap::new();
-        while let Some(idx) = stack.pop() {
-            if idx == 0 || seen.insert(idx, ()).is_some() {
-                continue;
-            }
-            let node = &self.nodes[idx];
-            vars.push(node.var);
-            stack.push(node.lo.index());
-            stack.push(node.hi.index());
-        }
-        vars.sort_unstable();
-        vars.dedup();
-        vars
+        self.supports(&[x]).remove(0)
+    }
+
+    /// The sorted supports of several functions. The traversals share one
+    /// dense visited array, stamped with the root's position, so the
+    /// whole call costs one allocation plus the sum of the diagram sizes.
+    pub fn supports(&self, roots: &[BddRef]) -> Vec<Vec<Var>> {
+        let mut stamp = vec![usize::MAX; self.nodes.len()];
+        let mut stack = Vec::new();
+        roots
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let mut vars = Vec::new();
+                stack.push(x.index());
+                while let Some(idx) = stack.pop() {
+                    if idx == 0 || stamp[idx] == i {
+                        continue;
+                    }
+                    stamp[idx] = i;
+                    let node = &self.nodes[idx];
+                    vars.push(node.var);
+                    stack.push(node.lo.index());
+                    stack.push(node.hi.index());
+                }
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            })
+            .collect()
+    }
+
+    /// The Boolean derivative `x[0/v] ⊕ x[1/v]`: false exactly when the
+    /// function is independent of `v`, and any path to true is an
+    /// assignment under which flipping `v` flips the function.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BddOverflow`] past the node budget.
+    pub fn derivative(&mut self, x: BddRef, v: Var) -> Result<BddRef, BddOverflow> {
+        let c0 = self.restrict(x, v, false)?;
+        let c1 = self.restrict(x, v, true)?;
+        self.xor(c0, c1)
     }
 
     /// The constant value of a terminal edge.
@@ -1019,6 +1047,41 @@ impl BddSession {
         Ok(out)
     }
 
+    /// The sorted supports of formula-arena `roots` (see
+    /// [`BddManager::supports`]), building their diagrams first.
+    ///
+    /// # Errors
+    ///
+    /// As [`BddSession::build`].
+    pub fn supports(
+        &mut self,
+        arena: &Arena,
+        roots: &[FormulaId],
+    ) -> Result<Vec<Vec<Var>>, BddBuildError> {
+        let built = self.build(arena, roots)?;
+        Ok(self.manager.supports(&built))
+    }
+
+    /// A witness that `root`'s function depends on `v`: a partial
+    /// assignment (never mentioning `v`) under which its two
+    /// `v`-cofactors differ, read off [`BddManager::derivative`].
+    /// `None` when the function is independent of `v`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BddSession::build`]; the derivative's fresh nodes count
+    /// against the node budget too.
+    pub fn dependence_witness(
+        &mut self,
+        arena: &Arena,
+        root: FormulaId,
+        v: Var,
+    ) -> Result<Option<Vec<(Var, bool)>>, BddBuildError> {
+        let f = self.build(arena, &[root])?[0];
+        let diff = self.manager.derivative(f, v)?;
+        Ok(self.manager.any_sat(diff))
+    }
+
     /// Publishes one build call's translation-cache and apply-step
     /// deltas to the global metrics registry; aborted builds are counted
     /// by outcome so overflow storms show up on the metrics surface.
@@ -1175,6 +1238,37 @@ mod tests {
             let c0 = m.restrict(f, v, false).unwrap();
             let c1 = m.restrict(f, v, true).unwrap();
             assert_eq!(c0 != c1, m.depends_on(f, v), "var {v}");
+        }
+    }
+
+    #[test]
+    fn shared_supports_match_per_root_support_and_derivative() {
+        let mut m = BddManager::new();
+        let x = m.var(0).unwrap();
+        let y = m.var(1).unwrap();
+        let z = m.var(2).unwrap();
+        let xy = m.and(x, y).unwrap();
+        let f = m.xor(xy, z).unwrap();
+        let g = m.xor(f, xy).unwrap(); // = z
+        let roots = [f, g, y.complement(), BddRef::TRUE];
+        let shared = m.supports(&roots);
+        for (r, s) in roots.iter().zip(&shared) {
+            assert_eq!(*s, m.support(*r));
+        }
+        assert_eq!(shared, [vec![0, 1, 2], vec![2], vec![1], vec![]]);
+        for v in 0..4u32 {
+            let d = m.derivative(f, v).unwrap();
+            assert_eq!(!d.is_false(), m.depends_on(f, v), "var {v}");
+            if let Some(path) = m.any_sat(d) {
+                assert!(path.iter().all(|&(p, _)| p != v));
+                let mut env = [false; 4];
+                for (p, val) in path {
+                    env[p as usize] = val;
+                }
+                let before = m.eval(f, &env);
+                env[v as usize] ^= true;
+                assert_ne!(m.eval(f, &env), before, "flipping var {v} flips f");
+            }
         }
     }
 

@@ -19,6 +19,13 @@
 //!   [`AUTO_ANF_TERM_CAP`], BDD under its node budget, SAT for the rest.
 //!   An overflow moves down one rung.
 //!
+//! [`decide_unsat`] decides a disjunction of condition roots, so the
+//! plus condition (6.2) reaches it as one cofactor XOR root per other
+//! qubit. That construction now serves the SAT backend and the one-shot
+//! fresh pipeline (`verify_circuit_fresh`, the cross-check) only: a
+//! verification session on the ANF or BDD rung normalises each final
+//! formula once and decides (6.2) by support membership instead.
+//!
 //! Mirroring the paper's CVC5-vs-Bitwuzla comparison, the backends have
 //! different scaling behaviour on the two benchmark families (see
 //! EXPERIMENTS.md and README.md, "Choosing a backend").

@@ -10,6 +10,12 @@
 //!   be unsatisfiable — every other qubit's final value is independent of
 //!   `q`, which is exactly restoration of `|+⟩` (Thm. 6.2/6.4).
 //!
+//! [`build_conditions`] materialises (6.2) as one cofactor XOR root per
+//! other qubit. That construction serves the SAT backend and the one-shot
+//! fresh pipeline; sessions on the canonical ANF/BDD rungs decide (6.2)
+//! by support membership instead (see `crate::support`) and only build
+//! the (6.1) root here.
+//!
 //! The naive *clean-uncomputation* condition (`b_q ⊕ q` unsatisfiable,
 //! i.e. basis states are restored) is also provided: it is what the
 //! introduction's Fig. 1.4 counterexample satisfies while still being
@@ -36,14 +42,8 @@ pub struct Conditions {
 ///
 /// Panics when `q` is out of range.
 pub fn build_conditions(state: &mut SymbolicState, q: usize) -> Conditions {
-    assert!(q < state.num_qubits(), "qubit out of range");
+    let zero = zero_condition(state, q);
     let var: Var = state.vars[q];
-
-    // (6.1): b_q ∧ ¬q.
-    let b_q = state.formulas[q];
-    let q_node = state.arena.var(var);
-    let not_q = state.arena.not(q_node);
-    let zero = state.arena.and2(b_q, not_q);
 
     // (6.2): for each other qubit, b_{q'}[0/q] ⊕ b_{q'}[1/q]. The
     // cofactor is restricted to nodes reachable from the final formulas,
@@ -224,13 +224,8 @@ pub(crate) fn build_conditions_memo(
     if memo.map.len() > cap {
         memo.map.clear();
     }
+    let zero = zero_condition(state, q);
     let var: Var = state.vars[q];
-
-    // (6.1): b_q ∧ ¬q.
-    let b_q = state.formulas[q];
-    let q_node = state.arena.var(var);
-    let not_q = state.arena.not(q_node);
-    let zero = state.arena.and2(b_q, not_q);
 
     // (6.2): per-qubit cofactor diffs, served from the memo.
     let formulas = state.formulas.clone();
@@ -251,6 +246,19 @@ pub(crate) fn build_conditions_memo(
         plus_parts.push(diff);
     }
     Conditions { zero, plus_parts }
+}
+
+/// Builds the root of the zero condition (6.1) for `q`: `b_q ∧ ¬q`.
+///
+/// # Panics
+///
+/// Panics when `q` is out of range.
+pub(crate) fn zero_condition(state: &mut SymbolicState, q: usize) -> NodeId {
+    assert!(q < state.num_qubits(), "qubit out of range");
+    let b_q = state.formulas[q];
+    let q_node = state.arena.var(state.vars[q]);
+    let not_q = state.arena.not(q_node);
+    state.arena.and2(b_q, not_q)
 }
 
 /// Builds the naive clean-uncomputation condition for `q`: `b_q ⊕ q`,

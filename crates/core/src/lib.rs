@@ -47,6 +47,7 @@ mod backend;
 mod conditions;
 pub mod exact;
 mod session;
+mod support;
 mod symbolic;
 mod verifier;
 

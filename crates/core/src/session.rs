@@ -22,14 +22,20 @@
 //! * after a query its selector is retired, physically detaching the
 //!   dead root clause from the watch lists.
 //!
+//! That is the SAT rung. On the canonical ANF and BDD rungs
+//! (`--backend anf|bdd`, and `auto` until it reaches SAT) the session
+//! builds no cofactors: it normalises each final formula once per
+//! circuit version and decides (6.2) by support membership (the
+//! `support` module); only the (6.1) root goes through the decision
+//! cache.
+//!
 //! [`verify_circuit_parallel`] shards independent targets across
 //! `std::thread::scope` workers (one session per worker, no external
 //! dependencies) and reassembles verdicts in request order.
 
-use crate::backend::{
-    anf_witness, AutoPreference, BackendError, BackendKind, Decision, AUTO_ANF_TERM_CAP,
-};
-use crate::conditions::{build_conditions_memo, CofactorMemo};
+use crate::backend::{anf_witness, AutoPreference, BackendKind, Decision, AUTO_ANF_TERM_CAP};
+use crate::conditions::{build_conditions_memo, zero_condition, CofactorMemo};
+use crate::support::SupportMemo;
 use crate::symbolic::{
     initial_formulas, symbolic_apply, symbolic_execute, InitialValue, SymbolicState,
 };
@@ -288,6 +294,12 @@ pub struct SessionStats {
     pub cofactor_memo_entries: usize,
     /// Cofactor lookups answered without a graph walk.
     pub cofactor_hits: u64,
+    /// Memoised final-formula supports (the plus condition on the ANF
+    /// and BDD rungs).
+    pub support_memo_entries: usize,
+    /// Final formulas whose support a new circuit version found in the
+    /// memo instead of normalising them again.
+    pub support_hits: u64,
     /// Formula-arena mark-sweep collections performed.
     pub arena_collections: u64,
     /// Total arena nodes reclaimed across all collections.
@@ -463,9 +475,16 @@ pub struct GenericVerifySession<S: CdclSolver> {
     /// whose roots were reclaimed — such a root can never be queried
     /// under its old id again), and the cache itself is LRU-bounded.
     decisions: HashMap<NodeId, CachedDecision>,
-    /// Memoised per-root cofactors (the backend-independent condition
-    /// construction; see [`CofactorMemo`]).
+    /// Memoised per-root cofactors (the condition construction of the
+    /// SAT rung; see [`CofactorMemo`]).
     cofactors: CofactorMemo,
+    /// Target variables of the running multi-target sweep, primed into
+    /// the cofactor memo in one batch when the first target takes the
+    /// SAT path.
+    sweep_prime: Vec<Var>,
+    /// Memoised final-formula supports (the plus condition on the ANF
+    /// and BDD rungs; see [`SupportMemo`]).
+    supports: SupportMemo,
     decision_hits: u64,
     /// Logical clock stamping decision-cache use (LRU order).
     decision_clock: u64,
@@ -557,6 +576,8 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             permanent_len: circuit.size(),
             decisions: HashMap::new(),
             cofactors: CofactorMemo::default(),
+            sweep_prime: Vec::new(),
+            supports: SupportMemo::default(),
             decision_hits: 0,
             decision_clock: 0,
             decision_cap: DECISION_CACHE_CAPACITY,
@@ -703,6 +724,8 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             decision_evictions: self.decision_evictions,
             cofactor_memo_entries: self.cofactors.len(),
             cofactor_hits: self.cofactors.hits(),
+            support_memo_entries: self.supports.len(),
+            support_hits: self.supports.hits(),
             arena_collections: self.arena_collections,
             arena_nodes_collected: self.arena_nodes_collected,
             arena_gc_watermark: self.arena_watermark,
@@ -790,6 +813,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             anf.remap_nodes(&remap);
         }
         self.cofactors.remap_nodes(&remap);
+        self.supports.remap_nodes(&remap);
         self.arena_collections += 1;
         self.arena_nodes_collected += (before - self.state.arena.len()) as u64;
         self.arena_watermark =
@@ -1063,13 +1087,14 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         })
     }
 
-    /// Decides one root by canonical ANF normalisation under a per-node
-    /// term `cap`, memoised per arena node: unsat exactly when the
-    /// polynomial is zero, otherwise a minimum-degree term is the
-    /// witness.
-    fn run_anf_root(&mut self, root: NodeId, cap: usize) -> Result<Decision, AnfOverflow> {
+    /// Decides one root by canonical ANF normalisation under the
+    /// session's per-node term cap, memoised per arena node: unsat
+    /// exactly when the polynomial is zero, otherwise a minimum-degree
+    /// term is the witness.
+    fn run_anf_root(&mut self, root: NodeId) -> Result<Decision, AnfOverflow> {
         let _span = qb_obs::span("backend", "anf");
         let t0 = Instant::now();
+        let cap = self.anf_cap();
         let cache = self.anf.as_mut().expect("ANF backend state");
         let polys = Anf::from_arena_cached(&self.state.arena, &[root], cap, cache);
         self.anf_time += t0.elapsed();
@@ -1096,7 +1121,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     ) -> Result<Decision, VerifyError> {
         loop {
             match self.auto_pref.backend() {
-                BackendKind::Anf => match self.run_anf_root(root, AUTO_ANF_TERM_CAP) {
+                BackendKind::Anf => match self.run_anf_root(root) {
                     Ok(d) => {
                         self.auto_pref = AutoPreference::Anf;
                         return Ok(d);
@@ -1126,6 +1151,135 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             }
             self.set_auto_preference(self.auto_pref.demoted());
         }
+    }
+
+    /// The backend deciding (6.2) by support — the session's ANF or BDD
+    /// rung — or `None` on the SAT rung.
+    fn canonical_rung(&self) -> Option<BackendKind> {
+        let rung = match self.opts.backend {
+            BackendKind::Auto => self.auto_pref.backend(),
+            backend => backend,
+        };
+        (rung != BackendKind::Sat).then_some(rung)
+    }
+
+    /// The ANF term cap of the session: the auto ladder's small cap, or
+    /// the configured one.
+    fn anf_cap(&self) -> usize {
+        match self.opts.backend {
+            BackendKind::Auto => AUTO_ANF_TERM_CAP,
+            _ => self.opts.backend_options.anf_cap,
+        }
+    }
+
+    /// Decides the plus condition (6.2) of target `q` by support on the
+    /// canonical rung (see [`crate::support`]). `None` means the target
+    /// takes the SAT path: the session sits on the SAT rung, or the auto
+    /// ladder reached it here.
+    ///
+    /// On the auto ladder an overflow — while normalising the final
+    /// formulas or deriving the witness — demotes the session for good
+    /// and retries one rung down, as [`GenericVerifySession::run_auto_root`]
+    /// does; an interrupted BDD build hands the target to SAT with the
+    /// remaining budget.
+    fn plus_by_support(&mut self, q: usize) -> Result<Option<Decision>, VerifyError> {
+        if self.canonical_rung().is_none() {
+            return Ok(None);
+        }
+        let auto = self.opts.backend == BackendKind::Auto;
+        let mut missing = self.supports.missing(&self.state.formulas);
+        while let Some(rung) = self.canonical_rung() {
+            let t0 = Instant::now();
+            let attempt = self.support_attempt(rung, &mut missing, q);
+            if rung == BackendKind::Bdd {
+                self.bdd_time += t0.elapsed();
+            } else {
+                self.anf_time += t0.elapsed();
+            }
+            match attempt {
+                Ok(plus) => {
+                    if auto && rung == BackendKind::Anf {
+                        self.auto_pref = AutoPreference::Anf;
+                    }
+                    return Ok(Some(plus));
+                }
+                Err(VerifyError::Interrupted) => {
+                    self.interrupts += 1;
+                    if !auto {
+                        return Err(VerifyError::Interrupted);
+                    }
+                    self.deadline_fallbacks += 1;
+                    return Ok(None);
+                }
+                Err(VerifyError::Backend(_)) if auto => {
+                    if rung == BackendKind::Anf {
+                        self.anf_fallbacks += 1;
+                    } else {
+                        self.bdd_fallbacks += 1;
+                    }
+                    self.set_auto_preference(self.auto_pref.demoted());
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(None)
+    }
+
+    /// One attempt of [`GenericVerifySession::plus_by_support`] on
+    /// `rung`: normalise the `missing` final formulas in one batch
+    /// (draining them into the memo), then take the first other qubit
+    /// whose support holds `q`'s variable and read a witness off its
+    /// formula's derivative — `any_sat(b[0/q] ⊕ b[1/q])` on the BDD, the
+    /// terms containing `q` with `q` removed on the ANF.
+    fn support_attempt(
+        &mut self,
+        rung: BackendKind,
+        missing: &mut Vec<NodeId>,
+        q: usize,
+    ) -> Result<Decision, VerifyError> {
+        let _span = qb_obs::span("backend", rung.name());
+        let cap = self.anf_cap();
+        let arena = &self.state.arena;
+        if !missing.is_empty() {
+            let supports = if rung == BackendKind::Bdd {
+                let bdd = self.bdd.as_mut().expect("BDD backend state");
+                bdd.supports(arena, missing)?
+            } else {
+                let cache = self.anf.as_mut().expect("ANF backend state");
+                let polys = Anf::from_arena_cached(arena, missing, cap, cache)?;
+                polys.iter().map(Anf::support).collect()
+            };
+            for (f, support) in missing.drain(..).zip(supports) {
+                self.supports.insert(f, support);
+            }
+        }
+        let var = self.state.vars[q];
+        let Some(p) = self.supports.first_dependent(&self.state.formulas, q, var) else {
+            return Ok(Decision {
+                unsat: true,
+                model: None,
+                size: 0,
+            });
+        };
+        let f = self.state.formulas[p];
+        let (model, size) = if rung == BackendKind::Bdd {
+            let bdd = self.bdd.as_mut().expect("BDD backend state");
+            let path = bdd.dependence_witness(arena, f, var)?;
+            let path = path.expect("a canonical support holds only real dependencies");
+            (path.into_iter().collect(), bdd.resident_nodes())
+        } else {
+            let cache = self.anf.as_mut().expect("ANF backend state");
+            let poly = Anf::from_arena_cached(arena, &[f], cap, cache)?.remove(0);
+            let derivative = poly.derivative(var);
+            let model = anf_witness(&derivative);
+            let model = model.expect("a canonical support holds only real dependencies");
+            (model, derivative.len())
+        };
+        Ok(Decision {
+            unsat: false,
+            model: Some(model),
+            size,
+        })
     }
 
     /// Decides one condition root, consulting the shared memoised
@@ -1167,15 +1321,8 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         qb_obs::counter_add("decision_cache", "miss", 1);
         let decided = match self.opts.backend {
             BackendKind::Sat => self.run_sat_root(root, scope, scope_vars),
-            BackendKind::Bdd => self.run_bdd_root(root).map_err(|e| match e {
-                BddBuildError::Overflow(o) => {
-                    VerifyError::Backend(BackendError::BddOverflow { budget: o.budget })
-                }
-                BddBuildError::Interrupted => VerifyError::Interrupted,
-            }),
-            BackendKind::Anf => self
-                .run_anf_root(root, self.opts.backend_options.anf_cap)
-                .map_err(|e| VerifyError::Backend(BackendError::AnfOverflow { cap: e.cap })),
+            BackendKind::Bdd => self.run_bdd_root(root).map_err(VerifyError::from),
+            BackendKind::Anf => self.run_anf_root(root).map_err(VerifyError::from),
             BackendKind::Auto => self.run_auto_root(root, scope, scope_vars),
         };
         let d = match decided {
@@ -1210,10 +1357,11 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     /// through (or branch on) this target's dead structure. The *base*
     /// encoding and every learnt clause derived purely from it stay warm
     /// for the whole session. The BDD/ANF backends instead reuse their
-    /// per-node memo tables, and condition roots whose node ids were
-    /// decided before — in an earlier sweep or before an edit that left
-    /// them untouched — are answered from the shared decision cache
-    /// without running any backend.
+    /// per-node memo tables (and pass only the (6.1) root, with no
+    /// `plus_roots`: they decide (6.2) by support), and condition roots
+    /// whose node ids were decided before — in an earlier sweep or
+    /// before an edit that left them untouched — are answered from the
+    /// shared decision cache without running any backend.
     fn decide_target(
         &mut self,
         zero_root: NodeId,
@@ -1330,23 +1478,41 @@ impl<S: CdclSolver> GenericVerifySession<S> {
                 return Ok(self.unknown_verdict(q));
             }
         }
-        let conditions = {
-            let _span = qb_obs::span("cofactor", "");
-            let clock = Instant::now();
-            let conditions = build_conditions_memo(&mut self.state, q, &mut self.cofactors);
-            self.cofactor_time += clock.elapsed();
-            conditions
+        let t_plus = Instant::now();
+        let decided = match self.plus_by_support(q) {
+            // Canonical rung: (6.2) is decided; (6.1) stays one root
+            // through the decision cache.
+            Ok(Some(plus)) => {
+                let support_time = t_plus.elapsed();
+                let zero_root = zero_condition(&mut self.state, q);
+                self.decide_target(zero_root, &[])
+                    .map(|(zero, zero_time, _, _)| (zero, zero_time, plus, support_time))
+            }
+            Ok(None) => {
+                let conditions = {
+                    let _span = qb_obs::span("cofactor", "");
+                    let clock = Instant::now();
+                    if !self.sweep_prime.is_empty() {
+                        let _span = qb_obs::span("cofactor", "prime");
+                        let vars = std::mem::take(&mut self.sweep_prime);
+                        self.cofactors.prime(&mut self.state, &vars);
+                    }
+                    let conditions = build_conditions_memo(&mut self.state, q, &mut self.cofactors);
+                    self.cofactor_time += clock.elapsed();
+                    conditions
+                };
+                self.decide_target(conditions.zero, &conditions.plus_parts)
+            }
+            Err(e) => Err(e),
         };
-
-        let (zero, zero_time, plus, plus_time) =
-            match self.decide_target(conditions.zero, &conditions.plus_parts) {
-                Ok(decided) => decided,
-                Err(VerifyError::Interrupted) => {
-                    self.maybe_collect_arena();
-                    return Ok(self.unknown_verdict(q));
-                }
-                Err(e) => return Err(e),
-            };
+        let (zero, zero_time, plus, plus_time) = match decided {
+            Ok(decided) => decided,
+            Err(VerifyError::Interrupted) => {
+                self.maybe_collect_arena();
+                return Ok(self.unknown_verdict(q));
+            }
+            Err(e) => return Err(e),
+        };
 
         let counterexample = if !zero.unsat {
             Some(Counterexample {
@@ -1413,11 +1579,14 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     /// Verifies a sequence of targets, returning verdicts in request
     /// order.
     ///
-    /// Multi-target sweeps prime the session cofactor memo first: one
-    /// batched arena traversal computes every target's cofactor pairs
+    /// On the SAT rung, multi-target sweeps prime the session cofactor
+    /// memo when the first target is constructed: one batched arena
+    /// traversal computes every target's cofactor pairs
     /// ([`qb_formula::Arena::cofactor_batch`]), so per-target condition
     /// construction is pure map lookups — cold construction is
-    /// O(DAG + Σ cones) instead of O(targets · DAG).
+    /// O(DAG + Σ cones) instead of O(targets · DAG). The ANF and BDD
+    /// rungs need no cofactors: they normalise each final formula once
+    /// per circuit version and decide (6.2) by support.
     ///
     /// # Errors
     ///
@@ -1429,15 +1598,14 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         qb_testutil::failpoints::hit("slow_solve");
         let n = self.state.num_qubits();
         if targets.len() > 1 && targets.iter().all(|&q| q < n) {
-            let _span = qb_obs::span("cofactor", "prime");
-            let clock = Instant::now();
             let mut vars: Vec<Var> = targets.iter().map(|&q| self.state.vars[q]).collect();
             vars.sort_unstable();
             vars.dedup();
-            self.cofactors.prime(&mut self.state, &vars);
-            self.cofactor_time += clock.elapsed();
+            self.sweep_prime = vars;
         }
-        targets.iter().map(|&q| self.verify_target(q)).collect()
+        let verdicts = targets.iter().map(|&q| self.verify_target(q)).collect();
+        self.sweep_prime.clear();
+        verdicts
     }
 
     /// [`VerifySession::verify_targets`] under [`VerifyLimits`]:

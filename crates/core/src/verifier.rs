@@ -230,6 +230,23 @@ impl From<BackendError> for VerifyError {
     }
 }
 
+impl From<qb_bdd::BddBuildError> for VerifyError {
+    fn from(e: qb_bdd::BddBuildError) -> Self {
+        match e {
+            qb_bdd::BddBuildError::Overflow(o) => {
+                VerifyError::Backend(BackendError::BddOverflow { budget: o.budget })
+            }
+            qb_bdd::BddBuildError::Interrupted => VerifyError::Interrupted,
+        }
+    }
+}
+
+impl From<qb_formula::AnfOverflow> for VerifyError {
+    fn from(e: qb_formula::AnfOverflow) -> Self {
+        VerifyError::Backend(BackendError::AnfOverflow { cap: e.cap })
+    }
+}
+
 pub(crate) fn model_to_assignment(
     decision: &Decision,
     num_qubits: usize,

@@ -278,6 +278,16 @@ impl Anf {
         self.terms.iter().any(|t| t.contains(v))
     }
 
+    /// The sorted support: every variable some term mentions. ANF is
+    /// canonical, so these are exactly the variables the function
+    /// depends on.
+    pub fn support(&self) -> Vec<Var> {
+        let mut vars: Vec<Var> = self.terms.iter().flat_map(|t| t.vars()).copied().collect();
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
+
     /// Substitutes a constant for `v`.
     pub fn cofactor(&self, v: Var, val: bool) -> Anf {
         let mut set: BTreeSet<Monomial> = BTreeSet::new();
@@ -701,6 +711,9 @@ mod tests {
         // ∂p/∂x = 1, ∂p/∂y = z.
         assert!(p.derivative(0).is_one());
         assert_eq!(p.derivative(1), Anf::var(2));
+        // The support is exactly the variables with a nonzero derivative.
+        assert_eq!(p.support(), vec![0, 1, 2]);
+        assert!(Anf::one().support().is_empty());
     }
 
     #[test]

@@ -194,15 +194,26 @@ fn auto_ladder_decides_the_paper_mcx_on_anf() {
     assert_eq!(stats.bdd_fallbacks, 0, "{stats:?}");
     assert_eq!(stats.bdd_cached_translations, 0, "{stats:?}");
     assert_eq!(stats.solver_decisions, 0, "{stats:?}");
+    assert_eq!(
+        stats.cofactor_memo_entries, 0,
+        "(6.2) by support: {stats:?}"
+    );
+    assert!(stats.support_memo_entries > 0, "{stats:?}");
 }
 
 #[test]
 fn auto_ladder_demotes_the_paper_adder_to_bdd_once() {
     // The carry chain overflows the ANF cap: one demotion, after which
-    // BDD decides every root within its budget and the ANF cache is gone.
+    // BDD decides every target within its budget and the ANF cache is
+    // gone. Neither rung builds cofactors: (6.2) is a support test.
     let stats = auto_sweep(&fixture("adder.qbr"));
     assert_eq!(stats.auto_preference, AutoPreference::Bdd, "{stats:?}");
     assert_eq!(stats.anf_fallbacks, 1, "{stats:?}");
     assert_eq!(stats.bdd_fallbacks, 0, "{stats:?}");
     assert_eq!(stats.anf_cached_polys, 0, "{stats:?}");
+    assert_eq!(
+        stats.cofactor_memo_entries, 0,
+        "(6.2) by support: {stats:?}"
+    );
+    assert!(stats.support_memo_entries > 0, "{stats:?}");
 }

@@ -276,3 +276,72 @@ fn anf_and_auto_witnesses_replay() {
         }
     }
 }
+
+/// The ANF and BDD rungs decide the plus condition (6.2) by support
+/// membership instead of one cofactor XOR root per other qubit. On
+/// seeded leaks — appended `CNOT[a[i], q[j]]` on the adder, a leak
+/// conditioned on a second qubit (whose witness must set that qubit),
+/// the missing-uncompute MCX mutant, and a fan-out copying one dirty
+/// qubit into three others (so the witness comes from the first of
+/// several dependent qubits) — `bdd`, `anf` and `auto` must reproduce the
+/// fresh SAT pipeline's verdicts and violation kinds under both
+/// simplification modes, and every witness must replay on the concrete
+/// circuit. The oracle runs once per program under `Full` (verdicts do
+/// not depend on the mode; its `Raw` run is 40× slower on the 64-bit
+/// adder). ANF's carry polynomials overflow its term cap on wide adders,
+/// so its adder rows use 12 bits.
+#[test]
+fn support_plus_condition_matches_fresh_sat_and_witnesses_replay() {
+    let adder_leak = |n: usize, leak: &str| (format!("adder-{n} + {leak}"), adder_source(n) + leak);
+    let fan_out = "CCNOT[a[3], q[5], q[9]];\nCCNOT[a[3], q[6], q[2]];\nCNOT[a[3], q[11]];\n";
+    let mcx_leak = (
+        "mcx-128-leak".to_string(),
+        mcx_source(128).replacen("release anc;", "CNOT[anc, t];\nrelease anc;", 1),
+    );
+    use BackendKind::{Anf, Auto, Bdd};
+    let wide = [
+        "CNOT[a[1], q[2]];\n",
+        "CNOT[a[20], q[50]];\n",
+        "CNOT[a[63], q[64]];\n",
+        "CCNOT[a[40], q[41], q[7]];\n",
+        fan_out,
+    ];
+    let narrow = [
+        "CNOT[a[1], q[2]];\n",
+        "CCNOT[a[11], q[8], q[4]];\n",
+        fan_out,
+    ];
+    let mut cases: Vec<((String, String), &[BackendKind])> = Vec::new();
+    cases.extend(wide.map(|leak| (adder_leak(64, leak), &[Bdd, Auto][..])));
+    cases.extend(narrow.map(|leak| (adder_leak(12, leak), &[Anf][..])));
+    cases.push((mcx_leak, &[Bdd, Anf, Auto]));
+    for ((name, source), backends) in cases {
+        let program = elaborate(&parse(&source).unwrap()).unwrap();
+        let initial = vec![InitialValue::Free; program.num_qubits()];
+        let targets = program.qubits_to_verify();
+        let oracle_opts = VerifyOptions {
+            backend: BackendKind::Sat,
+            simplify: Simplify::Full,
+            ..VerifyOptions::default()
+        };
+        let oracle =
+            verify_circuit_fresh(&program.circuit, &initial, &targets, &oracle_opts).unwrap();
+        assert!(
+            oracle.verdicts.iter().any(|v| !v.safe),
+            "{name}: the seeded leak is unsafe"
+        );
+        for &backend in backends {
+            for simplify in [Simplify::Raw, Simplify::Full] {
+                let opts = VerifyOptions {
+                    backend,
+                    simplify,
+                    ..VerifyOptions::default()
+                };
+                let session = verify_circuit(&program.circuit, &initial, &targets, &opts).unwrap();
+                let tag = format!("{name}/{backend}/{simplify:?}");
+                assert_same_verdicts(&oracle, &session, &tag);
+                assert_witnesses_replay(&program.circuit, &session, &tag);
+            }
+        }
+    }
+}

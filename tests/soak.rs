@@ -107,7 +107,8 @@ fn session_soak_memory_stays_bounded_over_200_edit_cycles() {
 /// arena stays bounded (collections fire, the backend memo tables follow
 /// the node remap), and the BDD manager's resident node count stays
 /// bounded across `Arena::collect` cycles instead of growing
-/// monotonically with edit history. `auto` runs twice: from the top of
+/// monotonically with edit history. The final-formula support memo
+/// follows the remap too and is revisited across edits. `auto` runs twice: from the top of
 /// its ladder (ANF decides these small circuits) and seeded on the BDD
 /// rung, so both of its memoising backends are soaked.
 #[test]
@@ -202,12 +203,21 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
                 stats.cached_decisions <= CACHE_CAP,
                 "{backend}: cycle {cycle}: decision cache bounded, got {stats:?}"
             );
+            assert!(
+                stats.support_memo_entries <= stats.arena_nodes,
+                "{backend}: cycle {cycle}: support memo keys are resident arena nodes \
+                 (collections drop the rest), so the arena bound holds for it: {stats:?}"
+            );
         }
 
         let stats = session.stats();
         assert!(
             stats.arena_collections >= 2,
             "{backend}: arena collections fire repeatedly: {stats:?}"
+        );
+        assert!(
+            stats.support_hits > 0,
+            "{backend}: revisited final formulas answer from the support memo: {stats:?}"
         );
         assert!(stats.arena_nodes_collected > 0, "{backend}: {stats:?}");
         assert!(

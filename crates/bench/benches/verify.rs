@@ -1,8 +1,8 @@
 //! Benches for the end-to-end verifier: scaled-down versions of the
 //! paper's Fig. 6.3/6.4 sweeps, the Raw-vs-Full simplification ablation
 //! (E15), and the incremental-session parallel fan-out. The full-size
-//! tables come from the `exp_fig6_3` / `exp_fig6_4` binaries; the
-//! committed session-vs-fresh numbers come from `bench_pr1`.
+//! tables come from the `exp_fig6_3` / `exp_fig6_4` binaries; the repo
+//! benchmark is `perfbench/`.
 
 use qb_bench::harness::{bench, group};
 use qb_bench::{adder_program, mcx_program, options};

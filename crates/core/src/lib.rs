@@ -58,8 +58,8 @@ pub use backend::{
 pub use conditions::{build_clean_condition, build_conditions, Conditions};
 pub use qb_sat::CancelToken;
 pub use session::{
-    verify_circuit_parallel, verify_program_parallel, EditStats, GenericVerifySession,
-    SessionStats, VerifyLimits, VerifySession,
+    verify_circuit_parallel, verify_program_parallel, EditStats, SessionStats, VerifyLimits,
+    VerifySession,
 };
 pub use symbolic::{symbolic_execute, InitialValue, NotClassicalCircuit, SymbolicState};
 pub use verifier::{

@@ -48,7 +48,7 @@ use qb_circuit::{Circuit, Gate};
 use qb_formula::{Anf, AnfCache, AnfOverflow, CnfSink, IncrementalEncoder, NodeId, Var};
 use qb_lang::{gate_common_prefix, ElaboratedProgram, QubitKind};
 use qb_obs::Histogram;
-use qb_sat::{CancelToken, CdclSolver, Lit, SatResult, SatVar, Solver};
+use qb_sat::{CancelToken, Lit, SatResult, SatVar, Solver};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -89,14 +89,14 @@ const DECISION_CACHE_CAPACITY: usize = 1 << 13;
 /// scope can later be detached in one selector retirement. Records the
 /// variables it allocates so the session can prioritise fresh query
 /// structure in the branching order and deaden it after retraction.
-struct SolverSink<'a, S: CdclSolver> {
-    solver: &'a mut S,
+struct SolverSink<'a> {
+    solver: &'a mut Solver,
     guard: Option<Lit>,
     clauses: usize,
     new_vars: Vec<SatVar>,
 }
 
-impl<S: CdclSolver> CnfSink for SolverSink<'_, S> {
+impl CnfSink for SolverSink<'_> {
     fn fresh_var(&mut self) -> i32 {
         let v = self.solver.new_var();
         self.new_vars.push(v);
@@ -114,9 +114,9 @@ impl<S: CdclSolver> CnfSink for SolverSink<'_, S> {
 }
 
 /// Persistent SAT backend state of a session.
-struct SatSession<S: CdclSolver> {
+struct SatSession {
     encoder: IncrementalEncoder,
-    solver: S,
+    solver: Solver,
     /// The retractable encoding of the circuit's editable suffix: an
     /// encoder checkpoint named [`SUFFIX_CHECKPOINT`] plus the selector
     /// guarding its clauses. On [`VerifySession::apply_edit`] the whole
@@ -154,7 +154,7 @@ struct CachedDecision {
     last_used: u64,
 }
 
-impl<S: CdclSolver> SatSession<S> {
+impl SatSession {
     /// Permanently encodes the base graph — the per-qubit final formulas
     /// and the input variables — unguarded: every query of every target
     /// builds on these literals, and learnt clauses about them carry
@@ -163,7 +163,7 @@ impl<S: CdclSolver> SatSession<S> {
     /// and re-encodes the changed tail behind a fresh selector.
     fn new(state: &mut SymbolicState) -> Self {
         let mut encoder = IncrementalEncoder::new();
-        let mut solver = S::default();
+        let mut solver = Solver::default();
         let mut base_roots = state.formulas.clone();
         for q in 0..state.num_qubits() {
             let var_node = state.arena.var(state.vars[q]);
@@ -312,6 +312,8 @@ pub struct SessionStats {
     pub bdd_cached_translations: usize,
     /// Arena nodes answered from the BDD translation cache.
     pub bdd_translation_hits: u64,
+    /// Arena nodes translated to BDDs (translation-cache misses).
+    pub bdd_translation_misses: u64,
     /// BDD-manager mark-sweep collections performed.
     pub bdd_collections: u64,
     /// Total BDD-manager nodes reclaimed across collections.
@@ -450,14 +452,14 @@ pub struct EditStats {
 /// let verdict = session.verify_target(2).unwrap();
 /// assert!(verdict.safe);
 /// ```
-pub struct GenericVerifySession<S: CdclSolver> {
+pub struct VerifySession {
     state: SymbolicState,
     /// The session's current gate sequence (diffed against on edit).
     gates: Vec<Gate>,
     initial: Vec<InitialValue>,
     opts: VerifyOptions,
     construction_time: Duration,
-    sat: Option<SatSession<S>>,
+    sat: Option<SatSession>,
     /// Persistent BDD manager + arena-node translation cache
     /// ([`BackendKind::Bdd`] and the [`BackendKind::Auto`] ladder).
     bdd: Option<BddSession>,
@@ -522,11 +524,6 @@ pub struct GenericVerifySession<S: CdclSolver> {
     root_hist: Histogram,
 }
 
-/// The default verification session, running the production flat-arena
-/// CDCL solver. Benchmarks instantiate [`GenericVerifySession`] with
-/// [`qb_sat::ReferenceSolver`] to A/B solver generations in-process.
-pub type VerifySession = GenericVerifySession<Solver>;
-
 /// The daemon moves each session into a dedicated actor thread, so the
 /// whole backend stack (arena, solver, BDD manager, ANF cache) must be
 /// [`Send`]. This assertion makes any future regression — say, an `Rc`
@@ -537,7 +534,7 @@ const _: fn() = || {
     assert_send::<VerifySession>();
 };
 
-impl<S: CdclSolver> GenericVerifySession<S> {
+impl VerifySession {
     /// Symbolically executes `circuit` once and prepares the shared
     /// backend state.
     ///
@@ -564,7 +561,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         let anf = matches!(opts.backend, BackendKind::Anf | BackendKind::Auto).then(AnfCache::new);
         let construction_time = t0.elapsed();
         let arena_watermark = (state.arena.len() * ARENA_GC_GROWTH).max(ARENA_GC_MIN_NODES);
-        Ok(GenericVerifySession {
+        Ok(VerifySession {
             state,
             gates: circuit.gates().to_vec(),
             initial: initial.to_vec(),
@@ -732,6 +729,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
             bdd_resident_nodes: bdd.resident_nodes,
             bdd_cached_translations: bdd.cached_translations,
             bdd_translation_hits: bdd.translation_hits,
+            bdd_translation_misses: bdd.translation_misses,
             bdd_collections: bdd.collections,
             bdd_nodes_collected: bdd.nodes_collected,
             anf_fallbacks: self.anf_fallbacks,
@@ -949,7 +947,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     /// assert the root disjunction behind a per-query selector, solve
     /// under both assumptions, then retire the query selector.
     fn run_query(
-        sat: &mut SatSession<S>,
+        sat: &mut SatSession,
         arena: &qb_formula::Arena,
         roots: &[NodeId],
         guard: Lit,
@@ -1057,7 +1055,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     fn ensure_sat(&mut self) {
         if self.sat.is_none() {
             let clock = Instant::now();
-            let mut sat = SatSession::<S>::new(&mut self.state);
+            let mut sat = SatSession::new(&mut self.state);
             sat.encode_time += clock.elapsed();
             sat.solver.set_cancel_token(self.cancel.clone());
             self.sat = Some(sat);
@@ -1179,7 +1177,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     ///
     /// On the auto ladder an overflow — while normalising the final
     /// formulas or deriving the witness — demotes the session for good
-    /// and retries one rung down, as [`GenericVerifySession::run_auto_root`]
+    /// and retries one rung down, as [`VerifySession::run_auto_root`]
     /// does; an interrupted BDD build hands the target to SAT with the
     /// remaining budget.
     fn plus_by_support(&mut self, q: usize) -> Result<Option<Decision>, VerifyError> {
@@ -1225,7 +1223,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         Ok(None)
     }
 
-    /// One attempt of [`GenericVerifySession::plus_by_support`] on
+    /// One attempt of [`VerifySession::plus_by_support`] on
     /// `rung`: normalise the `missing` final formulas in one batch
     /// (draining them into the memo), then take the first other qubit
     /// whose support holds `q`'s variable and read a witness off its
@@ -1284,7 +1282,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
 
     /// Decides one condition root, consulting the shared memoised
     /// decision cache first, then dispatching on the session backend
-    /// ([`GenericVerifySession::run_auto_root`] for the auto ladder). A
+    /// ([`VerifySession::run_auto_root`] for the auto ladder). A
     /// fully cached target never touches any backend at all.
     fn decide_root(
         &mut self,
@@ -1299,7 +1297,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         decided
     }
 
-    /// [`GenericVerifySession::decide_root`] without the latency
+    /// [`VerifySession::decide_root`] without the latency
     /// bookkeeping (split out so every return path is sampled).
     fn decide_root_inner(
         &mut self,
@@ -1403,7 +1401,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         Ok((zero, zero_time, plus, plus_time))
     }
 
-    /// The decision half of [`GenericVerifySession::decide_target`]:
+    /// The decision half of [`VerifySession::decide_target`]:
     /// decides the zero condition, then the (6.2) disjunction one
     /// disjunct at a time — each refutation then stays inside one
     /// qubit's cofactor cone, instead of one search entangling every
@@ -1454,7 +1452,7 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         verdict
     }
 
-    /// [`GenericVerifySession::verify_target`] without the latency
+    /// [`VerifySession::verify_target`] without the latency
     /// bookkeeping (split out so cancelled short-circuits and interrupted
     /// targets are sampled too — their fast Unknowns are part of the
     /// latency story a bounded sweep serves).

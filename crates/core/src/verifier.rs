@@ -314,9 +314,8 @@ pub fn verify_circuit(
 /// The pre-session verification pipeline: each target qubit gets a fresh
 /// clone of the formula arena, a from-scratch Tseitin encoding, and a
 /// brand-new solver per condition. Verdicts are identical to
-/// [`verify_circuit`]; this entry point is kept as the baseline for the
-/// incremental-session ablation (see `BENCH_PR1.json`) and as an
-/// independent cross-check in tests.
+/// [`verify_circuit`]; this entry point is kept as an independent
+/// cross-check of the incremental session in tests.
 ///
 /// # Errors
 ///

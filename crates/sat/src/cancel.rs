@@ -13,7 +13,7 @@
 //!
 //! A token is *shared*: the owner keeps one clone (to flip from a
 //! watchdog thread) and installs another into each backend via
-//! [`crate::CdclSolver::set_cancel_token`]. An interrupted solve returns
+//! [`crate::Solver::set_cancel_token`]. An interrupted solve returns
 //! [`crate::SatResult::Interrupted`] and leaves the solver in a sound
 //! state (level zero, learnt clauses retained), so the same query can be
 //! retried with a larger budget.
@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use qb_sat::{CancelToken, CdclSolver, Lit, SatResult, Solver};
+//! use qb_sat::{CancelToken, Lit, SatResult, Solver};
 //!
 //! let token = CancelToken::new();
 //! let mut s = Solver::new();

@@ -1,114 +1,6 @@
-//! Indexed binary max-heap ordered by variable activity (VSIDS order).
+//! The solver's branching order: a variable-move-to-front queue.
 
 use crate::lit::SatVar;
-
-/// A binary max-heap of variables keyed by an external activity array,
-/// supporting O(log n) increase-key via stored positions.
-#[derive(Debug, Clone, Default)]
-pub struct VarOrder {
-    heap: Vec<SatVar>,
-    /// Position of each variable in `heap`, `usize::MAX` when absent.
-    position: Vec<usize>,
-}
-
-const ABSENT: usize = usize::MAX;
-
-impl VarOrder {
-    /// Creates an empty order.
-    pub fn new() -> Self {
-        VarOrder::default()
-    }
-
-    /// Registers a new variable (initially absent from the heap).
-    pub fn grow_to(&mut self, num_vars: usize) {
-        self.position.resize(num_vars, ABSENT);
-    }
-
-    /// Returns `true` when no variable is queued.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Whether `v` is currently queued.
-    pub fn contains(&self, v: SatVar) -> bool {
-        self.position[v.index()] != ABSENT
-    }
-
-    /// Inserts `v` (no-op when present), restoring heap order via
-    /// `activity`.
-    pub fn insert(&mut self, v: SatVar, activity: &[f64]) {
-        if self.contains(v) {
-            return;
-        }
-        self.position[v.index()] = self.heap.len();
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1, activity);
-    }
-
-    /// Restores order after `v`'s activity increased.
-    pub fn bumped(&mut self, v: SatVar, activity: &[f64]) {
-        let pos = self.position[v.index()];
-        if pos != ABSENT {
-            self.sift_up(pos, activity);
-        }
-    }
-
-    /// Pops the maximum-activity variable.
-    pub fn pop_max(&mut self, activity: &[f64]) -> Option<SatVar> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        self.position[top.index()] = ABSENT;
-        let last = self.heap.pop().expect("nonempty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.position[last.index()] = 0;
-            self.sift_down(0, activity);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if activity[self.heap[i].index()] <= activity[self.heap[parent].index()] {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            if l < self.heap.len()
-                && activity[self.heap[l].index()] > activity[self.heap[best].index()]
-            {
-                best = l;
-            }
-            if r < self.heap.len()
-                && activity[self.heap[r].index()] > activity[self.heap[best].index()]
-            {
-                best = r;
-            }
-            if best == i {
-                break;
-            }
-            self.swap(i, best);
-            i = best;
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.position[self.heap[a].index()] = a;
-        self.position[self.heap[b].index()] = b;
-    }
-}
 
 const VNONE: u32 = u32::MAX;
 
@@ -331,44 +223,5 @@ mod tests {
         q2.rebuild(&order);
         assert_eq!(q2.order_most_recent_first(), order);
         assert_eq!(q2.next_unassigned(|_| false), Some(var(2)));
-    }
-
-    #[test]
-    fn pops_in_activity_order() {
-        let activity = vec![1.0, 5.0, 3.0, 4.0, 2.0];
-        let mut order = VarOrder::new();
-        order.grow_to(5);
-        for i in 0..5 {
-            order.insert(var(i), &activity);
-        }
-        let mut seq = Vec::new();
-        while let Some(v) = order.pop_max(&activity) {
-            seq.push(v.index());
-        }
-        assert_eq!(seq, vec![1, 3, 2, 4, 0]);
-    }
-
-    #[test]
-    fn bump_reorders() {
-        let mut activity = vec![1.0, 2.0, 3.0];
-        let mut order = VarOrder::new();
-        order.grow_to(3);
-        for i in 0..3 {
-            order.insert(var(i), &activity);
-        }
-        activity[0] = 10.0;
-        order.bumped(var(0), &activity);
-        assert_eq!(order.pop_max(&activity), Some(var(0)));
-    }
-
-    #[test]
-    fn insert_is_idempotent() {
-        let activity = vec![1.0, 2.0];
-        let mut order = VarOrder::new();
-        order.grow_to(2);
-        order.insert(var(0), &activity);
-        order.insert(var(0), &activity);
-        assert_eq!(order.pop_max(&activity), Some(var(0)));
-        assert!(order.pop_max(&activity).is_none());
     }
 }

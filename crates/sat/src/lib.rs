@@ -35,16 +35,14 @@ mod cancel;
 mod dpll;
 mod heap;
 mod lit;
+#[cfg(test)]
 mod reference;
 mod solver;
-mod traits;
 
 pub use cancel::CancelToken;
 pub use dpll::dpll_solve;
 pub use lit::{LBool, Lit, SatVar};
-pub use reference::ReferenceSolver;
 pub use solver::{SatResult, Solver, SolverStats};
-pub use traits::CdclSolver;
 
 #[cfg(test)]
 mod cancellation {
@@ -67,8 +65,8 @@ mod cancellation {
         clauses
     }
 
-    fn load<S: CdclSolver>(clauses: &[Vec<i32>]) -> S {
-        let mut s = S::default();
+    fn load(clauses: &[Vec<i32>]) -> Solver {
+        let mut s = Solver::new();
         let nv = clauses
             .iter()
             .flatten()
@@ -85,49 +83,41 @@ mod cancellation {
         s
     }
 
-    /// A pre-cancelled token interrupts both solvers before any work,
+    /// A pre-cancelled token interrupts the solver before any work,
     /// and resetting it restores the correct verdict.
     #[test]
     fn pre_cancelled_token_interrupts_then_recovers() {
-        fn check<S: CdclSolver>() {
-            let clauses = pigeonhole(6);
-            let mut s = load::<S>(&clauses);
-            let token = CancelToken::new();
-            s.set_cancel_token(Some(token.clone()));
-            token.cancel();
-            assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
-            token.reset();
-            assert_eq!(s.solve_with_assumptions(&[]), SatResult::Unsat);
-        }
-        check::<Solver>();
-        check::<ReferenceSolver>();
+        let clauses = pigeonhole(6);
+        let mut s = load(&clauses);
+        let token = CancelToken::new();
+        s.set_cancel_token(Some(token.clone()));
+        token.cancel();
+        assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
+        token.reset();
+        assert_eq!(s.solve_with_assumptions(&[]), SatResult::Unsat);
     }
 
     /// A tiny conflict budget interrupts a hard instance; lifting the
     /// budget lets the *same* solver finish with the sound verdict.
     #[test]
     fn conflict_budget_interrupts_then_full_rerun_is_sound() {
-        fn check<S: CdclSolver>() {
-            let clauses = pigeonhole(7);
-            let mut s = load::<S>(&clauses);
-            let token = CancelToken::new();
-            token.set_conflict_budget(5);
-            s.set_cancel_token(Some(token.clone()));
-            assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
-            // Budgets are per solve call: the retry gets a fresh 5.
-            assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
-            token.reset();
-            assert_eq!(s.solve_with_assumptions(&[]), SatResult::Unsat);
-        }
-        check::<Solver>();
-        check::<ReferenceSolver>();
+        let clauses = pigeonhole(7);
+        let mut s = load(&clauses);
+        let token = CancelToken::new();
+        token.set_conflict_budget(5);
+        s.set_cancel_token(Some(token.clone()));
+        assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
+        // Budgets are per solve call: the retry gets a fresh 5.
+        assert_eq!(s.solve_with_assumptions(&[]), SatResult::Interrupted);
+        token.reset();
+        assert_eq!(s.solve_with_assumptions(&[]), SatResult::Unsat);
     }
 
     /// An expired deadline interrupts mid-solve.
     #[test]
     fn expired_deadline_interrupts() {
         let clauses = pigeonhole(7);
-        let mut s = load::<Solver>(&clauses);
+        let mut s = load(&clauses);
         let token = CancelToken::new();
         token.set_deadline_in(std::time::Duration::ZERO);
         s.set_cancel_token(Some(token.clone()));
@@ -141,8 +131,8 @@ mod cancellation {
     #[test]
     fn untripped_token_is_transparent() {
         let clauses = vec![vec![1, 2], vec![-1, 3], vec![-2, -3]];
-        let mut plain = load::<Solver>(&clauses);
-        let mut tokened = load::<Solver>(&clauses);
+        let mut plain = load(&clauses);
+        let mut tokened = load(&clauses);
         tokened.set_cancel_token(Some(CancelToken::new()));
         assert_eq!(plain.solve(), tokened.solve());
         assert_eq!(plain.model(), tokened.model());
@@ -343,14 +333,13 @@ mod randomized {
         Script { nv, base, rounds }
     }
 
-    /// Drives one solver generation through the whole incremental
-    /// protocol a session performs — guarded query scopes, selector
-    /// retirement, satisfied-clause sweeps, variable deadening,
-    /// vivification and compaction with handle remapping — recording
-    /// every verdict.
-    fn run_protocol<S: CdclSolver>(script: &Script) -> Vec<SatResult> {
+    /// Drives the solver through the whole incremental protocol a
+    /// session performs — guarded query scopes, selector retirement,
+    /// satisfied-clause sweeps, variable deadening, vivification and
+    /// compaction with handle remapping — recording every verdict.
+    fn run_protocol(script: &Script) -> Vec<SatResult> {
         let sign = |l: Lit, neg: bool| if neg { l.negate() } else { l };
-        let mut s = S::default();
+        let mut s = Solver::new();
         let mut handles: Vec<Lit> = (0..script.nv).map(|_| Lit::pos(s.new_var())).collect();
         let mut results = Vec::new();
         for c in &script.base {
@@ -396,78 +385,82 @@ mod randomized {
         results
     }
 
-    /// The flat-arena solver and the frozen PR-4 reference solver agree
-    /// on every verdict of randomized incremental sessions — guarded
-    /// scopes, retirement, deadening, vivification (flat only; a
-    /// semantics-preserving no-op difference) and compaction round-trips
+    /// The verdict stream [`run_protocol`] must produce for `script`,
+    /// with each query decided from scratch by `decide`. Each round's
+    /// query is the monolithic equivalent of the round (base ∪ active
+    /// guarded clauses ∪ assumptions). Each post-compaction query is the
+    /// base clauses alone: by then the round's guarded clauses are
+    /// retired and its fresh variables deadened, so only the base
+    /// formula remains.
+    fn expected_verdicts(script: &Script, decide: impl Fn(&Cnf) -> SatResult) -> Vec<SatResult> {
+        // Variables: base vars 1..=nv, then per-round fresh vars
+        // appended (dead after their round, so reusing the tail ids is
+        // fine).
+        let signed = |v: usize, neg: bool| (v as i32 + 1) * if neg { -1 } else { 1 };
+        let base_cnf: Vec<Vec<i32>> = script
+            .base
+            .iter()
+            .map(|c| c.iter().map(|&(v, neg)| signed(v, neg)).collect())
+            .collect();
+        let query = |num_vars: usize, extra: &[Vec<i32>]| {
+            let mut cnf = Cnf::new();
+            for _ in 0..num_vars {
+                cnf.fresh_var();
+            }
+            for c in base_cnf.iter().chain(extra) {
+                cnf.add_clause(c);
+            }
+            decide(&cnf)
+        };
+        let mut expected = Vec::new();
+        for round in &script.rounds {
+            let mut extra: Vec<Vec<i32>> = round
+                .guarded
+                .iter()
+                .map(|cl| {
+                    cl.iter()
+                        .map(|&(is_base, i, neg)| {
+                            signed(if is_base { i } else { script.nv + i }, neg)
+                        })
+                        .collect()
+                })
+                .collect();
+            if let Some((v, neg)) = round.assume_base {
+                extra.push(vec![signed(v, neg)]);
+            }
+            expected.push(query(script.nv + round.fresh, &extra));
+            if round.compact {
+                expected.push(query(script.nv, &[]));
+            }
+        }
+        expected
+    }
+
+    /// The solver's verdict stream matches the DPLL oracle on every
+    /// query of randomized incremental sessions, post-compaction checks
     /// included.
+    #[test]
+    fn incremental_protocol_matches_dpll_oracle() {
+        let mut rng = Rng::new(0x1C5A_0002);
+        for case in 0..CASES {
+            let script = rand_script(&mut rng);
+            let got = run_protocol(&script);
+            assert_eq!(got, expected_verdicts(&script, dpll_solve), "case {case}");
+        }
+    }
+
+    /// The incremental verdict stream matches a reference solve of each
+    /// query by a fresh, non-incremental [`Solver`]. The reference run
+    /// uses none of the guarded scopes, retirement, deadening,
+    /// vivification or compaction, so a disagreement is theirs.
     #[test]
     fn incremental_protocol_matches_reference_solver() {
         let mut rng = Rng::new(0x1C5A_0001);
         for case in 0..CASES {
             let script = rand_script(&mut rng);
-            let flat = run_protocol::<Solver>(&script);
-            let reference = run_protocol::<ReferenceSolver>(&script);
-            assert_eq!(flat, reference, "case {case}");
-        }
-    }
-
-    /// The flat solver's verdict stream also matches the DPLL oracle on
-    /// the monolithic equivalent of each query (base ∪ active guarded
-    /// clauses ∪ assumptions), independently of any CDCL machinery.
-    #[test]
-    fn incremental_protocol_matches_dpll_oracle() {
-        let mut rng = Rng::new(0x1C5A_0002);
-        for case in 0..CASES / 2 {
-            let script = rand_script(&mut rng);
-            let flat = run_protocol::<Solver>(&script);
-            // Rebuild each round's query as a standalone CNF. Variables:
-            // base vars 1..=nv, then per-round fresh vars appended (dead
-            // after their round, so reusing the tail ids is fine).
-            let mut round_verdicts = Vec::new();
-            let base_cnf: Vec<Vec<i32>> = script
-                .base
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|&(v, neg)| (v as i32 + 1) * if neg { -1 } else { 1 })
-                        .collect()
-                })
-                .collect();
-            for round in &script.rounds {
-                let mut cnf = Cnf::new();
-                for _ in 0..script.nv + round.fresh {
-                    cnf.fresh_var();
-                }
-                for c in &base_cnf {
-                    cnf.add_clause(c);
-                }
-                for cl in &round.guarded {
-                    let lits: Vec<i32> = cl
-                        .iter()
-                        .map(|&(is_base, i, neg)| {
-                            let v = if is_base { i } else { script.nv + i } as i32 + 1;
-                            v * if neg { -1 } else { 1 }
-                        })
-                        .collect();
-                    cnf.add_clause(&lits);
-                }
-                if let Some((v, neg)) = round.assume_base {
-                    cnf.add_clause(&[(v as i32 + 1) * if neg { -1 } else { 1 }]);
-                }
-                round_verdicts.push(dpll_solve(&cnf));
-            }
-            // Project the flat verdict stream onto the per-round queries
-            // (dropping the interleaved post-compaction checks).
-            let mut flat_rounds = Vec::new();
-            let mut it = flat.iter();
-            for round in &script.rounds {
-                flat_rounds.push(*it.next().expect("round verdict"));
-                if round.compact {
-                    it.next().expect("post-compaction verdict");
-                }
-            }
-            assert_eq!(flat_rounds, round_verdicts, "case {case}");
+            let got = run_protocol(&script);
+            let fresh = |cnf: &Cnf| Solver::from_cnf(cnf).solve();
+            assert_eq!(got, expected_verdicts(&script, fresh), "case {case}");
         }
     }
 }

@@ -1,1232 +1,176 @@
-//! The PR-4 reference CDCL solver, frozen for differential testing and
-//! benchmarking.
+//! Scenario tests decided twice: by the production [`Solver`] and by the
+//! [`dpll_solve`] reference oracle.
 //!
-//! This is the solver the flat-arena [`crate::Solver`] replaced: a
-//! `Vec<Clause>`-of-`Vec<Lit>` clause store, Luby restarts, no binary
-//! specialisation, no vivification. It is kept (a) as a second
-//! independent CDCL implementation for randomized cross-checks alongside
-//! [`crate::dpll_solve`], and (b) so the scaling benches can measure the
-//! new solver against its predecessor *in the same process* — the only
-//! apples-to-apples comparison on noisy shared hardware.
+//! [`Checked`] wraps a [`Solver`] and keeps a copy of the formula in the
+//! variables it was built with. Every solve re-decides the same query
+//! with the oracle and asserts that both verdicts agree. A satisfying
+//! model is also checked against the assumptions and against every
+//! recorded clause whose variables are all still mapped. Compaction
+//! renumbers the solver's variables; the wrapper follows each returned
+//! map, so the oracle checks every verdict made after compaction too.
 
-use crate::heap::VarOrder;
-use crate::lit::{LBool, Lit, SatVar};
-use crate::solver::{SatResult, SolverStats};
+use crate::{dpll_solve, Lit, SatResult, SatVar, Solver};
 use qb_formula::Cnf;
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    /// Literal block distance at learning time (glue level).
-    lbd: u32,
-    activity: f64,
-}
-
-type ClauseRef = u32;
-
-#[derive(Debug, Clone, Copy)]
-struct Watcher {
-    cref: ClauseRef,
-    /// A literal of the clause other than the watched one; if it is already
-    /// true the clause is satisfied and the watcher need not be visited.
-    blocker: Lit,
-}
-
-/// The frozen PR-4 CDCL solver (see module docs).
+/// A [`Solver`] whose every verdict is cross-checked by [`dpll_solve`].
 ///
-/// # Examples
-///
-/// ```
-/// use qb_sat::{Lit, ReferenceSolver, SatResult};
-/// let mut s = ReferenceSolver::new();
-/// let a = s.new_var();
-/// let b = s.new_var();
-/// s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-/// s.add_clause(&[Lit::neg(a)]);
-/// assert_eq!(s.solve(), SatResult::Sat);
-/// assert!(s.model()[b.index()]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReferenceSolver {
-    clauses: Vec<Clause>,
-    learnt_refs: Vec<ClauseRef>,
-    watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
-    level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
-    trail: Vec<Lit>,
-    trail_lim: Vec<usize>,
-    qhead: usize,
-    activity: Vec<f64>,
-    var_inc: f64,
-    order: VarOrder,
-    phase: Vec<bool>,
-    seen: Vec<bool>,
-    /// False once an empty clause is derived at level zero.
-    ok: bool,
-    model: Vec<bool>,
-    stats: SolverStats,
-    max_learnts: f64,
-    cla_inc: f64,
-    /// Clauses guarded by each selector variable (see
-    /// [`ReferenceSolver::add_guarded_clause`]), for physical removal on
-    /// retirement.
-    guarded: HashMap<u32, Vec<ClauseRef>>,
-    /// Scratch for recursive learnt-clause minimisation.
-    redundant_stack: Vec<Lit>,
-    /// Selectors retired since the last [`ReferenceSolver::compact`] (the GC
-    /// trigger for long incremental sessions).
-    retired_selectors: usize,
-    /// Cooperative cancellation handle, polled once per conflict.
-    cancel: Option<crate::CancelToken>,
+/// The oracle formula holds the base clauses, each guarded clause as
+/// `¬selector ∨ lits`, and the unit `¬selector` of each retired
+/// selector. Deadened variables are not mirrored. The session contract
+/// is that they occur in no live clause, so fixing them changes no
+/// verdict.
+struct Checked {
+    solver: Solver,
+    /// Variables of the oracle formula, dense from 0.
+    oracle_vars: usize,
+    clauses: Vec<Vec<Lit>>,
+    /// What the positive literal of each solver variable denotes in the
+    /// oracle formula.
+    to_oracle: Vec<Lit>,
 }
 
-const VAR_DECAY: f64 = 0.95;
-const CLA_DECAY: f64 = 0.999;
-const RESCALE_LIMIT: f64 = 1e100;
-const RESTART_BASE: u64 = 256;
+impl Deref for Checked {
+    type Target = Solver;
 
-impl ReferenceSolver {
-    /// Creates an empty solver.
-    pub fn new() -> Self {
-        ReferenceSolver {
+    fn deref(&self) -> &Solver {
+        &self.solver
+    }
+}
+
+impl DerefMut for Checked {
+    fn deref_mut(&mut self) -> &mut Solver {
+        &mut self.solver
+    }
+}
+
+impl Checked {
+    fn new() -> Self {
+        Checked {
+            solver: Solver::new(),
+            oracle_vars: 0,
             clauses: Vec::new(),
-            learnt_refs: Vec::new(),
-            watches: Vec::new(),
-            assigns: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
-            qhead: 0,
-            activity: Vec::new(),
-            var_inc: 1.0,
-            order: VarOrder::new(),
-            phase: Vec::new(),
-            seen: Vec::new(),
-            ok: true,
-            model: Vec::new(),
-            stats: SolverStats::default(),
-            max_learnts: 0.0,
-            cla_inc: 1.0,
-            guarded: HashMap::new(),
-            redundant_stack: Vec::new(),
-            retired_selectors: 0,
-            cancel: None,
+            to_oracle: Vec::new(),
         }
     }
 
-    /// Installs (or removes) a cooperative cancellation token, polled
-    /// once per conflict during solve calls.
-    pub fn set_cancel_token(&mut self, token: Option<crate::CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// Builds a solver from a DIMACS-style [`Cnf`]; DIMACS variable `v`
-    /// maps to the solver variable with index `v - 1`.
-    pub fn from_cnf(cnf: &Cnf) -> Self {
-        let mut s = ReferenceSolver::new();
+    fn from_cnf(cnf: &Cnf) -> Self {
+        let mut s = Checked::new();
         for _ in 0..cnf.num_vars() {
             s.new_var();
         }
-        for clause in cnf.clauses() {
-            let lits: Vec<Lit> = clause.iter().map(|&l| Lit::from_dimacs(l)).collect();
+        for c in cnf.clauses() {
+            let lits: Vec<Lit> = c.iter().map(|&l| Lit::from_dimacs(l)).collect();
             s.add_clause(&lits);
         }
         s
     }
 
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> SatVar {
-        let v = SatVar(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
-        self.level.push(0);
-        self.reason.push(None);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.order.grow_to(self.assigns.len());
-        self.order.insert(v, &self.activity);
+    fn new_var(&mut self) -> SatVar {
+        let v = self.solver.new_var();
+        assert_eq!(v.index(), self.to_oracle.len());
+        self.to_oracle
+            .push(Lit::pos(SatVar::from_index(self.oracle_vars)));
+        self.oracle_vars += 1;
         v
     }
 
-    /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
-        self.assigns.len()
-    }
-
-    /// Work counters for the most recent activity.
-    pub fn stats(&self) -> SolverStats {
-        self.stats
-    }
-
-    #[inline]
-    fn value_lit(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_neg() {
-            v.negate()
-        } else {
-            v
-        }
-    }
-
-    /// Adds a clause; returns `false` if the solver is already in an
-    /// unsatisfiable state (conflicting units at level zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after a decision has been made (clauses must be
-    /// added at decision level zero) or if a literal names an unallocated
-    /// variable.
-    pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_ref(lits).0
-    }
-
-    /// [`ReferenceSolver::add_clause`], additionally reporting the attached clause
-    /// (when the normalised clause was neither dropped nor reduced to a
-    /// unit).
-    fn add_clause_ref(&mut self, lits: &[Lit]) -> (bool, Option<ClauseRef>) {
-        assert!(
-            self.trail_lim.is_empty(),
-            "clauses must be added at decision level zero"
-        );
-        if !self.ok {
-            return (false, None);
-        }
-        for l in lits {
-            assert!(l.var().index() < self.num_vars(), "unallocated variable");
-        }
-        // Normalise: sort, dedupe, drop false-at-0, detect tautology.
-        let mut c: Vec<Lit> = lits.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        let mut filtered = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            if i + 1 < c.len() && c[i + 1] == l.negate() {
-                return (true, None); // tautology: l and ¬l both present
-            }
-            match self.value_lit(l) {
-                LBool::True => return (true, None), // satisfied at level 0
-                LBool::False => continue,           // falsified at level 0: drop
-                LBool::Undef => filtered.push(l),
-            }
-        }
-        match filtered.len() {
-            0 => {
-                self.ok = false;
-                (false, None)
-            }
-            1 => {
-                self.enqueue(filtered[0], None);
-                self.ok = self.propagate().is_none();
-                (self.ok, None)
-            }
-            _ => {
-                let cref = self.attach_clause(filtered, false, 0);
-                (true, Some(cref))
-            }
-        }
-    }
-
-    /// Allocates a fresh *selector* variable for activation-literal
-    /// incremental solving. A selector is an ordinary variable; the
-    /// convention is that clauses guarded by it (via
-    /// [`ReferenceSolver::add_guarded_clause`]) are active exactly in solves that
-    /// assume the positive selector literal.
-    pub fn new_selector(&mut self) -> SatVar {
+    fn new_selector(&mut self) -> SatVar {
         self.new_var()
     }
 
-    /// Adds `lits` guarded by `selector`: the stored clause is
-    /// `¬selector ∨ lits`, so it only constrains solves that assume
-    /// `selector` (pass it to [`ReferenceSolver::solve_with_assumptions`]). Learnt
-    /// clauses derived from it mention `¬selector` and therefore stay
-    /// sound after the guard is dropped. Returns `false` if the solver is
-    /// already unsatisfiable.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReferenceSolver::add_clause`].
-    pub fn add_guarded_clause(&mut self, selector: Lit, lits: &[Lit]) -> bool {
-        let mut guarded: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-        guarded.push(selector.negate());
-        guarded.extend_from_slice(lits);
-        let (ok, cref) = self.add_clause_ref(&guarded);
-        if let Some(cref) = cref {
-            self.guarded.entry(selector.var().0).or_default().push(cref);
-        }
-        ok
-    }
-
-    /// Lifts `vars` to the front of the VSIDS branching order by raising
-    /// their activity to the current maximum. Incremental sessions call
-    /// this for freshly encoded query structure, which would otherwise
-    /// start cold (activity zero) behind stale hot variables left over
-    /// from earlier queries — exactly the variables the *current* query
-    /// needs the solver to branch on first.
-    pub fn prioritize_vars(&mut self, vars: &[SatVar]) {
-        if vars.is_empty() {
-            return;
-        }
-        let max = self.activity.iter().cloned().fold(0.0_f64, f64::max);
-        let boosted = max + self.var_inc;
-        if boosted > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1.0 / RESCALE_LIMIT;
-            }
-            self.var_inc *= 1.0 / RESCALE_LIMIT;
-        }
-        let max = self.activity.iter().cloned().fold(0.0_f64, f64::max);
-        for &v in vars {
-            self.activity[v.index()] = max + self.var_inc;
-            self.order.bumped(v, &self.activity);
-        }
-    }
-
-    /// Fixes every currently unassigned variable in `vars` at level zero
-    /// (to `false`; the polarity is arbitrary), permanently removing it
-    /// from future branching. Incremental sessions call this for the
-    /// auxiliary variables of a retracted encoding scope: their defining
-    /// clauses are gone, so leaving them undecided would only feed the
-    /// VSIDS queue dead weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level zero.
-    pub fn deaden_vars(&mut self, vars: &[SatVar]) {
-        assert!(self.trail_lim.is_empty(), "level-zero operation only");
-        for &v in vars {
-            if self.assigns[v.index()].is_undef() {
-                self.add_clause(&[Lit::neg(v)]);
-            }
-        }
-    }
-
-    /// Detaches every clause (problem or learnt) that is satisfied by
-    /// the level-zero trail — MiniSat's `removeSatisfied`. In an
-    /// incremental session, retiring a selector fixes `¬selector` at
-    /// level zero, which permanently satisfies every learnt clause
-    /// derived under that assumption; without this sweep those clauses
-    /// sit in the watch lists forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level zero.
-    pub fn simplify_satisfied(&mut self) {
-        assert!(self.trail_lim.is_empty(), "level-zero simplification only");
-        if !self.ok {
-            return;
-        }
-        for cref in 0..self.clauses.len() as ClauseRef {
-            let c = &self.clauses[cref as usize];
-            if c.deleted {
-                continue;
-            }
-            let satisfied = c.lits.iter().any(|&l| self.value_lit(l).is_true());
-            if satisfied {
-                // Level-zero reasons are never expanded by conflict
-                // analysis (it stops at level zero), so detaching a
-                // locked satisfied clause is sound.
-                self.detach_clause(cref);
-            }
-        }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
-        self.stats.learnt_clauses = self.learnt_refs.len() as u64;
-    }
-
-    /// Permanently retires `selector`: asserts `¬selector` at level zero
-    /// (so no future solve can activate its clauses) and physically
-    /// detaches every clause that was guarded by it, so dead root clauses
-    /// stop burdening watched-literal propagation.
-    pub fn retire_selector(&mut self, selector: Lit) {
-        if let Some(crefs) = self.guarded.remove(&selector.var().0) {
-            for cref in crefs {
-                if !self.clauses[cref as usize].deleted {
-                    self.detach_clause(cref);
-                }
-            }
-        }
-        self.retired_selectors += 1;
-        self.add_clause(&[selector.negate()]);
-    }
-
-    /// Selectors retired since the last [`ReferenceSolver::compact`] call — the
-    /// trigger statistic for periodic garbage collection in long
-    /// incremental sessions.
-    pub fn retired_since_compaction(&self) -> usize {
-        self.retired_selectors
-    }
-
-    /// Number of clause slots (live *and* deleted) in the arena — what
-    /// [`ReferenceSolver::simplify_satisfied`] and watch-list bookkeeping scale
-    /// with before a [`ReferenceSolver::compact`] pass.
-    pub fn clause_slots(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Number of live (non-deleted) clauses.
-    pub fn live_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
-    /// Compacts the solver's arenas: strengthens the clause database with
-    /// every level-zero fact (satisfied clauses are dropped, falsified
-    /// literals removed, resulting units applied to fixpoint), substitutes
-    /// level-zero binary equivalence classes (`x ≡ ±y` implied by
-    /// complementary binary clause pairs) into one representative per
-    /// class, then drops deleted clause slots and every variable that
-    /// neither occurs in a live clause nor is (the class representative
-    /// of) a `pinned` variable, renumbering the survivors densely so the
-    /// per-variable arrays (assignments, activity, phase, watch lists,
-    /// branching heap) shrink back to the live working set. Long
-    /// incremental sessions retire selectors and deaden query variables
-    /// monotonically; without this GC pass the arrays — and every scan
-    /// over them — grow with session *history* instead of live state.
-    ///
-    /// Returns the old→new literal mapping: `map[v]` is what the old
-    /// *positive* literal of `v` now denotes (`None` = dropped; a negated
-    /// entry means `v` dissolved into the negation of its class
-    /// representative). **Every externally held [`SatVar`]/[`Lit`] handle
-    /// is invalidated**: callers must pin the variables they intend to
-    /// keep referencing and remap their handles (with polarity!) through
-    /// the returned table. Satisfiability is unchanged: live clauses,
-    /// level-zero facts of surviving variables, learnt clauses, and
-    /// activities all carry over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level zero.
-    pub fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<Lit>> {
-        assert!(self.trail_lim.is_empty(), "level-zero operation only");
-        self.retired_selectors = 0;
-        let n = self.num_vars();
-        let identity = |n: usize| -> Vec<Option<Lit>> {
-            (0..n as u32).map(|v| Some(Lit::pos(SatVar(v)))).collect()
-        };
-        if !self.ok {
-            // Permanently unsat: nothing to renumber usefully.
-            return identity(n);
-        }
-        // Fold every level-zero fact into the clause database (this
-        // subsumes the satisfied-clause sweep) so dead false literals
-        // don't pin their variables through another GC cycle.
-        self.strengthen_level_zero();
-        if !self.ok {
-            return identity(n);
-        }
-        // Live guard selectors must keep their variable identity: the
-        // guarded-clause map is keyed by variable and retirement asserts
-        // a specific polarity. (Their clause shape makes an equivalence
-        // involving them impossible anyway; freezing is belt and braces.)
-        let mut frozen = vec![false; n];
-        for &sel in self.guarded.keys() {
-            frozen[sel as usize] = true;
-        }
-        let mut dsu = self.substitute_equivalences(&frozen);
-        if !self.ok {
-            return identity(n);
-        }
-
-        let mut keep = vec![false; n];
-        for &v in pinned {
-            // A substituted pinned variable survives *as* its class
-            // representative (with polarity carried by the returned map).
-            let (root, _) = dsu.find(v.0);
-            keep[root as usize] = true;
-        }
-        // Renumber live clause slots, marking variable occurrences.
-        let mut clause_map: Vec<Option<ClauseRef>> = vec![None; self.clauses.len()];
-        let mut clauses: Vec<Clause> = Vec::new();
-        for (old, c) in self.clauses.iter_mut().enumerate() {
-            if c.deleted {
-                continue;
-            }
-            for l in &c.lits {
-                keep[l.var().index()] = true;
-            }
-            clause_map[old] = Some(clauses.len() as ClauseRef);
-            clauses.push(std::mem::replace(
-                c,
-                Clause {
-                    lits: Vec::new(),
-                    learnt: false,
-                    deleted: true,
-                    lbd: 0,
-                    activity: 0.0,
-                },
-            ));
-        }
-
-        let mut var_map: Vec<Option<u32>> = vec![None; n];
-        let mut next = 0u32;
-        for (old, kept) in keep.iter().enumerate() {
-            if *kept {
-                var_map[old] = Some(next);
-                next += 1;
-            }
-        }
-        let new_n = next as usize;
-        let remap = |l: Lit| {
-            Lit::new(
-                SatVar(var_map[l.var().index()].expect("kept-variable literal")),
-                l.is_neg(),
-            )
-        };
-
-        // Rebuild clause literals and the watch lists from the (still
-        // valid) first-two-literal watch positions.
-        let mut watches: Vec<Vec<Watcher>> = vec![Vec::new(); 2 * new_n];
-        for (cref, c) in clauses.iter_mut().enumerate() {
-            for l in &mut c.lits {
-                *l = remap(*l);
-            }
-            watches[c.lits[0].negate().index()].push(Watcher {
-                cref: cref as ClauseRef,
-                blocker: c.lits[1],
-            });
-            watches[c.lits[1].negate().index()].push(Watcher {
-                cref: cref as ClauseRef,
-                blocker: c.lits[0],
-            });
-        }
-
-        // Compact the per-variable arrays. Reasons are cleared: every
-        // surviving assignment is a level-zero fact, and conflict
-        // analysis never expands level-zero reasons.
-        let mut assigns = vec![LBool::Undef; new_n];
-        let mut level = vec![0u32; new_n];
-        let mut activity = vec![0.0f64; new_n];
-        let mut phase = vec![false; new_n];
-        let mut model = vec![false; new_n];
-        for (old, &slot) in var_map.iter().enumerate() {
-            let Some(new) = slot else { continue };
-            assigns[new as usize] = self.assigns[old];
-            level[new as usize] = self.level[old];
-            activity[new as usize] = self.activity[old];
-            phase[new as usize] = self.phase[old];
-            model[new as usize] = self.model.get(old).copied().unwrap_or(false);
-        }
-        // The level-zero trail keeps (remapped) entries of surviving
-        // variables; assignments of dropped variables only ever fed
-        // clauses that are gone.
-        let trail: Vec<Lit> = self
-            .trail
-            .iter()
-            .filter(|l| var_map[l.var().index()].is_some())
-            .map(|&l| remap(l))
-            .collect();
-        let mut order = VarOrder::new();
-        order.grow_to(new_n);
-        for (v, a) in assigns.iter().enumerate() {
-            if a.is_undef() {
-                order.insert(SatVar(v as u32), &activity);
-            }
-        }
-        let guarded = self
-            .guarded
-            .iter()
-            .filter_map(|(&sel, crefs)| {
-                let sel_new = var_map[sel as usize]?;
-                let crefs: Vec<ClauseRef> = crefs
-                    .iter()
-                    .filter_map(|&c| clause_map[c as usize])
-                    .collect();
-                Some((sel_new, crefs))
-            })
-            .collect();
-        let learnt_refs: Vec<ClauseRef> = self
-            .learnt_refs
-            .iter()
-            .filter_map(|&c| clause_map[c as usize])
-            .collect();
-        self.stats.learnt_clauses = learnt_refs.len() as u64;
-
-        self.clauses = clauses;
-        self.learnt_refs = learnt_refs;
-        self.watches = watches;
-        self.assigns = assigns;
-        self.level = level;
-        self.reason = vec![None; new_n];
-        self.qhead = trail.len();
-        self.trail = trail;
-        self.activity = activity;
-        self.order = order;
-        self.phase = phase;
-        self.seen = vec![false; new_n];
-        self.model = model;
-        self.guarded = guarded;
-        // Public map: route every old variable through its equivalence
-        // class, carrying the substitution polarity.
-        (0..n as u32)
-            .map(|v| {
-                let (root, parity) = dsu.find(v);
-                var_map[root as usize].map(|new| Lit::new(SatVar(new), parity))
-            })
-            .collect()
-    }
-
-    /// Level-zero clause strengthening used by [`ReferenceSolver::compact`]:
-    /// deletes satisfied clauses, removes falsified literals, and applies
-    /// the resulting units until fixpoint. Operates directly on clause
-    /// storage — watch lists are stale afterwards and must be rebuilt
-    /// (compaction does) before any propagation.
-    fn strengthen_level_zero(&mut self) {
-        let mut changed = true;
-        while changed && self.ok {
-            changed = false;
-            for cref in 0..self.clauses.len() {
-                if self.clauses[cref].deleted {
-                    continue;
-                }
-                if self.clauses[cref]
-                    .lits
-                    .iter()
-                    .any(|&l| self.value_lit(l).is_true())
-                {
-                    self.delete_clause_storage(cref as ClauseRef);
-                    continue;
-                }
-                if self.clauses[cref]
-                    .lits
-                    .iter()
-                    .all(|&l| !self.value_lit(l).is_false())
-                {
-                    continue;
-                }
-                changed = true;
-                let lits: Vec<Lit> = self.clauses[cref]
-                    .lits
-                    .iter()
-                    .copied()
-                    .filter(|&l| !self.value_lit(l).is_false())
-                    .collect();
-                match lits.len() {
-                    0 => {
-                        self.ok = false;
-                        return;
-                    }
-                    1 => {
-                        self.delete_clause_storage(cref as ClauseRef);
-                        self.enqueue(lits[0], None);
-                    }
-                    _ => self.clauses[cref].lits = lits,
-                }
-            }
-        }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
-        self.stats.learnt_clauses = self.learnt_refs.len() as u64;
-    }
-
-    /// Marks a clause slot dead without touching the watch lists — only
-    /// valid inside [`ReferenceSolver::compact`], which rebuilds them from scratch.
-    fn delete_clause_storage(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.deleted = true;
-        c.lits = Vec::new();
-    }
-
-    /// Detects level-zero binary equivalences (complementary binary
-    /// clause pairs `(a ∨ b)` and `(¬a ∨ ¬b)`, which force `a ≡ ¬b`) and
-    /// substitutes each class into one representative: every occurrence
-    /// of a non-representative member is rewritten (with polarity), the
-    /// now-tautological defining pairs are deleted, and any unit this
-    /// creates is folded back in via another strengthening pass. Members
-    /// whose root is `frozen` never dissolve. Returns the class structure
-    /// so [`ReferenceSolver::compact`] can translate handles of substituted
-    /// variables. Only valid inside compaction (watch lists go stale).
-    fn substitute_equivalences(&mut self, frozen: &[bool]) -> ParityDsu {
-        use std::collections::HashSet;
-        let n = self.num_vars();
-        let mut dsu = ParityDsu::new(n);
-        let mut bins: HashSet<(Lit, Lit)> = HashSet::new();
-        for c in &self.clauses {
-            if c.deleted || c.lits.len() != 2 {
-                continue;
-            }
-            bins.insert((c.lits[0].min(c.lits[1]), c.lits[0].max(c.lits[1])));
-        }
-        let mut merged = false;
-        for &(a, b) in &bins {
-            let (na, nb) = (a.negate(), b.negate());
-            if bins.contains(&(na.min(nb), na.max(nb))) {
-                // (a ∨ b) ∧ (¬a ∨ ¬b) ⇒ a ≡ ¬b as literals, i.e.
-                // var(a) ≡ var(b) ⊕ ¬(sign(a) ⊕ sign(b)).
-                let diff = !(a.is_neg() ^ b.is_neg());
-                merged |= dsu.union(a.var().0, b.var().0, diff, frozen);
-            }
-        }
-        if !merged {
-            return dsu;
-        }
-        for cref in 0..self.clauses.len() {
-            if self.clauses[cref].deleted {
-                continue;
-            }
-            let mut lits = self.clauses[cref].lits.clone();
-            let mut rewritten = false;
-            for l in &mut lits {
-                let (root, parity) = dsu.find(l.var().0);
-                if root != l.var().0 {
-                    *l = Lit::new(SatVar(root), l.is_neg() ^ parity);
-                    rewritten = true;
-                }
-            }
-            if !rewritten {
-                continue;
-            }
-            lits.sort_unstable();
-            lits.dedup();
-            if lits.windows(2).any(|w| w[1] == w[0].negate()) {
-                // Tautology — typically one of the defining pairs.
-                self.delete_clause_storage(cref as ClauseRef);
-                continue;
-            }
-            if lits.len() == 1 {
-                self.delete_clause_storage(cref as ClauseRef);
-                match self.value_lit(lits[0]) {
-                    LBool::True => {}
-                    LBool::False => {
-                        self.ok = false;
-                        return dsu;
-                    }
-                    LBool::Undef => self.enqueue(lits[0], None),
-                }
-                continue;
-            }
-            self.clauses[cref].lits = lits;
-        }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
-        self.stats.learnt_clauses = self.learnt_refs.len() as u64;
-        // Substitution-created units may strengthen further.
-        self.strengthen_level_zero();
-        dsu
-    }
-
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as ClauseRef;
-        self.watches[lits[0].negate().index()].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[lits[1].negate().index()].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            lbd,
-            activity: 0.0,
-        });
-        if learnt {
-            self.learnt_refs.push(cref);
-            self.stats.learnt_clauses += 1;
-        }
-        cref
-    }
-
-    #[inline]
-    fn decision_level(&self) -> u32 {
-        self.trail_lim.len() as u32
-    }
-
-    fn enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
-        debug_assert!(self.value_lit(l).is_undef());
-        let v = l.var();
-        self.assigns[v.index()] = LBool::from_bool(!l.is_neg());
-        self.level[v.index()] = self.decision_level();
-        self.reason[v.index()] = from;
-        self.phase[v.index()] = !l.is_neg();
-        self.trail.push(l);
-    }
-
-    /// Unit propagation; returns the conflicting clause, if any.
-    fn propagate(&mut self) -> Option<ClauseRef> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
-            // Clauses that watch ¬p must be visited.
-            let watch_idx = p.index();
-            let mut i = 0;
-            'watchers: while i < self.watches[watch_idx].len() {
-                let Watcher { cref, blocker } = self.watches[watch_idx][i];
-                if self.value_lit(blocker).is_true() {
-                    i += 1;
-                    continue;
-                }
-                let false_lit = p.negate();
-                // Ensure the false literal is at position 1.
-                {
-                    let clause = &mut self.clauses[cref as usize];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(clause.lits[1], false_lit);
-                }
-                let first = self.clauses[cref as usize].lits[0];
-                if first != blocker && self.value_lit(first).is_true() {
-                    self.watches[watch_idx][i].blocker = first;
-                    i += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                let len = self.clauses[cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
-                    if !self.value_lit(lk).is_false() {
-                        self.clauses[cref as usize].lits.swap(1, k);
-                        self.watches[watch_idx].swap_remove(i);
-                        self.watches[lk.negate().index()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
-                        continue 'watchers;
-                    }
-                }
-                // No new watch: clause is unit or conflicting.
-                if self.value_lit(first).is_false() {
-                    self.qhead = self.trail.len();
-                    return Some(cref);
-                }
-                self.enqueue(first, Some(cref));
-                i += 1;
-            }
-        }
-        None
-    }
-
-    fn bump_var(&mut self, v: SatVar) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1.0 / RESCALE_LIMIT;
-            }
-            self.var_inc *= 1.0 / RESCALE_LIMIT;
-        }
-        self.order.bumped(v, &self.activity);
-    }
-
-    fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
-            for r in &self.learnt_refs {
-                self.clauses[*r as usize].activity *= 1.0 / RESCALE_LIMIT;
-            }
-            self.cla_inc *= 1.0 / RESCALE_LIMIT;
-        }
-    }
-
-    /// 1UIP conflict analysis; returns the learnt clause (asserting literal
-    /// first) and the backjump level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(SatVar(0))]; // placeholder slot 0
-        let mut path_count = 0u32;
-        let mut p: Option<Lit> = None;
-        let mut index = self.trail.len();
-
-        loop {
-            self.bump_clause(confl);
-            let start = usize::from(p.is_some());
-            let lits = self.clauses[confl as usize].lits.clone();
-            for &q in &lits[start..] {
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    self.bump_var(v);
-                    if self.level[v.index()] >= self.decision_level() {
-                        path_count += 1;
-                    } else {
-                        learnt.push(q);
-                    }
-                }
-            }
-            // Select the next literal to expand from the trail.
-            loop {
-                index -= 1;
-                if self.seen[self.trail[index].var().index()] {
-                    break;
-                }
-            }
-            let lit = self.trail[index];
-            self.seen[lit.var().index()] = false;
-            path_count -= 1;
-            if path_count == 0 {
-                learnt[0] = lit.negate();
-                break;
-            }
-            confl = self.reason[lit.var().index()].expect("non-decision on conflict path");
-            p = Some(lit);
-        }
-
-        // Recursive minimisation: drop literals whose negation is implied
-        // by the remaining clause literals and level-zero facts.
-        let mut to_clear: Vec<SatVar> = Vec::new();
-        let mut keep = vec![true; learnt.len()];
-        for (i, k) in keep.iter_mut().enumerate().skip(1) {
-            *k = !self.literal_redundant(learnt[i], &mut to_clear);
-        }
-        let mut minimized: Vec<Lit> = learnt
-            .iter()
-            .zip(&keep)
-            .filter_map(|(&l, &k)| if k { Some(l) } else { None })
-            .collect();
-
-        // Clear seen flags (clause literals and redundancy-walk marks).
-        for &l in &learnt {
-            self.seen[l.var().index()] = false;
-        }
-        for v in to_clear {
-            self.seen[v.index()] = false;
-        }
-
-        // Compute backjump level: the highest level among minimized[1..].
-        let backjump = if minimized.len() == 1 {
-            0
+    fn oracle_lit(&self, l: Lit) -> Lit {
+        let m = self.to_oracle[l.var().index()];
+        if l.is_neg() {
+            m.negate()
         } else {
-            let mut max_i = 1;
-            for i in 2..minimized.len() {
-                if self.level[minimized[i].var().index()]
-                    > self.level[minimized[max_i].var().index()]
-                {
-                    max_i = i;
+            m
+        }
+    }
+
+    fn record(&mut self, lits: &[Lit]) {
+        let clause = lits.iter().map(|&l| self.oracle_lit(l)).collect();
+        self.clauses.push(clause);
+    }
+
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.record(lits);
+        self.solver.add_clause(lits)
+    }
+
+    fn add_guarded_clause(&mut self, selector: Lit, lits: &[Lit]) -> bool {
+        let mut guarded = vec![selector.negate()];
+        guarded.extend_from_slice(lits);
+        self.record(&guarded);
+        self.solver.add_guarded_clause(selector, lits)
+    }
+
+    fn retire_selector(&mut self, selector: Lit) {
+        self.record(&[selector.negate()]);
+        self.solver.retire_selector(selector);
+    }
+
+    fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<Lit>> {
+        let map = self.solver.compact(pinned);
+        let mut to_oracle: Vec<Option<Lit>> = vec![None; self.solver.num_vars()];
+        for (old, m) in map.iter().enumerate() {
+            if let Some(m) = m {
+                let slot = &mut to_oracle[m.var().index()];
+                if slot.is_none() {
+                    let o = self.to_oracle[old];
+                    *slot = Some(if m.is_neg() { o.negate() } else { o });
                 }
             }
-            minimized.swap(1, max_i);
-            self.level[minimized[1].var().index()]
-        };
-        (minimized, backjump)
-    }
-
-    /// Recursive learnt-clause minimisation (MiniSat's `litRedundant`,
-    /// implemented iteratively): `l` is redundant when every path from it
-    /// backwards through the implication graph terminates at literals
-    /// already in the learnt clause (marked `seen`) or fixed at level
-    /// zero. Variables proven on-path are marked `seen` and recorded in
-    /// `to_clear` — both as memoisation across the clause's literals and
-    /// so the caller can unmark them afterwards.
-    fn literal_redundant(&mut self, l: Lit, to_clear: &mut Vec<SatVar>) -> bool {
-        if self.reason[l.var().index()].is_none() {
-            return false; // decisions are never redundant
         }
-        let top = to_clear.len();
-        let mut stack = std::mem::take(&mut self.redundant_stack);
-        stack.clear();
-        stack.push(l);
-        let mut redundant = true;
-        'walk: while let Some(p) = stack.pop() {
-            let cref = self.reason[p.var().index()].expect("walk reached a decision");
-            // The reason clause's first literal is the propagated one (p
-            // itself); every other literal must itself be accounted for.
-            let len = self.clauses[cref as usize].lits.len();
-            for k in 1..len {
-                let q = self.clauses[cref as usize].lits[k];
-                let v = q.var();
-                if self.seen[v.index()] || self.level[v.index()] == 0 {
-                    continue;
-                }
-                if self.reason[v.index()].is_none() {
-                    // A decision outside the clause: `l` must be kept.
-                    // Undo the marks this walk added.
-                    for &x in &to_clear[top..] {
-                        self.seen[x.index()] = false;
-                    }
-                    to_clear.truncate(top);
-                    redundant = false;
-                    break 'walk;
-                }
-                self.seen[v.index()] = true;
-                to_clear.push(v);
-                stack.push(q);
-            }
-        }
-        stack.clear();
-        self.redundant_stack = stack;
-        redundant
+        self.to_oracle = to_oracle
+            .into_iter()
+            .map(|o| o.expect("every surviving variable has a preimage"))
+            .collect();
+        map
     }
 
-    fn lbd_of(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
-    fn backtrack_to(&mut self, target: u32) {
-        if self.decision_level() <= target {
-            return;
-        }
-        let lim = self.trail_lim[target as usize];
-        for i in (lim..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.assigns[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
-            self.order.insert(v, &self.activity);
-        }
-        self.trail.truncate(lim);
-        self.trail_lim.truncate(target as usize);
-        self.qhead = self.trail.len();
-    }
-
-    fn pick_branch(&mut self) -> Option<Lit> {
-        while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()].is_undef() {
-                return Some(Lit::new(v, !self.phase[v.index()]));
-            }
-        }
-        None
-    }
-
-    fn reduce_db(&mut self) {
-        // Sort learnt clauses: high LBD and low activity first (to delete).
-        let mut refs = self.learnt_refs.clone();
-        refs.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        let target = refs.len() / 2;
-        let mut removed = 0;
-        for &cref in refs.iter() {
-            if removed >= target {
-                break;
-            }
-            let c = &self.clauses[cref as usize];
-            if c.deleted || !c.learnt || c.lits.len() <= 2 || c.lbd <= 2 {
-                continue;
-            }
-            // Never delete a clause that is the reason for an assignment.
-            let locked = self.reason[c.lits[0].var().index()] == Some(cref)
-                && !self.value_lit(c.lits[0]).is_undef();
-            if locked {
-                continue;
-            }
-            self.detach_clause(cref);
-            removed += 1;
-        }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
-        self.stats.learnt_clauses = self.learnt_refs.len() as u64;
-    }
-
-    fn detach_clause(&mut self, cref: ClauseRef) {
-        let (w0, w1) = {
-            let c = &self.clauses[cref as usize];
-            (c.lits[0].negate().index(), c.lits[1].negate().index())
-        };
-        self.watches[w0].retain(|w| w.cref != cref);
-        self.watches[w1].retain(|w| w.cref != cref);
-        let c = &mut self.clauses[cref as usize];
-        c.deleted = true;
-        // Release the literal storage: detached clauses are never read
-        // again (they leave every watch list, and only reasons of
-        // level-zero assignments can still reference them — conflict
-        // analysis never expands level-zero reasons). Long incremental
-        // sessions detach clauses en masse, so keeping the `Vec`s alive
-        // would leak the whole session history.
-        c.lits = Vec::new();
-    }
-
-    /// Luby restart sequence: 1,1,2,1,1,2,4,... (`x` is zero-based).
-    fn luby(x: u64) -> u64 {
-        let mut i = x + 1;
-        loop {
-            let mut k = 1u32;
-            while (1u64 << k) - 1 < i {
-                k += 1;
-            }
-            if (1u64 << k) - 1 == i {
-                return 1u64 << (k - 1);
-            }
-            i -= (1u64 << (k - 1)) - 1;
-        }
-    }
-
-    /// Decides satisfiability of the accumulated clauses.
-    pub fn solve(&mut self) -> SatResult {
+    fn solve(&mut self) -> SatResult {
         self.solve_with_assumptions(&[])
     }
 
-    /// Decides satisfiability under temporary `assumptions` (unit literals
-    /// that hold for this call only).
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        if !self.ok {
-            return SatResult::Unsat;
+    fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
+        let got = self.solver.solve_with_assumptions(assumptions);
+        let mut cnf = Cnf::new();
+        for _ in 0..self.oracle_vars {
+            cnf.fresh_var();
         }
-        self.max_learnts = (self.clauses.len() as f64 / 3.0).max(1000.0);
-        let mut restart_count = 0u64;
-        let mut conflicts_until_restart = Self::luby(restart_count) * RESTART_BASE;
-        let mut conflicts_at_last_restart = 0u64;
-        // Cancel-token budgets are per solve call (deltas from entry).
-        let start_conflicts = self.stats.conflicts;
-        let start_propagations = self.stats.propagations;
-        if let Some(token) = &self.cancel {
-            if token.should_stop(0, 0) {
-                return SatResult::Interrupted;
+        for c in &self.clauses {
+            cnf.add_clause(&c.iter().map(|l| l.to_dimacs()).collect::<Vec<_>>());
+        }
+        for a in assumptions {
+            cnf.add_clause(&[self.oracle_lit(*a).to_dimacs()]);
+        }
+        assert_eq!(got, dpll_solve(&cnf), "solver and oracle disagree");
+        if got == SatResult::Sat {
+            let model = self.solver.model();
+            let holds = |l: Lit| model[l.var().index()] ^ l.is_neg();
+            assert!(
+                assumptions.iter().all(|&a| holds(a)),
+                "model violates an assumption"
+            );
+            let mut value: Vec<Option<bool>> = vec![None; self.oracle_vars];
+            for (v, o) in self.to_oracle.iter().enumerate() {
+                value[o.var().index()] = Some(model[v] ^ o.is_neg());
+            }
+            for c in &self.clauses {
+                let vals: Option<Vec<bool>> = c
+                    .iter()
+                    .map(|l| value[l.var().index()].map(|b| b ^ l.is_neg()))
+                    .collect();
+                if let Some(vals) = vals {
+                    assert!(vals.contains(&true), "model violates a clause");
+                }
             }
         }
-
-        let result = loop {
-            if let Some(confl) = self.propagate() {
-                self.stats.conflicts += 1;
-                if self.decision_level() == 0 {
-                    self.ok = false;
-                    break SatResult::Unsat;
-                }
-                if let Some(token) = &self.cancel {
-                    if token.should_stop(
-                        self.stats.conflicts - start_conflicts,
-                        self.stats.propagations - start_propagations,
-                    ) {
-                        break SatResult::Interrupted;
-                    }
-                }
-                let (learnt, backjump) = self.analyze(confl);
-                self.backtrack_to(backjump);
-                self.learn(learnt);
-                self.var_inc /= VAR_DECAY;
-                self.cla_inc /= CLA_DECAY;
-                if self.stats.conflicts - conflicts_at_last_restart >= conflicts_until_restart {
-                    restart_count += 1;
-                    self.stats.restarts += 1;
-                    conflicts_at_last_restart = self.stats.conflicts;
-                    conflicts_until_restart = Self::luby(restart_count) * RESTART_BASE;
-                    self.backtrack_to(0);
-                }
-                if self.learnt_refs.len() as f64 >= self.max_learnts {
-                    self.reduce_db();
-                    self.max_learnts *= 1.5;
-                }
-            } else {
-                // Apply pending assumptions as pseudo-decisions.
-                if (self.decision_level() as usize) < assumptions.len() {
-                    let a = assumptions[self.decision_level() as usize];
-                    match self.value_lit(a) {
-                        LBool::True => {
-                            // Already implied: open an empty level to keep
-                            // the level↔assumption indexing aligned.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        LBool::False => break SatResult::Unsat,
-                        LBool::Undef => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(a, None);
-                        }
-                    }
-                    continue;
-                }
-                match self.pick_branch() {
-                    None => {
-                        self.model = self.assigns.iter().map(|a| a.is_true()).collect();
-                        break SatResult::Sat;
-                    }
-                    Some(decision) => {
-                        self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(decision, None);
-                    }
-                }
-            }
-        };
-        self.backtrack_to(0);
-        result
-    }
-
-    fn learn(&mut self, learnt: Vec<Lit>) {
-        debug_assert!(!learnt.is_empty());
-        if learnt.len() == 1 {
-            self.enqueue(learnt[0], None);
-        } else {
-            let lbd = self.lbd_of(&learnt);
-            let asserting = learnt[0];
-            let cref = self.attach_clause(learnt, true, lbd);
-            self.enqueue(asserting, Some(cref));
-        }
-    }
-
-    /// The satisfying assignment found by the last [`ReferenceSolver::solve`] call
-    /// that returned [`SatResult::Sat`], indexed by variable.
-    pub fn model(&self) -> &[bool] {
-        &self.model
+        got
     }
 }
 
-impl Default for ReferenceSolver {
-    fn default() -> Self {
-        ReferenceSolver::new()
-    }
-}
-
-/// Union-find with parity over variables: `find(v) = (root, p)` records
-/// the level-zero fact `v ≡ root ⊕ p`. Used by [`ReferenceSolver::compact`] to
-/// dissolve binary equivalence classes into one representative each.
-struct ParityDsu {
-    parent: Vec<u32>,
-    /// Polarity of this variable relative to its (path-compressed)
-    /// parent.
-    parity: Vec<bool>,
-}
-
-impl ParityDsu {
-    fn new(n: usize) -> Self {
-        ParityDsu {
-            parent: (0..n as u32).collect(),
-            parity: vec![false; n],
-        }
-    }
-
-    /// Root and cumulative parity of `v`, with path compression.
-    fn find(&mut self, v: u32) -> (u32, bool) {
-        let p = self.parent[v as usize];
-        if p == v {
-            return (v, false);
-        }
-        let (root, root_parity) = self.find(p);
-        let total = root_parity ^ self.parity[v as usize];
-        self.parent[v as usize] = root;
-        self.parity[v as usize] = total;
-        (root, total)
-    }
-
-    /// Records `a ≡ b ⊕ diff`. Frozen roots never become children; a
-    /// union of two frozen roots is skipped. Returns whether a merge
-    /// happened.
-    fn union(&mut self, a: u32, b: u32, diff: bool, frozen: &[bool]) -> bool {
-        let (ra, pa) = self.find(a);
-        let (rb, pb) = self.find(b);
-        if ra == rb {
-            return false;
-        }
-        let link = pa ^ pb ^ diff;
-        let (child, root) = if frozen[ra as usize] && frozen[rb as usize] {
-            return false;
-        } else if frozen[ra as usize] {
-            (rb, ra)
-        } else {
-            (ra, rb)
-        };
-        self.parent[child as usize] = root;
-        self.parity[child as usize] = link;
-        true
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1234,8 +178,8 @@ mod tests {
         dimacs.iter().map(|&l| Lit::from_dimacs(l)).collect()
     }
 
-    fn solver_with(num_vars: usize, clauses: &[&[i32]]) -> ReferenceSolver {
-        let mut s = ReferenceSolver::new();
+    fn solver_with(num_vars: usize, clauses: &[&[i32]]) -> Checked {
+        let mut s = Checked::new();
         for _ in 0..num_vars {
             s.new_var();
         }
@@ -1341,18 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn luby_sequence() {
-        let seq: Vec<u64> = (0..9).map(ReferenceSolver::luby).collect();
-        assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1]);
-    }
-
-    #[test]
     fn compaction_shrinks_slots_and_preserves_verdicts() {
         // A base formula plus a stream of guarded "queries": after
         // retiring the selectors, compaction must shrink both the
         // variable and clause arenas while every verdict on the base
         // formula is unchanged.
-        let mut s = ReferenceSolver::new();
+        let mut s = Checked::new();
         let a = s.new_var();
         let b = s.new_var();
         let c = s.new_var();
@@ -1417,7 +355,7 @@ mod tests {
 
     #[test]
     fn compaction_keeps_level_zero_facts() {
-        let mut s = ReferenceSolver::new();
+        let mut s = Checked::new();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause(&[Lit::pos(a)]); // unit fact
@@ -1441,7 +379,7 @@ mod tests {
         // binary pair (¬x∨y), (x∨¬y), i.e. x ≡ y: compaction must
         // dissolve the class into one variable while every verdict
         // through the remapped handles is unchanged.
-        let mut s = ReferenceSolver::new();
+        let mut s = Checked::new();
         let a = s.new_var();
         let x = s.new_var();
         let y = s.new_var();
@@ -1480,7 +418,7 @@ mod tests {
     fn compaction_substitutes_negated_equivalence_with_polarity() {
         // (x∨y) ∧ (¬x∨¬y) ⇒ x ≡ ¬y: the class dissolves into one
         // variable and the returned map carries the flipped polarity.
-        let mut s = ReferenceSolver::new();
+        let mut s = Checked::new();
         let x = s.new_var();
         let y = s.new_var();
         s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
@@ -1501,7 +439,7 @@ mod tests {
         // Even if (it cannot happen structurally, but defensively) a
         // selector sits in an equivalence class, a live guard keeps its
         // identity so retirement still detaches the right clauses.
-        let mut s = ReferenceSolver::new();
+        let mut s = Checked::new();
         let x = s.new_var();
         let sel = Lit::pos(s.new_selector());
         s.add_guarded_clause(sel, &[Lit::pos(x)]);
@@ -1527,7 +465,7 @@ mod tests {
         cnf.add_clause(&[a, b]);
         cnf.add_clause(&[-a, b]);
         cnf.add_clause(&[-b]);
-        let mut s = ReferenceSolver::from_cnf(&cnf);
+        let mut s = Checked::from_cnf(&cnf);
         assert_eq!(s.solve(), SatResult::Unsat);
     }
 }

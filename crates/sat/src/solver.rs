@@ -1218,8 +1218,8 @@ impl Solver {
     /// `ca` whose two watch positions mirror the watch lists (attach,
     /// detach and the GC rebuilds keep them in lockstep), so
     /// `ca[cref..cref+3+len]` is in bounds. The randomized differential
-    /// tests (vs [`crate::dpll_solve`] and [`crate::ReferenceSolver`])
-    /// exercise these invariants continuously.
+    /// tests against [`crate::dpll_solve`] exercise these invariants
+    /// continuously.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];

@@ -2,10 +2,13 @@
 //! sweep must yield a properly nested, balanced Chrome trace; a metrics
 //! scrape over a real daemon socket must parse as Prometheus text with
 //! coherent histogram series; and a traced verify over the socket must
-//! return a valid trace while leaving tracing off afterwards.
+//! return a valid trace while leaving tracing off afterwards; and a sweep
+//! with tracing switched off again must cost no more than 1.05× of one
+//! before tracing was switched on.
 //!
 //! The span ring and the enable flag are process-global, so every test
-//! that toggles tracing serialises on [`OBS_LOCK`].
+//! that toggles tracing serialises on [`OBS_LOCK`]. So does every other
+//! test here, so the overhead test's timed sweeps run alone.
 
 use qborrow::lang::adder_source;
 use qborrow::obs;
@@ -200,6 +203,80 @@ fn traced_adder16_sweep_produces_nested_balanced_trace() {
     // The Chrome export parses and replays balanced.
     let trace = Json::parse(obs::chrome_trace(&spans).trim()).expect("trace is valid JSON");
     assert_eq!(assert_trace_balanced(&trace), 2 * spans.len());
+}
+
+/// Tracing costs nothing once it is switched off again. Three arms are
+/// interleaved round by round, so machine noise hits each alike: an
+/// adder-16 SAT sweep with tracing off, the same sweep traced, and the
+/// sweep with tracing off again after that enable cycle. In the median
+/// round, the off-again sweep must stay within 1.05× of the first off
+/// sweep. A span site that keeps doing work after `set_enabled(false)`
+/// (an allocation, a lock, a label `format!`) fails this, and a sweep
+/// that still records spans with tracing off fails it outright. The
+/// traced arm's own overhead is not bounded: recording real spans may
+/// cost a few percent.
+///
+/// The median of per-round ratios, not the ratio of per-arm minima: on
+/// a shared host a rare fast sweep lands in one arm only, and a minimum
+/// keeps it for good.
+#[test]
+fn disabled_tracing_overhead_stays_within_five_percent_after_an_enable_cycle() {
+    use qborrow::core::{InitialValue, VerifyOptions, VerifySession};
+    use qborrow::lang::{elaborate, parse, QubitKind};
+    const ROUNDS: usize = 11;
+    const BOUND: f64 = 1.05;
+
+    let _guard = OBS_LOCK.lock().unwrap();
+    obs::set_enabled(false);
+    let _ = obs::take_all_spans();
+
+    let program = elaborate(&parse(&adder_source(16)).unwrap()).unwrap();
+    let initial: Vec<InitialValue> = (0..program.num_qubits())
+        .map(|q| match program.qubit_kinds[q] {
+            QubitKind::Clean => InitialValue::Zero,
+            _ => InitialValue::Free,
+        })
+        .collect();
+    let targets = program.qubits_to_verify();
+    let sweep = || {
+        let t0 = Instant::now();
+        let mut session =
+            VerifySession::new(&program.circuit, &initial, &VerifyOptions::default()).unwrap();
+        let verdicts = session.verify_targets(&targets).unwrap();
+        assert!(verdicts.iter().all(|v| v.safe), "the adder is all-safe");
+        t0.elapsed().as_secs_f64()
+    };
+
+    // Untimed warm-up: the process's first sweep pays one-off costs
+    // (page faults, allocator growth).
+    sweep();
+    let mut off_again = Vec::with_capacity(ROUNDS);
+    let mut traced = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let off = sweep();
+        obs::set_enabled(true);
+        let on = sweep();
+        obs::set_enabled(false);
+        let spans = obs::take_all_spans();
+        assert!(
+            spans.iter().any(|s| s.name == "sweep") && spans.iter().any(|s| s.name == "target"),
+            "the traced sweep records its top-level spans"
+        );
+        off_again.push(sweep() / off);
+        assert!(
+            obs::take_all_spans().is_empty(),
+            "a sweep with tracing off again records no spans"
+        );
+        traced.push(on / off);
+    }
+    off_again.sort_by(f64::total_cmp);
+    traced.sort_by(f64::total_cmp);
+    let median = off_again[ROUNDS / 2];
+    assert!(
+        median <= BOUND,
+        "tracing off again costs {median:.3}x of tracing off before in the median round \
+         (off-again ratios {off_again:.3?}, traced ratios {traced:.3?})"
+    );
 }
 
 /// A metrics scrape over a live daemon socket parses as Prometheus text:
@@ -499,8 +576,11 @@ impl Drop for DaemonProcess {
 /// all of them: `status`, `top` and the Prometheus `metrics` text. The
 /// daemon is the compiled binary in its own process, so the metrics
 /// registry holds only its traffic and registry totals compare exactly.
+/// It still takes [`OBS_LOCK`]: its daemon's sweeps would share the CPU
+/// with the disabled-tracing overhead test's timed sweeps.
 #[test]
 fn daemon_facts_agree_across_status_top_and_metrics() {
+    let _guard = OBS_LOCK.lock().unwrap();
     let socket = std::env::temp_dir().join(format!(
         "qborrow-obs-xsurface-{}-{}.sock",
         std::process::id(),

@@ -6,11 +6,11 @@
 
 use qborrow::circuit::{simulate_classical, BitState, Circuit};
 use qborrow::core::{
-    verify_circuit, verify_circuit_fresh, verify_circuit_parallel, BackendKind, InitialValue,
-    VerificationReport, VerifyOptions, Violation,
+    verify_circuit, verify_circuit_fresh, verify_circuit_parallel, BackendKind, EditStats,
+    InitialValue, SessionStats, VerificationReport, VerifyOptions, VerifySession, Violation,
 };
 use qborrow::formula::Simplify;
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
 use qborrow::synth::{carry_gadget, gidney_mcx};
 
 fn sat_options() -> Vec<VerifyOptions> {
@@ -194,8 +194,6 @@ fn parallel_fanout_preserves_request_order_on_haner_sweep() {
 /// clause-layout rewrites (e.g. the PR-5 flat arena) cannot churn it.
 #[test]
 fn solver_counters_are_observable_through_session_stats() {
-    use qborrow::core::{BackendKind, VerifySession};
-
     let n = 8;
     let (circuit, layout) = carry_gadget(n);
     let initial = vec![InitialValue::Free; circuit.num_qubits()];
@@ -344,4 +342,98 @@ fn support_plus_condition_matches_fresh_sat_and_witnesses_replay() {
             }
         }
     }
+}
+
+/// The 16-bit Håner adder with its clean qubits known-zero, and the same
+/// circuit after the one-gate suffix edit the daemon's edit loop sees
+/// most: an appended X on `q[1]`, whose formula depends on no dirty
+/// qubit, so every condition root keeps its node id.
+fn adder16_and_suffix_edit() -> (Circuit, Circuit, Vec<InitialValue>, Vec<usize>) {
+    let program = elaborate(&parse(&adder_source(16)).unwrap()).unwrap();
+    let initial = (0..program.num_qubits())
+        .map(|q| match program.qubit_kinds[q] {
+            QubitKind::Clean => InitialValue::Zero,
+            _ => InitialValue::Free,
+        })
+        .collect();
+    let targets = program.qubits_to_verify();
+    let mut edited = program.circuit.clone();
+    edited.x(0);
+    (program.circuit, edited, initial, targets)
+}
+
+/// Verifies `original`, applies the edit to `edited` and re-verifies.
+/// Returns the re-verify's report, the edit's stats and the session
+/// stats before and after the edit.
+fn warm_reverify(
+    original: &Circuit,
+    edited: &Circuit,
+    initial: &[InitialValue],
+    targets: &[usize],
+    opts: &VerifyOptions,
+) -> (VerificationReport, EditStats, SessionStats, SessionStats) {
+    let mut session = VerifySession::new(original, initial, opts).unwrap();
+    session.verify_targets(targets).unwrap();
+    let before = session.stats();
+    let edit = session.apply_edit(edited).unwrap();
+    let report = session.verify_report(targets).unwrap();
+    (report, edit, before, session.stats())
+}
+
+/// Edit incrementality on the SAT backend: after the one-gate suffix
+/// edit, the warm session keeps the whole old circuit as its permanent
+/// prefix, and its re-verify does at most half the unit propagations of
+/// a cold session sweeping the edited circuit. Verdicts match the cold
+/// sweep.
+#[test]
+fn warm_sat_reverify_after_suffix_edit_propagates_at_most_half_of_cold() {
+    let (original, edited, initial, targets) = adder16_and_suffix_edit();
+    let opts = VerifyOptions::default();
+    let mut cold = VerifySession::new(&edited, &initial, &opts).unwrap();
+    let cold_report = cold.verify_report(&targets).unwrap();
+    let cold_props = cold.stats().solver_propagations;
+
+    let (report, edit, before, after) =
+        warm_reverify(&original, &edited, &initial, &targets, &opts);
+    assert_same_verdicts(&cold_report, &report, "adder-16 sat");
+    assert_eq!(edit.common_prefix, original.size(), "{edit:?}");
+    assert_eq!(edit.permanent_prefix, edit.common_prefix, "{edit:?}");
+    let warm_props = after.solver_propagations - before.solver_propagations;
+    assert!(
+        2 * warm_props <= cold_props,
+        "warm re-verify propagated {warm_props}, cold sweep {cold_props}"
+    );
+}
+
+/// Edit incrementality on the BDD backend: after the one-gate suffix
+/// edit, the warm session keeps every arena→BDD translation it had, its
+/// re-verify translates at most a quarter of the arena nodes a cold BDD
+/// sweep of the edited circuit translates, and it answers from its
+/// translation cache. Verdicts match the cold sweep.
+#[test]
+fn warm_bdd_reverify_after_suffix_edit_translates_at_most_a_quarter_of_cold() {
+    let (original, edited, initial, targets) = adder16_and_suffix_edit();
+    let opts = VerifyOptions {
+        backend: BackendKind::Bdd,
+        ..VerifyOptions::default()
+    };
+    let mut cold = VerifySession::new(&edited, &initial, &opts).unwrap();
+    let cold_report = cold.verify_report(&targets).unwrap();
+    let cold_translations = cold.stats().bdd_translation_misses;
+
+    let (report, _, before, after) = warm_reverify(&original, &edited, &initial, &targets, &opts);
+    assert_same_verdicts(&cold_report, &report, "adder-16 bdd");
+    assert!(
+        after.bdd_cached_translations >= before.bdd_cached_translations,
+        "the edit keeps every cached translation: {before:?} -> {after:?}"
+    );
+    let warm_translations = after.bdd_translation_misses - before.bdd_translation_misses;
+    assert!(
+        4 * warm_translations <= cold_translations,
+        "warm re-verify translated {warm_translations} nodes, cold sweep {cold_translations}"
+    );
+    assert!(
+        after.bdd_translation_hits > before.bdd_translation_hits,
+        "warm re-verify reuses cached translations: {after:?}"
+    );
 }

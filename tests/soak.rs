@@ -101,6 +101,96 @@ fn session_soak_memory_stays_bounded_over_200_edit_cycles() {
     assert!(peak_arena < ARENA_BOUND);
 }
 
+/// The circuit of edit cycle `c` over the `bits`-bit Håner adder. Even
+/// cycles toggle an X on `q[1]`: its formula depends on no dirty qubit,
+/// so every condition root keeps its node id and the sweep answers from
+/// the decision cache. Odd cycles append two cancelling CNOT pairs with
+/// dirty controls: the identity, but in `Raw` mode novel structure every
+/// cycle (the slow `c / k` terms keep the pairs from repeating), so the
+/// arena, encoder and solver keep allocating.
+fn gc_cycle_circuit(base: &Circuit, bits: usize, c: usize) -> Circuit {
+    let mut edited = base.clone();
+    if c.is_multiple_of(2) {
+        if (c / 2) % 2 == 1 {
+            edited.x(0);
+        }
+    } else {
+        let w = bits - 1;
+        let dirty = bits + c % w;
+        let working = (c / w + c * 7 + 3) % w;
+        let dirty2 = bits + (c / 7 + c * 3 + 1) % w;
+        let working2 = (c / 11 + c * 11 + 5) % w;
+        edited
+            .cnot(dirty, working)
+            .cnot(dirty, working)
+            .cnot(dirty2, working2)
+            .cnot(dirty2, working2);
+    }
+    edited
+}
+
+/// Arena collection costs no solver work and no cached decisions: over
+/// the same 200 edit cycles of the 16-bit adder, a session whose arena
+/// is collected past a low watermark answers exactly as many targets
+/// from the decision cache as an append-only session, propagates at
+/// most 1.2× as much, collects repeatedly, and ends with a smaller
+/// arena. Both sessions agree on every verdict, and on sampled cycles
+/// of both edit profiles with the fresh pipeline.
+#[test]
+fn arena_gc_keeps_decision_hits_and_solver_work_of_append_only() {
+    const BITS: usize = 16;
+    const CYCLES: usize = 200;
+    let program = elaborate(&parse(&adder_source(BITS)).unwrap()).unwrap();
+    let initial: Vec<InitialValue> = (0..program.num_qubits())
+        .map(|q| match program.qubit_kinds[q] {
+            QubitKind::Clean => InitialValue::Zero,
+            _ => InitialValue::Free,
+        })
+        .collect();
+    let targets = program.qubits_to_verify();
+    let opts = VerifyOptions::default();
+    let soak = |arena_gc_floor: usize| {
+        let mut session =
+            VerifySession::new(&program.circuit, &initial, &opts).expect("session builds");
+        session.set_memory_limits(Some(arena_gc_floor), None);
+        session.verify_targets(&targets).expect("warm-up sweep");
+        let verdicts: Vec<Vec<bool>> = (0..CYCLES)
+            .map(|c| {
+                let edited = gc_cycle_circuit(&program.circuit, BITS, c);
+                session.apply_edit(&edited).expect("edit applies");
+                let sweep = session.verify_targets(&targets).expect("warm sweep");
+                sweep.iter().map(|v| v.safe).collect()
+            })
+            .collect();
+        (verdicts, session.stats())
+    };
+    let (gc_verdicts, gc) = soak(2048);
+    let (append_verdicts, append_only) = soak(usize::MAX);
+
+    assert_eq!(gc_verdicts, append_verdicts);
+    for c in [0, 1, 2, CYCLES / 2 + 1, CYCLES - 1] {
+        let edited = gc_cycle_circuit(&program.circuit, BITS, c);
+        let fresh = verify_circuit_fresh(&edited, &initial, &targets, &opts).expect("fresh sweep");
+        let fresh: Vec<bool> = fresh.verdicts.iter().map(|v| v.safe).collect();
+        assert_eq!(gc_verdicts[c], fresh, "cycle {c} vs fresh");
+    }
+    assert_eq!(append_only.arena_collections, 0, "{append_only:?}");
+    assert_eq!(gc.decision_hits, append_only.decision_hits);
+    assert!(
+        gc.solver_propagations * 10 <= append_only.solver_propagations * 12,
+        "gc session propagated {}, append-only {}",
+        gc.solver_propagations,
+        append_only.solver_propagations
+    );
+    assert!(gc.arena_collections >= 2, "{gc:?}");
+    assert!(
+        gc.arena_nodes < append_only.arena_nodes,
+        "gc arena {}, append-only {}",
+        gc.arena_nodes,
+        append_only.arena_nodes
+    );
+}
+
 /// Cross-backend soak: 110 random edit cycles through warm `bdd`, `anf`
 /// and `auto` sessions under tight memory limits. Every verdict is
 /// cross-checked against the independent fresh pipeline, the formula

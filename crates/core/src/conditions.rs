@@ -14,7 +14,11 @@
 //! other qubit. That construction serves the SAT backend and the one-shot
 //! fresh pipeline; sessions on the canonical ANF/BDD rungs decide (6.2)
 //! by support membership instead (see `crate::support`) and only build
-//! the (6.1) root here.
+//! the (6.1) root here. A disjunct whose two cofactors are one node is
+//! dropped without a backend call. On the SAT rung a session cofactors
+//! the representatives its SAT sweep proved equal to the final formulas
+//! and sweeps each cofactor pair as well (see `crate::sweep`), so every
+//! merge makes more of these identities visible.
 //!
 //! The naive *clean-uncomputation* condition (`b_q ⊕ q` unsatisfiable,
 //! i.e. basis states are restored) is also provided: it is what the
@@ -22,7 +26,8 @@
 //! unsafe as a dirty qubit.
 
 use crate::symbolic::SymbolicState;
-use qb_formula::{NodeId, NodeRemap, Var};
+use crate::verifier::VerifyError;
+use qb_formula::{Arena, NodeId, NodeRemap, Var};
 use std::collections::HashMap;
 
 /// The two §6.1 conditions, as roots in the state's arena.
@@ -61,7 +66,8 @@ pub fn build_conditions(state: &mut SymbolicState, q: usize) -> Conditions {
         // Hash-consing makes cofactor identity visible: identical node
         // ids mean `b_{q'}` is independent of `q`, so the XOR difference
         // is identically false and the disjunct can be dropped without
-        // consulting a backend.
+        // consulting a backend. (A session's SAT sweep merges proven-equal
+        // nodes first, which makes more of these identities visible.)
         if cof0[f.index()] == cof1[f.index()] {
             continue;
         }
@@ -111,7 +117,7 @@ impl CofactorMemo {
     /// Memoised sweep: ensures `(f, var, val)` is cached for every root
     /// in `formulas`, running one restricted cofactor pass over the
     /// missing roots only.
-    fn ensure(&mut self, state: &mut SymbolicState, formulas: &[NodeId], var: Var, val: bool) {
+    fn ensure(&mut self, arena: &mut Arena, formulas: &[NodeId], var: Var, val: bool) {
         let missing: Vec<NodeId> = formulas
             .iter()
             .copied()
@@ -122,7 +128,7 @@ impl CofactorMemo {
             return;
         }
         self.misses += missing.len() as u64;
-        let map = state.arena.cofactor_reachable(&missing, var, val);
+        let map = arena.cofactor_reachable(&missing, var, val);
         for f in missing {
             self.map.insert((f, var, val), map[f.index()]);
         }
@@ -134,8 +140,7 @@ impl CofactorMemo {
     /// traversal ([`qb_formula::Arena::cofactor_batch`]). Cold
     /// multi-target construction drops from O(k·DAG) to
     /// O(DAG + Σ cones); warm sweeps skip the traversal entirely.
-    pub(crate) fn prime(&mut self, state: &mut SymbolicState, vars: &[Var]) {
-        let formulas = state.formulas.clone();
+    pub(crate) fn prime(&mut self, arena: &mut Arena, formulas: &[NodeId], vars: &[Var]) {
         self.sweep_floor = 2 * vars.len() * formulas.len();
         let missing: Vec<Var> = vars
             .iter()
@@ -149,7 +154,7 @@ impl CofactorMemo {
         if missing.is_empty() {
             return;
         }
-        let pairs = state.arena.cofactor_batch(&formulas, &missing);
+        let pairs = arena.cofactor_batch(formulas, &missing);
         for (vi, &var) in missing.iter().enumerate() {
             for (ri, &f) in formulas.iter().enumerate() {
                 let (c0, c1) = pairs[vi][ri];
@@ -208,14 +213,24 @@ impl CofactorMemo {
     }
 }
 
-/// [`build_conditions`] with a session cofactor memo: identical output
+/// [`build_conditions`] with a session cofactor memo, over `formulas`:
+/// the final formulas, or nodes proven equal to them. Each cofactor pair
+/// is first mapped through `canon` (a node proven equal to its argument;
+/// the identity when the session does not sweep). With the final
+/// formulas and the identity this is [`build_conditions`]' output
 /// (hash-consing makes the memoised and recomputed node ids equal), but
 /// warm sweeps skip the per-target graph walks entirely.
+///
+/// # Errors
+///
+/// Whatever `canon` returns (an interrupted sweep).
 pub(crate) fn build_conditions_memo(
     state: &mut SymbolicState,
+    formulas: &[NodeId],
     q: usize,
     memo: &mut CofactorMemo,
-) -> Conditions {
+    mut canon: impl FnMut(&mut Arena, NodeId) -> Result<NodeId, VerifyError>,
+) -> Result<Conditions, VerifyError> {
     assert!(q < state.num_qubits(), "qubit out of range");
     // Flush up front (never between the sweeps and the lookups below,
     // which rely on the entries both sweeps just ensured). The bound
@@ -224,28 +239,36 @@ pub(crate) fn build_conditions_memo(
     if memo.map.len() > cap {
         memo.map.clear();
     }
-    let zero = zero_condition(state, q);
     let var: Var = state.vars[q];
+    let arena = &mut state.arena;
+    let q_node = arena.var(var);
+    let not_q = arena.not(q_node);
+    let zero = arena.and2(formulas[q], not_q);
 
     // (6.2): per-qubit cofactor diffs, served from the memo.
-    let formulas = state.formulas.clone();
-    memo.ensure(state, &formulas, var, false);
-    memo.ensure(state, &formulas, var, true);
-    let mut plus_parts = Vec::with_capacity(state.num_qubits().saturating_sub(1));
-    for q_prime in 0..state.num_qubits() {
+    memo.ensure(arena, formulas, var, false);
+    memo.ensure(arena, formulas, var, true);
+    let mut plus_parts = Vec::with_capacity(formulas.len().saturating_sub(1));
+    for (q_prime, &f) in formulas.iter().enumerate() {
         if q_prime == q {
             continue;
         }
-        let f = state.formulas[q_prime];
         let cof0 = memo.map[&(f, var, false)];
         let cof1 = memo.map[&(f, var, true)];
+        // The identity check of `build_conditions`, made twice: on the
+        // memoised cofactors, then on the nodes `canon` proved them equal
+        // to — a merge makes more identities visible.
         if cof0 == cof1 {
             continue;
         }
-        let diff = state.arena.xor2(cof0, cof1);
+        let (cof0, cof1) = (canon(arena, cof0)?, canon(arena, cof1)?);
+        if cof0 == cof1 {
+            continue;
+        }
+        let diff = arena.xor2(cof0, cof1);
         plus_parts.push(diff);
     }
-    Conditions { zero, plus_parts }
+    Ok(Conditions { zero, plus_parts })
 }
 
 /// Builds the root of the zero condition (6.1) for `q`: `b_q ∧ ¬q`.

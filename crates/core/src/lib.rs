@@ -48,6 +48,7 @@ mod conditions;
 pub mod exact;
 mod session;
 mod support;
+mod sweep;
 mod symbolic;
 mod verifier;
 

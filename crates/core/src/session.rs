@@ -22,7 +22,11 @@
 //! * after a query its selector is retired, physically detaching the
 //!   dead root clause from the watch lists.
 //!
-//! That is the SAT rung. On the canonical ANF and BDD rungs
+//! That is the SAT rung, where the session also SAT-sweeps its arena
+//! (`crate::sweep`): a base pass per circuit version proves the final
+//! formulas equal to simpler representatives, a per-target pass proves
+//! cofactor pairs equal, and condition construction drops every
+//! disjunct whose two sides merged. On the canonical ANF and BDD rungs
 //! (`--backend anf|bdd`, and `auto` until it reaches SAT) the session
 //! builds no cofactors: it normalises each final formula once per
 //! circuit version and decides (6.2) by support membership (the
@@ -36,6 +40,7 @@
 use crate::backend::{anf_witness, AutoPreference, BackendKind, Decision, AUTO_ANF_TERM_CAP};
 use crate::conditions::{build_conditions_memo, zero_condition, CofactorMemo};
 use crate::support::SupportMemo;
+use crate::sweep::{Proof, Prover, Sweep, SWEEP_CONFLICT_CAP};
 use crate::symbolic::{
     initial_formulas, symbolic_apply, symbolic_execute, InitialValue, SymbolicState,
 };
@@ -45,7 +50,7 @@ use crate::verifier::{
 };
 use qb_bdd::{BddBuildError, BddSession};
 use qb_circuit::{Circuit, Gate};
-use qb_formula::{Anf, AnfCache, AnfOverflow, CnfSink, IncrementalEncoder, NodeId, Var};
+use qb_formula::{Anf, AnfCache, AnfOverflow, Arena, CnfSink, IncrementalEncoder, NodeId, Var};
 use qb_lang::{gate_common_prefix, ElaboratedProgram, QubitKind};
 use qb_obs::Histogram;
 use qb_sat::{CancelToken, Lit, SatResult, SatVar, Solver};
@@ -135,6 +140,80 @@ struct SatSession {
 struct SuffixScope {
     selector: Lit,
     vars: Vec<SatVar>,
+}
+
+/// The retractable SAT scope of one target: its selector once a query
+/// or sweep call opened it, and the variables its encoding allocated.
+#[derive(Default)]
+struct TargetScope {
+    selector: Option<Lit>,
+    vars: Vec<SatVar>,
+}
+
+impl TargetScope {
+    /// The scope's selector, opening the scope on first use.
+    fn guard(&mut self, sat: &mut SatSession) -> Lit {
+        *self.selector.get_or_insert_with(|| {
+            sat.encoder.begin_scope();
+            Lit::pos(sat.solver.new_selector())
+        })
+    }
+}
+
+/// Candidate proofs of a sweep pass on the session's own solver, so
+/// `solver_propagations`/`solver_conflicts` count all SAT work. A pass
+/// encodes into a retractable scope — the target's, or its own for the
+/// base pass — which is rolled back like a target's when it closes.
+/// Merges are arena facts and outlive the scope.
+struct SatProver<'a> {
+    sat: &'a mut SatSession,
+    scope: &'a mut TargetScope,
+    /// Solver calls made.
+    calls: u64,
+}
+
+impl Prover for SatProver<'_> {
+    fn prove(
+        &mut self,
+        arena: &Arena,
+        a: NodeId,
+        b: NodeId,
+        complement: bool,
+    ) -> Result<Proof, VerifyError> {
+        let sat = &mut *self.sat;
+        let guard = self.scope.guard(sat);
+        let mut assumptions = vec![sat.suffix.selector, guard];
+        let clock = Instant::now();
+        let mut sink = SolverSink {
+            solver: &mut sat.solver,
+            guard: Some(guard),
+            clauses: 0,
+            new_vars: Vec::new(),
+        };
+        let lits = sat.encoder.encode_roots(arena, &[a, b], &mut sink);
+        let new_vars = sink.new_vars;
+        sat.encode_time += clock.elapsed();
+        sat.solver.prioritize_vars(&new_vars);
+        self.scope.vars.extend(new_vars);
+        let la = Lit::from_dimacs(lits[0]);
+        let lb = Lit::from_dimacs(if complement { -lits[1] } else { lits[1] });
+        // `a ≢ b` needs a model of `a ∧ ¬b` or of `¬a ∧ b`.
+        let base = assumptions.len();
+        for (x, y) in [(la, lb.negate()), (la.negate(), lb)] {
+            assumptions.truncate(base);
+            assumptions.extend([x, y]);
+            self.calls += 1;
+            match sat.solver.solve_limited(&assumptions, SWEEP_CONFLICT_CAP) {
+                SatResult::Sat => return Ok(Proof::Differ),
+                SatResult::Unsat => {}
+                SatResult::Interrupted if sat.solver.hit_conflict_cap() => {
+                    return Ok(Proof::Capped)
+                }
+                SatResult::Interrupted => return Err(VerifyError::Interrupted),
+            }
+        }
+        Ok(Proof::Equal)
+    }
 }
 
 /// A memoised backend decision for one condition-root node.
@@ -360,6 +439,21 @@ pub struct SessionStats {
     /// Cumulative CNF-encoding time inside the SAT backend (a slice of
     /// [`SessionStats::sat_time`]).
     pub encode_time: Duration,
+    /// Cumulative SAT-sweeping time: base and per-target passes and
+    /// simulation witness checks (a slice of [`SessionStats::sat_time`]).
+    pub sweep_time: Duration,
+    /// Arena nodes the SAT sweep proved equal to an earlier class member.
+    pub sweep_merges: u64,
+    /// Sweep candidate pairs a solver call told apart.
+    pub sweep_refuted: u64,
+    /// Sweep candidate pairs left unmerged at the per-call conflict cap.
+    pub sweep_capped: u64,
+    /// Conflict-capped solver calls made by the SAT sweep (counted in
+    /// the `solver_*` totals as well).
+    pub sweep_sat_calls: u64,
+    /// Condition roots shown satisfiable by a simulation pattern, with
+    /// no solver call.
+    pub sweep_sim_witnesses: u64,
     /// Cumulative condition-construction (cofactor) time, including the
     /// batched memo priming of multi-target sweeps.
     pub cofactor_time: Duration,
@@ -487,6 +581,8 @@ pub struct VerifySession {
     /// Memoised final-formula supports (the plus condition on the ANF
     /// and BDD rungs; see [`SupportMemo`]).
     supports: SupportMemo,
+    /// SAT-sweeping state of the SAT rung (see [`Sweep`]).
+    sweep: Sweep,
     decision_hits: u64,
     /// Logical clock stamping decision-cache use (LRU order).
     decision_clock: u64,
@@ -575,6 +671,7 @@ impl VerifySession {
             cofactors: CofactorMemo::default(),
             sweep_prime: Vec::new(),
             supports: SupportMemo::default(),
+            sweep: Sweep::default(),
             decision_hits: 0,
             decision_clock: 0,
             decision_cap: DECISION_CACHE_CAPACITY,
@@ -752,6 +849,12 @@ impl VerifySession {
                 .as_ref()
                 .map(|s| s.encode_time)
                 .unwrap_or(Duration::ZERO),
+            sweep_time: self.sweep.time,
+            sweep_merges: self.sweep.merged,
+            sweep_refuted: self.sweep.refuted,
+            sweep_capped: self.sweep.capped,
+            sweep_sat_calls: self.sweep.sat_calls,
+            sweep_sim_witnesses: self.sweep.sim_witnesses,
             cofactor_time: self.cofactor_time,
             target_latency: self.target_hist,
             root_latency: self.root_hist,
@@ -782,12 +885,22 @@ impl VerifySession {
             roots.extend(sat.encoder.encoded_node_ids());
         }
         roots.extend(self.decisions.keys().copied());
+        roots.extend(self.sweep.roots());
         // Primed-but-unused cofactor cones are reachable only through
         // the memo; keep the current formulas' entries alive so a
-        // mid-sweep collection cannot undo the batch construction.
-        let current: std::collections::HashSet<NodeId> =
-            self.state.formulas.iter().copied().collect();
+        // mid-sweep collection cannot undo the batch construction. On
+        // the SAT rung the memo is keyed by the formulas' sweep
+        // representatives.
+        let current: std::collections::HashSet<NodeId> = self
+            .state
+            .formulas
+            .iter()
+            .chain(self.sweep.roots())
+            .copied()
+            .collect();
         self.cofactors.extend_live_roots(&mut roots, &current);
+        // Keep every root's representative, so merges survive.
+        self.sweep.extend_live_roots(&mut roots);
         let before = self.state.arena.len();
         let remap = self.state.arena.collect(&roots);
         for f in &mut self.state.formulas {
@@ -812,6 +925,7 @@ impl VerifySession {
         }
         self.cofactors.remap_nodes(&remap);
         self.supports.remap_nodes(&remap);
+        self.sweep.remap_nodes(&remap);
         self.arena_collections += 1;
         self.arena_nodes_collected += (before - self.state.arena.len()) as u64;
         self.arena_watermark =
@@ -1026,25 +1140,155 @@ impl VerifySession {
     }
 
     /// Runs one root query on the shared SAT state, opening the target
-    /// scope lazily (`scope` holds its selector once open) and timing
-    /// the solver work.
+    /// scope lazily and timing the solver work. On the SAT rung a
+    /// simulation pattern that sets the root is its witness, and no
+    /// solver call is made.
     fn run_sat_root(
         &mut self,
         root: NodeId,
-        scope: &mut Option<Lit>,
-        scope_vars: &mut Vec<SatVar>,
+        scope: &mut TargetScope,
     ) -> Result<Decision, VerifyError> {
         let _span = qb_obs::span("backend", "sat");
         let t0 = Instant::now();
         self.ensure_sat();
+        if self.sweeping() {
+            let sig = self.sweep.sig(&self.state.arena, root);
+            if sig != 0 {
+                self.sweep.sim_witnesses += 1;
+                qb_obs::counter_add("sweep", "sim_witnesses", 1);
+                let model = Sweep::pattern(&self.state.vars, sig.trailing_zeros());
+                let elapsed = t0.elapsed();
+                self.sweep.time += elapsed;
+                self.sat_time += elapsed;
+                return Ok(Decision {
+                    unsat: false,
+                    model: Some(model),
+                    size: 0,
+                });
+            }
+        }
         let sat = self.sat.as_mut().expect("SAT backend state");
-        let guard = *scope.get_or_insert_with(|| {
-            sat.encoder.begin_scope();
-            Lit::pos(sat.solver.new_selector())
-        });
-        let d = Self::run_query(sat, &self.state.arena, &[root], guard, scope_vars);
+        let guard = scope.guard(sat);
+        let d = Self::run_query(sat, &self.state.arena, &[root], guard, &mut scope.vars);
         self.sat_time += t0.elapsed();
         d
+    }
+
+    /// Whether the session sweeps: it sits on the SAT rung (`--backend
+    /// sat`, or `auto` once the ladder reached SAT).
+    fn sweeping(&self) -> bool {
+        match self.opts.backend {
+            BackendKind::Sat => true,
+            BackendKind::Auto => self.auto_pref.backend() == BackendKind::Sat,
+            _ => false,
+        }
+    }
+
+    /// The base pass, once per circuit version: sweeps the final
+    /// formulas' cones (restored qubits reduce to their `Var` nodes) and
+    /// returns their representatives. A later call on the same formulas
+    /// is a lookup.
+    fn sweep_base(&mut self) -> Result<Vec<NodeId>, VerifyError> {
+        if !self.sweep.covers(&self.state.formulas) {
+            let _span = qb_obs::span("sweep", "base");
+            let clock = Instant::now();
+            self.ensure_sat();
+            let mut scope = TargetScope::default();
+            let mut prover = SatProver {
+                sat: self.sat.as_mut().expect("SAT backend state"),
+                scope: &mut scope,
+                calls: 0,
+            };
+            let swept =
+                self.sweep
+                    .sweep_formulas(&mut self.state.arena, &mut prover, &self.state.formulas);
+            self.sweep.sat_calls += prover.calls;
+            self.sweep.publish();
+            self.sweep.time += clock.elapsed();
+            // Closing the pass's scope is SAT cleanup, timed as such.
+            self.close_target(scope);
+            swept?;
+        }
+        Ok(self.sweep.roots().to_vec())
+    }
+
+    /// Condition construction on the SAT path: cofactors of the final
+    /// formulas (of their sweep representatives when sweeping, with each
+    /// cofactor pair swept in this target's scope — one per-target pass),
+    /// batch-primed for a multi-target sweep.
+    fn sat_conditions(
+        &mut self,
+        q: usize,
+        scope: &mut TargetScope,
+    ) -> Result<crate::conditions::Conditions, VerifyError> {
+        let _span = qb_obs::span("cofactor", "");
+        let clock = Instant::now();
+        let (swept_before, sat_before) = (self.sweep.time, self.sat_time);
+        let sweeping = self.sweeping();
+        let built = (|| {
+            let formulas = if sweeping {
+                self.sweep_base()?
+            } else {
+                self.state.formulas.clone()
+            };
+            if !self.sweep_prime.is_empty() {
+                let _span = qb_obs::span("cofactor", "prime");
+                let vars = std::mem::take(&mut self.sweep_prime);
+                let before = self.state.arena.len();
+                self.cofactors
+                    .prime(&mut self.state.arena, &formulas, &vars);
+                // The primed cones are live (the memo keeps them for the
+                // current roots), so they move the collection watermark
+                // as a collection would: collecting right after a prime
+                // reclaimed ≈ 1% of adder-256's arena for a quarter of
+                // its sweep time.
+                self.arena_watermark = self
+                    .arena_watermark
+                    .saturating_add(self.state.arena.len() - before);
+            }
+            if !sweeping {
+                return build_conditions_memo(
+                    &mut self.state,
+                    &formulas,
+                    q,
+                    &mut self.cofactors,
+                    |_, node| Ok(node),
+                );
+            }
+            let _span = qb_obs::span("sweep", "target");
+            let mut prover = SatProver {
+                sat: self.sat.as_mut().expect("SAT backend state"),
+                scope,
+                calls: 0,
+            };
+            let sweep = &mut self.sweep;
+            let built = build_conditions_memo(
+                &mut self.state,
+                &formulas,
+                q,
+                &mut self.cofactors,
+                |arena, node| {
+                    let clock = Instant::now();
+                    let canon = sweep.canon(arena, &mut prover, node);
+                    sweep.time += clock.elapsed();
+                    canon
+                },
+            );
+            sweep.sat_calls += prover.calls;
+            sweep.publish();
+            built
+        })();
+        // Sweep work is SAT work: it moves from construction time to the
+        // SAT backend's (which already holds the base pass's scope
+        // cleanup).
+        let swept = self.sweep.time - swept_before;
+        let cleanup = self.sat_time - sat_before;
+        self.sat_time += swept;
+        self.cofactor_time += clock.elapsed().saturating_sub(swept + cleanup);
+        if matches!(built, Err(VerifyError::Interrupted)) {
+            self.interrupts += 1;
+        }
+        built
     }
 
     /// Builds the SAT state on first use (auto sessions), counting the
@@ -1114,8 +1358,7 @@ impl VerifySession {
     fn run_auto_root(
         &mut self,
         root: NodeId,
-        scope: &mut Option<Lit>,
-        scope_vars: &mut Vec<SatVar>,
+        scope: &mut TargetScope,
     ) -> Result<Decision, VerifyError> {
         loop {
             match self.auto_pref.backend() {
@@ -1132,11 +1375,11 @@ impl VerifySession {
                     Err(BddBuildError::Interrupted) => {
                         self.interrupts += 1;
                         self.deadline_fallbacks += 1;
-                        return self.run_sat_root(root, scope, scope_vars);
+                        return self.run_sat_root(root, scope);
                     }
                 },
                 _ => {
-                    return match self.run_sat_root(root, scope, scope_vars) {
+                    return match self.run_sat_root(root, scope) {
                         Err(VerifyError::Interrupted) => {
                             self.interrupts += 1;
                             self.deadline_fallbacks += 1;
@@ -1287,12 +1530,11 @@ impl VerifySession {
     fn decide_root(
         &mut self,
         root: NodeId,
-        scope: &mut Option<Lit>,
-        scope_vars: &mut Vec<SatVar>,
+        scope: &mut TargetScope,
     ) -> Result<Decision, VerifyError> {
         let _span = qb_obs::span("root", "");
         let clock = Instant::now();
-        let decided = self.decide_root_inner(root, scope, scope_vars);
+        let decided = self.decide_root_inner(root, scope);
         self.root_hist.record(clock.elapsed().as_nanos() as u64);
         decided
     }
@@ -1302,8 +1544,7 @@ impl VerifySession {
     fn decide_root_inner(
         &mut self,
         root: NodeId,
-        scope: &mut Option<Lit>,
-        scope_vars: &mut Vec<SatVar>,
+        scope: &mut TargetScope,
     ) -> Result<Decision, VerifyError> {
         self.decision_clock += 1;
         if let Some(hit) = self.decisions.get_mut(&root) {
@@ -1318,10 +1559,10 @@ impl VerifySession {
         }
         qb_obs::counter_add("decision_cache", "miss", 1);
         let decided = match self.opts.backend {
-            BackendKind::Sat => self.run_sat_root(root, scope, scope_vars),
+            BackendKind::Sat => self.run_sat_root(root, scope),
             BackendKind::Bdd => self.run_bdd_root(root).map_err(VerifyError::from),
             BackendKind::Anf => self.run_anf_root(root).map_err(VerifyError::from),
-            BackendKind::Auto => self.run_auto_root(root, scope, scope_vars),
+            BackendKind::Auto => self.run_auto_root(root, scope),
         };
         let d = match decided {
             Ok(d) => d,
@@ -1364,26 +1605,28 @@ impl VerifySession {
         &mut self,
         zero_root: NodeId,
         plus_roots: &[NodeId],
+        scope: &mut TargetScope,
     ) -> Result<(Decision, Duration, Decision, Duration), VerifyError> {
-        let mut scope: Option<Lit> = None;
-        let mut scope_vars: Vec<SatVar> = Vec::new();
+        let (zero, zero_time, plus, t_plus) =
+            self.decide_target_roots(zero_root, plus_roots, scope)?;
+        Ok((zero, zero_time, plus, t_plus.elapsed()))
+    }
 
-        let decided = self.decide_target_roots(zero_root, plus_roots, &mut scope, &mut scope_vars);
-
-        // SAT target cleanup (only when a cache miss opened the scope):
-        // roll back the scope's literals, detach its clauses (and, via
-        // the level-zero sweep, every learnt clause that mentioned its
-        // selector), and deaden its variables. Then give the periodic
-        // GCs a chance to reclaim retired slots and dead diagrams.
-        // This runs even when a root was *interrupted* — a dangling
-        // scope would corrupt every later query of the session.
-        if let Some(target_selector) = scope {
+    /// Closes a target: SAT cleanup (only when a query or a sweep call
+    /// opened the scope) rolls back the scope's literals, detaches its
+    /// clauses (and, via the level-zero sweep, every learnt clause that
+    /// mentioned its selector), and deadens its variables. Then the
+    /// periodic GCs get a chance to reclaim retired slots and dead
+    /// diagrams. This runs even when a root was *interrupted* — a
+    /// dangling scope would corrupt every later query of the session.
+    fn close_target(&mut self, scope: TargetScope) {
+        if let Some(target_selector) = scope.selector {
             let t0 = Instant::now();
             let sat = self.sat.as_mut().expect("SAT backend state");
             sat.encoder.retract_scope();
             sat.solver.retire_selector(target_selector);
             sat.solver.simplify_satisfied();
-            sat.solver.deaden_vars(&scope_vars);
+            sat.solver.deaden_vars(&scope.vars);
             sat.maybe_compact();
             // Vivify permanent base clauses between targets: shorter base
             // clauses propagate earlier in every remaining query. Each
@@ -1395,10 +1638,6 @@ impl VerifySession {
         if let Some(bdd) = &mut self.bdd {
             bdd.maybe_gc();
         }
-
-        let (zero, zero_time, plus, t_plus) = decided?;
-        let plus_time = t_plus.elapsed();
-        Ok((zero, zero_time, plus, plus_time))
     }
 
     /// The decision half of [`VerifySession::decide_target`]:
@@ -1411,11 +1650,10 @@ impl VerifySession {
         &mut self,
         zero_root: NodeId,
         plus_roots: &[NodeId],
-        scope: &mut Option<Lit>,
-        scope_vars: &mut Vec<SatVar>,
+        scope: &mut TargetScope,
     ) -> Result<(Decision, Duration, Decision, Instant), VerifyError> {
         let t_zero = Instant::now();
-        let zero = self.decide_root(zero_root, scope, scope_vars)?;
+        let zero = self.decide_root(zero_root, scope)?;
         let zero_time = t_zero.elapsed();
 
         let t_plus = Instant::now();
@@ -1425,7 +1663,7 @@ impl VerifySession {
             size: 0,
         };
         for &part in plus_roots {
-            let d = self.decide_root(part, scope, scope_vars)?;
+            let d = self.decide_root(part, scope)?;
             plus.size += d.size;
             if !d.unsat {
                 plus.unsat = false;
@@ -1477,32 +1715,22 @@ impl VerifySession {
             }
         }
         let t_plus = Instant::now();
+        let mut scope = TargetScope::default();
         let decided = match self.plus_by_support(q) {
             // Canonical rung: (6.2) is decided; (6.1) stays one root
             // through the decision cache.
             Ok(Some(plus)) => {
                 let support_time = t_plus.elapsed();
                 let zero_root = zero_condition(&mut self.state, q);
-                self.decide_target(zero_root, &[])
+                self.decide_target(zero_root, &[], &mut scope)
                     .map(|(zero, zero_time, _, _)| (zero, zero_time, plus, support_time))
             }
-            Ok(None) => {
-                let conditions = {
-                    let _span = qb_obs::span("cofactor", "");
-                    let clock = Instant::now();
-                    if !self.sweep_prime.is_empty() {
-                        let _span = qb_obs::span("cofactor", "prime");
-                        let vars = std::mem::take(&mut self.sweep_prime);
-                        self.cofactors.prime(&mut self.state, &vars);
-                    }
-                    let conditions = build_conditions_memo(&mut self.state, q, &mut self.cofactors);
-                    self.cofactor_time += clock.elapsed();
-                    conditions
-                };
-                self.decide_target(conditions.zero, &conditions.plus_parts)
-            }
+            Ok(None) => self
+                .sat_conditions(q, &mut scope)
+                .and_then(|c| self.decide_target(c.zero, &c.plus_parts, &mut scope)),
             Err(e) => Err(e),
         };
+        self.close_target(scope);
         let (zero, zero_time, plus, plus_time) = match decided {
             Ok(decided) => decided,
             Err(VerifyError::Interrupted) => {
@@ -2183,7 +2411,10 @@ mod tests {
         };
         let mut session = VerifySession::new(&base, &[InitialValue::Free; N], &opts).unwrap();
         let mut peak_slots = 0usize;
-        for _ in 0..24 {
+        // The SAT sweep decides many roots without a query (and so
+        // without retiring a selector): the loop runs long enough to
+        // retire the compaction interval's worth anyway.
+        for _ in 0..64 {
             let mut edited = Circuit::new(N);
             edited.toffoli(0, 1, 2).cnot(2, 3);
             for _ in 0..rng.gen_below(4) {
@@ -2258,10 +2489,14 @@ mod tests {
 
     #[test]
     fn decision_cache_hits_survive_arena_collection() {
+        // Each Toffoli pair cancels. Nested like this, the SAT sweep
+        // merges the inner pair, rebuilds the outer one over the merged
+        // node and merges that too, so the rebuilt node is dead structure
+        // for the collection below to reclaim.
         let mut c = Circuit::new(4);
         c.toffoli(0, 1, 3)
-            .toffoli(1, 2, 3)
             .toffoli(0, 1, 3)
+            .toffoli(1, 2, 3)
             .toffoli(1, 2, 3);
         let opts = VerifyOptions::default();
         let mut session = VerifySession::new(&c, &[InitialValue::Free; 4], &opts).unwrap();

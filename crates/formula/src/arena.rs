@@ -392,6 +392,28 @@ impl Arena {
         self.eval_all(env)[root.index()]
     }
 
+    /// Bit-parallel simulation: extends `sigs` to one word per arena node,
+    /// where bit `k` of `sigs[i]` is node `i`'s value under input pattern
+    /// `k` and `input(v)` supplies variable `v`'s 64 pattern bits. Only
+    /// nodes past `sigs.len()` are evaluated, so a caller keeping `sigs`
+    /// across calls pays once per node; nothing is appended to the arena.
+    pub fn simulate(&self, sigs: &mut Vec<u64>, input: impl Fn(Var) -> u64) {
+        sigs.reserve(self.nodes.len().saturating_sub(sigs.len()));
+        for i in sigs.len()..self.nodes.len() {
+            let word = match &self.nodes[i] {
+                Node::Const(b) => 0u64.wrapping_sub(u64::from(*b)),
+                Node::Var(v) => input(*v),
+                Node::And(children) => children.iter().fold(!0, |acc, c| acc & sigs[c.index()]),
+                Node::Xor(children, parity) => children
+                    .iter()
+                    .fold(0u64.wrapping_sub(u64::from(*parity)), |acc, c| {
+                        acc ^ sigs[c.index()]
+                    }),
+            };
+            sigs.push(word);
+        }
+    }
+
     /// Computes, for every node, whether it syntactically depends on `var`.
     pub fn depends_on_all(&self, var: Var) -> Vec<bool> {
         let mut dep = vec![false; self.nodes.len()];
@@ -809,6 +831,26 @@ impl Default for Arena {
     }
 }
 
+/// The fixed-seed simulation word of input variable `v` for
+/// [`Arena::simulate`]: 64 patterns (bit `k` is `v`'s value in pattern
+/// `k`), the same in every run. Bits 0–47 are uniform; bits 48–55 set
+/// each variable with probability 31/32 and bits 56–61 with 1/32, so
+/// long products of positive (or of negated) inputs still see a 1; bit
+/// 62 is the all-zero pattern and bit 63 the all-one pattern.
+pub fn sim_input(v: Var) -> u64 {
+    // SplitMix64 finaliser over the variable index and a stream number.
+    let mix = |stream: u64| {
+        let mut z = (u64::from(v) << 3 | stream).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let (a, b, c, d, e) = (mix(0), mix(1), mix(2), mix(3), mix(4));
+    let dense = b | c | d | e;
+    let sparse = b & c & d & e;
+    (a & 0xFFFF_FFFF_FFFF) | (dense & 0xFF << 48) | (sparse & 0x3F << 56) | 1 << 63
+}
+
 /// The dense old→new node mapping produced by [`Arena::collect`].
 #[derive(Debug, Clone)]
 pub struct NodeRemap {
@@ -823,6 +865,13 @@ impl NodeRemap {
     #[inline]
     pub fn remap(&self, old: NodeId) -> Option<NodeId> {
         self.map.get(old.index()).copied().flatten()
+    }
+
+    /// The new id of the node at dense position `old` before the
+    /// collection, or `None` if it was collected.
+    #[inline]
+    pub fn remap_index(&self, old: usize) -> Option<NodeId> {
+        self.map.get(old).copied().flatten()
     }
 
     /// Number of nodes that survived collection (the arena's new length).
@@ -1177,6 +1226,38 @@ mod tests {
         for (old, r) in roots.iter().enumerate() {
             assert!(remap.remap(*r).is_some(), "root {old} survives");
         }
+    }
+
+    #[test]
+    fn simulate_matches_eval_on_every_pattern() {
+        for mode in [Simplify::Raw, Simplify::Full] {
+            let mut f = Arena::new(mode);
+            let vars: Vec<NodeId> = (0..4).map(|v| f.var(v)).collect();
+            let a = f.and2(vars[0], vars[1]);
+            let x = f.xor(&[a, vars[2], vars[3]]);
+            let n = f.not(x);
+            let o = f.or2(n, vars[0]);
+            let mut sigs = Vec::new();
+            f.simulate(&mut sigs, sim_input);
+            assert_eq!(sigs.len(), f.len());
+            let y = f.var(1);
+            let more = f.and2(o, y);
+            f.simulate(&mut sigs, sim_input);
+            assert_eq!(sigs.len(), f.len(), "extends to the new nodes");
+            for k in 0..64 {
+                let env: Vec<bool> = (0..4).map(|v| sim_input(v) >> k & 1 == 1).collect();
+                let values = f.eval_all(&env);
+                for (i, &value) in values.iter().enumerate() {
+                    assert_eq!(
+                        sigs[i] >> k & 1 == 1,
+                        value,
+                        "{mode:?} node {i} pattern {k}"
+                    );
+                }
+            }
+            assert_eq!(sigs[more.index()], sigs[o.index()] & sigs[y.index()]);
+        }
+        assert_ne!(sim_input(0), sim_input(1));
     }
 
     #[test]

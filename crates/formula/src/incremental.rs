@@ -80,6 +80,9 @@ pub struct IncrementalEncoder {
     /// order, so a named checkpoint deep in the stack can be rolled back
     /// together with everything opened above it.
     scopes: Vec<ScopeRecord>,
+    /// Frontier-walk marks, all `false` between calls (each call clears
+    /// the marks it set), so a call costs its frontier, not the arena.
+    visiting: Vec<bool>,
 }
 
 /// What a retractable scope has to undo: which node literals were
@@ -225,6 +228,7 @@ impl IncrementalEncoder {
     /// collected nodes are forgotten — their ids can never be handed out
     /// again, and their defining clauses are satisfiability-neutral.
     pub fn remap_nodes(&mut self, remap: &NodeRemap) {
+        self.visiting.truncate(remap.live());
         let mut lits = vec![0i32; remap.live()];
         for (old, &lit) in self.lits.iter().enumerate() {
             if lit == 0 {
@@ -318,6 +322,8 @@ impl IncrementalEncoder {
         sink: &mut S,
     ) -> Vec<i32> {
         self.lits.resize(arena.len(), 0);
+        self.visiting.resize(arena.len(), false);
+        let visiting = &mut self.visiting;
 
         // Frontier discovery: nodes reachable from the roots through
         // not-yet-encoded territory. Children of an encoded node are
@@ -328,10 +334,6 @@ impl IncrementalEncoder {
             .filter(|r| self.lits[r.index()] == 0)
             .copied()
             .collect();
-        let mut visiting = vec![false; 0];
-        if !stack.is_empty() {
-            visiting = vec![false; arena.len()];
-        }
         while let Some(id) = stack.pop() {
             let i = id.index();
             if visiting[i] || self.lits[i] != 0 {
@@ -345,6 +347,9 @@ impl IncrementalEncoder {
                 }
                 _ => {}
             }
+        }
+        for &i in &pending {
+            visiting[i] = false;
         }
         // Children always precede parents in arena order.
         pending.sort_unstable();

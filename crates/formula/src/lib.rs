@@ -45,7 +45,7 @@ mod incremental;
 mod lru;
 
 pub use anf::{Anf, AnfCache, AnfCacheStats, AnfOverflow, Monomial};
-pub use arena::{Arena, Node, NodeId, NodeRemap, Simplify, Var};
+pub use arena::{sim_input, Arena, Node, NodeId, NodeRemap, Simplify, Var};
 pub use cnf::{encode, Cnf, Encoding};
 pub use incremental::{CnfSink, IncrementalEncoder};
 pub use lru::lru_evict_batch;

@@ -126,6 +126,62 @@ mod cancellation {
         assert_eq!(s.solve(), SatResult::Unsat);
     }
 
+    /// `solve_limited` stops at its own conflict cap, reports the stop
+    /// as a cap rather than a token trip, and leaves the solver sound:
+    /// an unlimited re-solve of the same query agrees with the DPLL
+    /// oracle.
+    #[test]
+    fn solve_limited_stops_at_the_cap_then_unlimited_rerun_matches_dpll() {
+        for (n, cap) in [(6, 1), (7, 10), (7, 100)] {
+            let clauses = pigeonhole(n);
+            let mut s = load(&clauses);
+            let before = s.stats().conflicts;
+            assert_eq!(s.solve_limited(&[], cap), SatResult::Interrupted);
+            assert_eq!(
+                s.stats().conflicts - before,
+                cap,
+                "stops exactly at the cap"
+            );
+            assert!(s.hit_conflict_cap());
+            let mut cnf = qb_formula::Cnf::new();
+            for _ in 0..n * (n + 1) {
+                cnf.fresh_var();
+            }
+            for c in &clauses {
+                cnf.add_clause(c);
+            }
+            let oracle = dpll_solve(&cnf);
+            assert_eq!(s.solve_limited(&[], u64::MAX), oracle);
+            assert!(!s.hit_conflict_cap());
+            assert_eq!(s.solve(), oracle);
+        }
+        // A satisfiable query under assumptions finishes below a generous
+        // cap with a model the oracle confirms.
+        let clauses = vec![vec![1, 2, 3], vec![-1, -2], vec![-2, -3], vec![-1, -3]];
+        let mut s = load(&clauses);
+        let assume = [Lit::from_dimacs(-1)];
+        assert_eq!(s.solve_limited(&assume, 1_000), SatResult::Sat);
+        assert!(!s.model()[0] && (s.model()[1] || s.model()[2]));
+    }
+
+    /// The cancellation token stops a capped call before its cap, and
+    /// the stop is not mistaken for the cap.
+    #[test]
+    fn solve_limited_honours_the_token_first() {
+        let clauses = pigeonhole(7);
+        let mut s = load(&clauses);
+        let token = CancelToken::new();
+        token.set_conflict_budget(3);
+        s.set_cancel_token(Some(token.clone()));
+        assert_eq!(s.solve_limited(&[], 1_000), SatResult::Interrupted);
+        assert!(!s.hit_conflict_cap(), "the token stopped it, not the cap");
+        token.cancel();
+        assert_eq!(s.solve_limited(&[], 1_000), SatResult::Interrupted);
+        assert!(!s.hit_conflict_cap());
+        token.reset();
+        assert_eq!(s.solve_limited(&[], u64::MAX), SatResult::Unsat);
+    }
+
     /// An uninstalled or never-tripped token changes nothing: verdicts
     /// and models match a token-free solver.
     #[test]

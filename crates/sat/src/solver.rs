@@ -174,6 +174,9 @@ pub struct Solver {
     vivify_candidates: usize,
     /// Cooperative cancellation handle, polled once per conflict.
     cancel: Option<crate::CancelToken>,
+    /// The last solve stopped at its own conflict cap
+    /// ([`Solver::solve_limited`]).
+    capped: bool,
 }
 
 const CLA_DECAY: f32 = 0.999;
@@ -234,6 +237,7 @@ impl Solver {
             vivify_cursor: 0,
             vivify_candidates: 0,
             cancel: None,
+            capped: false,
         }
     }
 
@@ -1608,6 +1612,33 @@ impl Solver {
     /// Decides satisfiability under temporary `assumptions` (unit literals
     /// that hold for this call only).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
+        let _solve_span = qb_obs::span("sat.solve", "");
+        self.solve_capped(assumptions, u64::MAX)
+    }
+
+    /// [`Solver::solve_with_assumptions`] stopped after `max_conflicts`
+    /// conflicts of this call: returns [`SatResult::Interrupted`] at the
+    /// cap or when the installed [`crate::CancelToken`] trips, whichever
+    /// comes first (the token is polled first, so a call stopped by both
+    /// at one conflict counts as cancelled). Either way the solver is left
+    /// sound at level zero with its learnt clauses, and
+    /// [`Solver::hit_conflict_cap`] tells the two stops apart.
+    ///
+    /// Meant for many small probing calls (SAT sweeping), so it records no
+    /// trace span of its own; the caller spans the batch.
+    pub fn solve_limited(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SatResult {
+        self.solve_capped(assumptions, max_conflicts)
+    }
+
+    /// Whether the last solve call stopped at the `max_conflicts` cap of
+    /// [`Solver::solve_limited`] (as opposed to a verdict or the
+    /// cancellation token).
+    pub fn hit_conflict_cap(&self) -> bool {
+        self.capped
+    }
+
+    fn solve_capped(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SatResult {
+        self.capped = false;
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -1615,14 +1646,21 @@ impl Solver {
         // branches on a local bool, not the global flag, and per-phase
         // clocks only tick when a trace is being captured.
         let traced = qb_obs::enabled();
-        let _solve_span = qb_obs::span("sat.solve", "");
         let mut propagate_ns = 0u64;
         let mut analyze_ns = 0u64;
         // The solve starts at level zero: reclaim clause-arena garbage
         // once enough of it has accumulated (dead learnt clauses from
         // earlier solves, retired query scopes).
         self.collect_garbage();
-        self.max_learnts = (self.starts.len() as f64 / 6.0).max(500.0);
+        let floor = (self.starts.len() as f64 / 6.0).max(500.0);
+        // A capped probing call keeps the learnt-clause budget earlier
+        // calls grew: resetting it each time would make a stream of
+        // small calls reduce the database on nearly every call.
+        self.max_learnts = if max_conflicts == u64::MAX {
+            floor
+        } else {
+            self.max_learnts.max(floor)
+        };
         self.restart_conflicts = 0;
         // Budgets on the cancel token are per solve call: measure them
         // as deltas from the counters at solve entry.
@@ -1661,6 +1699,10 @@ impl Solver {
                         // sound level-zero state; learnt clauses stay.
                         break SatResult::Interrupted;
                     }
+                }
+                if self.stats.conflicts - start_conflicts >= max_conflicts {
+                    self.capped = true;
+                    break SatResult::Interrupted;
                 }
                 let (learnt, backjump) = if traced {
                     let clock = Instant::now();

@@ -16,7 +16,9 @@
 use crate::json::Json;
 use crate::protocol::{coded_error_response, error_response};
 use crate::router::{elaborate_source, hash_hex, not_loaded_response, ActorId, Router, SessionKey};
-use qb_core::{CancelToken, QubitVerdict, Verdict, VerifyError, VerifyLimits, VerifySession};
+use qb_core::{
+    CancelToken, QubitVerdict, SessionStats, Verdict, VerifyError, VerifyLimits, VerifySession,
+};
 use qb_lang::{gate_diff, structural_hash, ElaboratedProgram};
 use qb_obs::Histogram;
 use std::panic::AssertUnwindSafe;
@@ -305,6 +307,21 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The SAT sweep's counters (`SessionStats::sweep_*`) as they appear in
+/// the verify response and in `status`; `sweep_{merged,refuted,capped}`
+/// are the session's share of the `sweep` registry counters.
+fn sweep_pairs(stats: &SessionStats) -> [(&'static str, Json); 6] {
+    let int = |n: u64| Json::Int(n as i64);
+    [
+        ("sweep_merged", int(stats.sweep_merges)),
+        ("sweep_refuted", int(stats.sweep_refuted)),
+        ("sweep_capped", int(stats.sweep_capped)),
+        ("sweep_sat_calls", int(stats.sweep_sat_calls)),
+        ("sweep_sim_witnesses", int(stats.sweep_sim_witnesses)),
+        ("sweep_ns", Json::Int(stats.sweep_time.as_nanos() as i64)),
+    ]
 }
 
 fn render_verdict(program: &ElaboratedProgram, v: &QubitVerdict) -> Json {
@@ -631,6 +648,9 @@ impl SessionActor {
                 "cofactor_ns",
                 Json::Int(stats.cofactor_time.as_nanos() as i64),
             ),
+        ];
+        pairs.extend(sweep_pairs(&stats));
+        pairs.extend([
             (
                 "target_p50_us",
                 Json::Int((stats.target_latency.p50() / 1_000) as i64),
@@ -647,7 +667,7 @@ impl SessionActor {
                 "root_p95_us",
                 Json::Int((stats.root_latency.p95() / 1_000) as i64),
             ),
-        ];
+        ]);
         if let Ok(wait) = self.shared.mailbox_wait.lock() {
             pairs.push((
                 "mailbox_wait_p50_us",
@@ -769,7 +789,7 @@ impl SessionActor {
     fn stat_pairs(&self) -> Vec<(&'static str, Json)> {
         let (hash, backend) = self.key;
         let stats = self.session.stats();
-        vec![
+        let mut pairs = vec![
             ("hash", Json::Str(hash_hex(hash))),
             ("backend", Json::Str(backend.to_string())),
             ("qubits", Json::Int(self.program.num_qubits() as i64)),
@@ -853,7 +873,9 @@ impl SessionActor {
                 "target_p95_us",
                 Json::Int((stats.target_latency.p95() / 1_000) as i64),
             ),
-        ]
+        ];
+        pairs.extend(sweep_pairs(&stats));
+        pairs
     }
 
     /// Publishes the summary snapshot `status`/`metrics` read without

@@ -94,3 +94,33 @@ fn client_rejects_unknown_backend_before_connecting() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("sat, anf, bdd, auto"), "{stderr}");
 }
+
+/// `--stats-json` reports the SAT sweep's registry counters: on the
+/// Håner adder under `--backend sat` the base pass merges every
+/// restored qubit's formula into its input variable.
+#[test]
+fn stats_json_reports_sat_sweep_counters() {
+    let out = qborrow()
+        .args(["verify", &fixture("adder.qbr"), "--backend", "sat"])
+        .arg("--stats-json")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "the adder is safe");
+    let json = qborrow::serve::Json::parse(String::from_utf8_lossy(&out.stdout).trim())
+        .expect("one JSON object");
+    let counter = |label: &str| {
+        json.get("counters")
+            .and_then(|c| c.as_arr())
+            .unwrap()
+            .iter()
+            .find(|c| {
+                c.get("name").and_then(|n| n.as_str()) == Some("sweep")
+                    && c.get("label").and_then(|l| l.as_str()) == Some(label)
+            })
+            .and_then(|c| c.get("value").and_then(|v| v.as_i64()))
+    };
+    assert!(counter("merged") > Some(0), "{json}");
+    for label in ["refuted", "capped"] {
+        assert!(counter(label).is_some(), "sweep/{label} missing: {json}");
+    }
+}

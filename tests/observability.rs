@@ -155,7 +155,7 @@ fn traced_adder16_sweep_produces_nested_balanced_trace() {
     obs::set_enabled(false);
     let _ = obs::take_all_spans();
 
-    let program = elaborate(&parse(&adder_source(16)).unwrap()).unwrap();
+    let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
     let initial: Vec<InitialValue> = (0..program.num_qubits())
         .map(|q| match program.qubit_kinds[q] {
             QubitKind::Clean => InitialValue::Zero,
@@ -207,8 +207,11 @@ fn traced_adder16_sweep_produces_nested_balanced_trace() {
 
 /// Tracing costs nothing once it is switched off again. Three arms are
 /// interleaved round by round, so machine noise hits each alike: an
-/// adder-16 SAT sweep with tracing off, the same sweep traced, and the
-/// sweep with tracing off again after that enable cycle. In the median
+/// adder-32 SAT sweep with tracing off, the same sweep traced, and the
+/// sweep with tracing off again after that enable cycle. (SAT sweeping
+/// halved the adder-16 sweep and cut its spans from 580 to 111, which
+/// doubled the spread of the median ratio; the 32-bit sweep takes about
+/// as long as the 16-bit one did and records 222 spans.) In the median
 /// round, the off-again sweep must stay within 1.05× of the first off
 /// sweep. A span site that keeps doing work after `set_enabled(false)`
 /// (an allocation, a lock, a label `format!`) fails this, and a sweep
@@ -230,7 +233,7 @@ fn disabled_tracing_overhead_stays_within_five_percent_after_an_enable_cycle() {
     obs::set_enabled(false);
     let _ = obs::take_all_spans();
 
-    let program = elaborate(&parse(&adder_source(16)).unwrap()).unwrap();
+    let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
     let initial: Vec<InitialValue> = (0..program.num_qubits())
         .map(|q| match program.qubit_kinds[q] {
             QubitKind::Clean => InitialValue::Zero,
@@ -613,7 +616,12 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
     assert!(ok(&client
         .load_with("auto", &adder_source(8), Some("auto"))
         .unwrap()));
-    assert!(ok(&client.verify("sat", None).unwrap()));
+    let verified = client.verify("sat", None).unwrap();
+    assert!(ok(&verified));
+    assert!(
+        verified.get("sweep_merged").and_then(Json::as_i64) > Some(0),
+        "the verify response carries the SAT sweep's counters: {verified}"
+    );
     assert!(ok(&client.verify("auto", None).unwrap()));
     let edit = client
         .edit("sat", &format!("{sat_source}X[q[1]];\nX[q[1]];\n"))
@@ -758,6 +766,16 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
     let propagations = sum(programs, "solver_propagations");
     assert!(propagations > 0, "{status}");
     assert_eq!(prom("qb_solver_propagations_total", "sat"), propagations);
+    // Sweep work likewise: `status`'s per-session counters add up to the
+    // registry's `sweep` series.
+    assert!(sum(programs, "sweep_merged") > 0, "{status}");
+    for kind in ["merged", "refuted", "capped"] {
+        assert_eq!(
+            prom("qb_sweep_total", kind),
+            sum(programs, &format!("sweep_{kind}")),
+            "{kind}"
+        );
+    }
 
     let resp = client.shutdown().unwrap();
     assert!(ok(&resp));

@@ -437,3 +437,105 @@ fn warm_bdd_reverify_after_suffix_edit_translates_at_most_a_quarter_of_cold() {
         "warm re-verify reuses cached translations: {after:?}"
     );
 }
+
+/// The SAT rung sweeps its arena (the session's `sweep` module): merges
+/// proven by conflict-capped solver calls reshape the conditions, and a
+/// simulation pattern that sets a condition root is its witness. On
+/// seeded leaks under `--backend sat` and `Simplify::Raw` — appended
+/// `CNOT[a[i], q[j]]` on the 64-bit adder, a leak conditioned on a second
+/// qubit, a fan-out copying one dirty qubit into three others, and the
+/// missing-uncompute MCX mutant — the session's verdicts and violation
+/// kinds equal the fresh pipeline's (which never sweeps), every witness
+/// replays on the concrete circuit, and at least one witness came from a
+/// simulation pattern with no solver call. The fresh oracle runs under
+/// `Full`: verdicts do not depend on the mode, and its `Raw` run of the
+/// 64-bit adder is 40× slower.
+#[test]
+fn sat_sweep_matches_fresh_and_simulation_witnesses_replay() {
+    let fan_out = "CCNOT[a[3], q[5], q[9]];\nCCNOT[a[3], q[6], q[2]];\nCNOT[a[3], q[11]];\n";
+    let mut cases: Vec<(String, String)> = [
+        "CNOT[a[1], q[2]];\n",
+        "CNOT[a[20], q[50]];\n",
+        "CNOT[a[63], q[64]];\n",
+        "CCNOT[a[40], q[41], q[7]];\n",
+        fan_out,
+    ]
+    .iter()
+    .map(|leak| (format!("adder-64 + {leak}"), adder_source(64) + leak))
+    .collect();
+    cases.push((
+        "mcx-128-leak".to_string(),
+        mcx_source(128).replacen("release anc;", "CNOT[anc, t];\nrelease anc;", 1),
+    ));
+    let opts = VerifyOptions {
+        backend: BackendKind::Sat,
+        simplify: Simplify::Raw,
+        ..VerifyOptions::default()
+    };
+    let oracle_opts = VerifyOptions {
+        simplify: Simplify::Full,
+        ..opts
+    };
+    let mut sim_witnesses = 0;
+    for (name, source) in cases {
+        let program = elaborate(&parse(&source).unwrap()).unwrap();
+        let initial = vec![InitialValue::Free; program.num_qubits()];
+        let targets = program.qubits_to_verify();
+        let oracle =
+            verify_circuit_fresh(&program.circuit, &initial, &targets, &oracle_opts).unwrap();
+        assert!(!oracle.all_safe(), "{name}: the seeded leak is unsafe");
+        let mut session = VerifySession::new(&program.circuit, &initial, &opts).unwrap();
+        let report = session.verify_report(&targets).unwrap();
+        assert_same_verdicts(&oracle, &report, &name);
+        assert_witnesses_replay(&program.circuit, &report, &name);
+        let stats = session.stats();
+        assert!(stats.sweep_merges > 0, "{name}: the base pass merges");
+        sim_witnesses += stats.sweep_sim_witnesses;
+    }
+    assert!(
+        sim_witnesses > 0,
+        "some witness comes from a simulation pattern"
+    );
+}
+
+/// Sweep merges survive arena collection: adder-32 under a GC floor low
+/// enough that the arena is collected between targets of one sweep. The
+/// verdicts equal the fresh pipeline's, and a second sweep adds no merge
+/// (every representative the first sweep proved is still mapped).
+#[test]
+fn sat_sweep_merges_survive_arena_collection() {
+    let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
+    let initial: Vec<InitialValue> = (0..program.num_qubits())
+        .map(|q| match program.qubit_kinds[q] {
+            QubitKind::Clean => InitialValue::Zero,
+            _ => InitialValue::Free,
+        })
+        .collect();
+    let targets = program.qubits_to_verify();
+    let opts = VerifyOptions {
+        backend: BackendKind::Sat,
+        simplify: Simplify::Raw,
+        ..VerifyOptions::default()
+    };
+    let mut session = VerifySession::new(&program.circuit, &initial, &opts).unwrap();
+    session.set_memory_limits(Some(64), None);
+    let first = session.verify_report(&targets).unwrap();
+    let after_first = session.stats();
+    assert!(
+        after_first.arena_collections >= 1,
+        "a collection ran mid-sweep: {after_first:?}"
+    );
+    assert!(after_first.sweep_merges > 0, "{after_first:?}");
+    let fresh = verify_circuit_fresh(&program.circuit, &initial, &targets, &opts).unwrap();
+    assert_same_verdicts(&fresh, &first, "adder-32 gc");
+    // Re-arm at the floor: the second sweep collects again.
+    session.set_memory_limits(Some(64), None);
+    let second = session.verify_report(&targets).unwrap();
+    assert_same_verdicts(&fresh, &second, "adder-32 gc, second sweep");
+    let after_second = session.stats();
+    assert_eq!(
+        after_second.sweep_merges, after_first.sweep_merges,
+        "the second sweep proves nothing again"
+    );
+    assert!(after_second.arena_collections > after_first.arena_collections);
+}

@@ -11,20 +11,24 @@
 //!   `q`, which is exactly restoration of `|+⟩` (Thm. 6.2/6.4).
 //!
 //! [`build_conditions`] materialises (6.2) as one cofactor XOR root per
-//! other qubit. That construction serves the SAT backend and the one-shot
-//! fresh pipeline; sessions on the canonical ANF/BDD rungs decide (6.2)
-//! by support membership instead (see `crate::support`) and only build
-//! the (6.1) root here. A disjunct whose two cofactors are one node is
-//! dropped without a backend call. On the SAT rung a session cofactors
-//! the representatives its SAT sweep proved equal to the final formulas
-//! and sweeps each cofactor pair as well (see `crate::sweep`), so every
-//! merge makes more of these identities visible.
+//! other qubit, for the one-shot fresh pipeline. A disjunct whose two
+//! cofactors are one node is dropped without a backend call. Sessions
+//! answer "which other qubits depend on `q`" from a support index (see
+//! `crate::support`). On the canonical ANF/BDD rungs that index is exact
+//! and decides (6.2) outright; only the (6.1) root is built here. On the
+//! SAT rung the index holds the structural supports of the
+//! representatives the SAT sweep proved equal to the final formulas
+//! (see `crate::sweep`), so it names candidates only:
+//! [`build_conditions_swept`] cofactors just those, sweeps each cofactor
+//! pair so every merge makes more identities visible, and memoises each
+//! candidate's outcome in an [`OutcomeMemo`].
 //!
 //! The naive *clean-uncomputation* condition (`b_q ⊕ q` unsatisfiable,
 //! i.e. basis states are restored) is also provided: it is what the
 //! introduction's Fig. 1.4 counterexample satisfies while still being
 //! unsafe as a dirty qubit.
 
+use crate::support::memo_full;
 use crate::symbolic::SymbolicState;
 use crate::verifier::VerifyError;
 use qb_formula::{Arena, NodeId, NodeRemap, Var};
@@ -77,196 +81,123 @@ pub fn build_conditions(state: &mut SymbolicState, q: usize) -> Conditions {
     Conditions { zero, plus_parts }
 }
 
-/// A session-level memo of per-root cofactors, keyed by
-/// `(root, var, value)`.
+/// The SAT rung's memo of (6.2) disjunct outcomes, keyed by
+/// `(root, var)`: `None` when the disjunct of `root` under `var` was
+/// dropped (its two cofactors are one node, or the sweep proved them
+/// equal), else the XOR-difference root handed to the backend. Only
+/// candidates get an entry — roots whose structural support holds `var`
+/// (see `crate::support`) — so warm construction is lookups only.
 ///
-/// Rebuilding the (6.2) disjuncts is the backend-independent floor of a
-/// warm sweep: two [`qb_formula::Arena::cofactor_reachable`] passes over
-/// the whole live formula graph per target, even when hash-consing
-/// re-derives every node id unchanged. The arena is append-only, so a
-/// root's id permanently denotes one function and its cofactor under
-/// `(var, value)` is fixed — which makes the result memoisable across
-/// sweeps *and edits*: after a suffix edit, only formulas whose node id
-/// actually changed recompute their cofactor cones; every other root is
-/// a map lookup.
+/// The arena is append-only, so a root's id permanently denotes one
+/// function, and its outcome under `var` is a fact about that function:
+/// entries stay valid across sweeps and edits, and an edit only
+/// recomputes the outcomes of candidates whose root it changed.
 #[derive(Debug, Default)]
-pub(crate) struct CofactorMemo {
-    map: HashMap<(NodeId, Var, bool), NodeId>,
+pub(crate) struct OutcomeMemo {
+    map: HashMap<(NodeId, Var), Option<NodeId>>,
     hits: u64,
-    misses: u64,
-    /// Entries the most recent primed sweep needs resident all at once
-    /// (2 · vars · roots). The flush bound never drops below a multiple
-    /// of this, so a paper-scale sweep (adder-512 primes ≈ 1M entries)
-    /// is not wiped by the pathological-edit-stream cap mid-sweep.
-    sweep_floor: usize,
 }
 
-/// Flush bound: the memo holds (formula × target-var × 2) entries per
-/// circuit shape, but a pathological edit stream could grow it without
-/// bound, so it is cleared wholesale past this size (a rare, cheap,
-/// correctness-free event). The effective bound is raised to a multiple
-/// of the last primed sweep's working set (see
-/// [`CofactorMemo::sweep_floor`]), which a whole-circuit sweep needs
-/// resident simultaneously.
-const COFACTOR_MEMO_CAP: usize = 1 << 14;
-
-/// Headroom multiplier over the primed working set before a flush.
-const COFACTOR_MEMO_SLACK: usize = 4;
-
-impl CofactorMemo {
-    /// Memoised sweep: ensures `(f, var, val)` is cached for every root
-    /// in `formulas`, running one restricted cofactor pass over the
-    /// missing roots only.
-    fn ensure(&mut self, arena: &mut Arena, formulas: &[NodeId], var: Var, val: bool) {
-        let missing: Vec<NodeId> = formulas
-            .iter()
-            .copied()
-            .filter(|&f| !self.map.contains_key(&(f, var, val)))
-            .collect();
-        self.hits += (formulas.len() - missing.len()) as u64;
-        if missing.is_empty() {
-            return;
-        }
-        self.misses += missing.len() as u64;
-        let map = arena.cofactor_reachable(&missing, var, val);
-        for f in missing {
-            self.map.insert((f, var, val), map[f.index()]);
-        }
-    }
-
-    /// Batched warm-up for a whole sweep: ensures the cofactor pairs of
-    /// every root in `formulas` under every variable in `vars` are
-    /// memoised, computing all missing cones in **one** shared arena
-    /// traversal ([`qb_formula::Arena::cofactor_batch`]). Cold
-    /// multi-target construction drops from O(k·DAG) to
-    /// O(DAG + Σ cones); warm sweeps skip the traversal entirely.
-    pub(crate) fn prime(&mut self, arena: &mut Arena, formulas: &[NodeId], vars: &[Var]) {
-        self.sweep_floor = 2 * vars.len() * formulas.len();
-        let missing: Vec<Var> = vars
-            .iter()
-            .copied()
-            .filter(|&v| {
-                formulas.iter().any(|&f| {
-                    !self.map.contains_key(&(f, v, false)) || !self.map.contains_key(&(f, v, true))
-                })
-            })
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let pairs = arena.cofactor_batch(formulas, &missing);
-        for (vi, &var) in missing.iter().enumerate() {
-            for (ri, &f) in formulas.iter().enumerate() {
-                let (c0, c1) = pairs[vi][ri];
-                if self.map.insert((f, var, false), c0).is_none() {
-                    self.misses += 1;
-                }
-                if self.map.insert((f, var, true), c1).is_none() {
-                    self.misses += 1;
-                }
-            }
-        }
-    }
-
-    /// Appends the cofactor nodes of every entry whose root is a
-    /// *current* formula to `roots` — the live set an arena collection
-    /// must preserve. A batch-primed sweep's cones are reachable only
-    /// through the memo until their targets are verified; without this,
-    /// a mid-sweep collection would reclaim them and silently revert
-    /// construction to the per-target path. Entries for stale roots
-    /// (pre-edit formulas) are deliberately *not* kept alive: they are
-    /// only useful again if an edit restores the old node ids, in which
-    /// case hash-consing re-derives them.
-    pub(crate) fn extend_live_roots(
-        &self,
-        roots: &mut Vec<NodeId>,
-        current: &std::collections::HashSet<NodeId>,
-    ) {
-        for ((root, _, _), &cof) in &self.map {
-            if current.contains(root) {
-                roots.push(cof);
-            }
-        }
-    }
-
+impl OutcomeMemo {
     /// Entries currently memoised.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Lookups answered without a cofactor pass.
+    /// Candidates whose outcome was answered from the memo.
     pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Follows an arena collection: keys and values are rewritten
-    /// through `remap`; entries touching a collected node are dropped
-    /// (sound — a collected id is never issued for its old structure
-    /// again).
+    /// Follows an arena collection: keys and difference roots are
+    /// rewritten through `remap`; entries touching a collected node are
+    /// dropped (sound — a collected id is never issued for its old
+    /// structure again).
     pub(crate) fn remap_nodes(&mut self, remap: &NodeRemap) {
         let map = std::mem::take(&mut self.map);
-        for ((root, var, val), cof) in map {
-            if let (Some(root), Some(cof)) = (remap.remap(root), remap.remap(cof)) {
-                self.map.insert((root, var, val), cof);
+        for ((root, var), diff) in map {
+            let diff = match diff.map(|d| remap.remap(d)) {
+                Some(None) => continue,
+                diff => diff.flatten(),
+            };
+            if let Some(root) = remap.remap(root) {
+                self.map.insert((root, var), diff);
             }
         }
     }
 }
 
-/// [`build_conditions`] with a session cofactor memo, over `formulas`:
-/// the final formulas, or nodes proven equal to them. Each cofactor pair
-/// is first mapped through `canon` (a node proven equal to its argument;
-/// the identity when the session does not sweep). With the final
-/// formulas and the identity this is [`build_conditions`]' output
-/// (hash-consing makes the memoised and recomputed node ids equal), but
-/// warm sweeps skip the per-target graph walks entirely.
+/// The conditions of `q` on the SAT rung, over `roots` — nodes proven
+/// equal to the final formulas (the sweep representatives) — and
+/// `candidates`: the other qubits whose root structurally depends on
+/// `q`, in qubit order. Every other qubit's disjunct is identically
+/// false. The candidates without a memoised outcome are cofactored in
+/// one shared pass; each pair is mapped through `canon` (a node proven
+/// equal to its argument), and the disjunct is dropped when the two
+/// sides are one node, before or after. With the final formulas and the
+/// identity `canon` this is [`build_conditions`]' output (hash-consing
+/// makes the node ids equal). A pair that `canon` stops records no
+/// outcome.
 ///
 /// # Errors
 ///
 /// Whatever `canon` returns (an interrupted sweep).
-pub(crate) fn build_conditions_memo(
+pub(crate) fn build_conditions_swept(
     state: &mut SymbolicState,
-    formulas: &[NodeId],
+    roots: &[NodeId],
     q: usize,
-    memo: &mut CofactorMemo,
+    candidates: &[usize],
+    memo: &mut OutcomeMemo,
     mut canon: impl FnMut(&mut Arena, NodeId) -> Result<NodeId, VerifyError>,
 ) -> Result<Conditions, VerifyError> {
     assert!(q < state.num_qubits(), "qubit out of range");
-    // Flush up front (never between the sweeps and the lookups below,
-    // which rely on the entries both sweeps just ensured). The bound
-    // respects the working set of a primed whole-circuit sweep.
-    let cap = COFACTOR_MEMO_CAP.max(COFACTOR_MEMO_SLACK * memo.sweep_floor);
-    if memo.map.len() > cap {
+    // Flush up front, never between the cofactor pass and the lookups.
+    if memo_full(memo.map.len(), roots.len()) {
         memo.map.clear();
     }
     let var: Var = state.vars[q];
     let arena = &mut state.arena;
     let q_node = arena.var(var);
     let not_q = arena.not(q_node);
-    let zero = arena.and2(formulas[q], not_q);
+    let zero = arena.and2(roots[q], not_q);
 
-    // (6.2): per-qubit cofactor diffs, served from the memo.
-    memo.ensure(arena, formulas, var, false);
-    memo.ensure(arena, formulas, var, true);
-    let mut plus_parts = Vec::with_capacity(formulas.len().saturating_sub(1));
-    for (q_prime, &f) in formulas.iter().enumerate() {
-        if q_prime == q {
-            continue;
-        }
-        let cof0 = memo.map[&(f, var, false)];
-        let cof1 = memo.map[&(f, var, true)];
-        // The identity check of `build_conditions`, made twice: on the
-        // memoised cofactors, then on the nodes `canon` proved them equal
-        // to — a merge makes more identities visible.
-        if cof0 == cof1 {
-            continue;
-        }
-        let (cof0, cof1) = (canon(arena, cof0)?, canon(arena, cof1)?);
-        if cof0 == cof1 {
-            continue;
-        }
-        let diff = arena.xor2(cof0, cof1);
-        plus_parts.push(diff);
+    let uncached: Vec<NodeId> = candidates
+        .iter()
+        .map(|&p| roots[p])
+        .filter(|&r| !memo.map.contains_key(&(r, var)))
+        .collect();
+    let (cof0, cof1) = if uncached.is_empty() {
+        (Vec::new(), Vec::new())
+    } else {
+        (
+            arena.cofactor_reachable(&uncached, var, false),
+            arena.cofactor_reachable(&uncached, var, true),
+        )
+    };
+    let mut plus_parts = Vec::new();
+    for &p in candidates {
+        let root = roots[p];
+        let diff = match memo.map.get(&(root, var)) {
+            Some(&diff) => {
+                memo.hits += 1;
+                diff
+            }
+            None => {
+                let (c0, c1) = (cof0[root.index()], cof1[root.index()]);
+                // The identity check of `build_conditions`, made twice:
+                // on the cofactors, then on the nodes `canon` proved
+                // them equal to — a merge makes more identities visible.
+                let diff = if c0 == c1 {
+                    None
+                } else {
+                    let (c0, c1) = (canon(arena, c0)?, canon(arena, c1)?);
+                    (c0 != c1).then(|| arena.xor2(c0, c1))
+                };
+                memo.map.insert((root, var), diff);
+                diff
+            }
+        };
+        plus_parts.extend(diff);
     }
     Ok(Conditions { zero, plus_parts })
 }
@@ -393,5 +324,56 @@ mod tests {
         let conds = build_conditions(&mut s, 0);
         assert!(all_unsat(&s, &[conds.zero]));
         assert!(all_unsat(&s, &conds.plus_parts));
+    }
+
+    /// The candidates of `q`: the other qubits whose formula reaches its
+    /// variable.
+    fn candidates(s: &SymbolicState, q: usize) -> Vec<usize> {
+        let supports = crate::support::structural_supports(&s.arena, &s.formulas);
+        (0..s.num_qubits())
+            .filter(|&p| p != q && supports[p].contains(&s.vars[q]))
+            .collect()
+    }
+
+    #[test]
+    fn swept_construction_matches_the_fresh_one_and_memoises_outcomes() {
+        // A leaking Toffoli, and a CNOT pair Raw construction keeps: q3
+        // reaches q0's variable but does not depend on it.
+        let mut c = Circuit::new(4);
+        c.toffoli(0, 1, 2).cnot(0, 3).cnot(0, 3);
+        let mut s = exec(&c, Simplify::Raw);
+        let formulas = s.formulas.clone();
+        let fresh = build_conditions(&mut s, 0);
+        let cands = candidates(&s, 0);
+        assert_eq!(cands, vec![2, 3]);
+        let mut memo = OutcomeMemo::default();
+        for round in 0..2 {
+            let swept =
+                build_conditions_swept(&mut s, &formulas, 0, &cands, &mut memo, |_, n| Ok(n))
+                    .unwrap();
+            assert_eq!(swept.zero, fresh.zero);
+            assert_eq!(swept.plus_parts, fresh.plus_parts, "round {round}");
+            assert_eq!(memo.len(), 2);
+            assert_eq!(memo.hits(), 2 * round as u64);
+        }
+    }
+
+    #[test]
+    fn an_interrupted_pair_records_no_outcome() {
+        let mut c = Circuit::new(3);
+        c.toffoli(0, 1, 2);
+        let mut s = exec(&c, Simplify::Raw);
+        let formulas = s.formulas.clone();
+        let cands = candidates(&s, 0);
+        let mut memo = OutcomeMemo::default();
+        let stopped = build_conditions_swept(&mut s, &formulas, 0, &cands, &mut memo, |_, _| {
+            Err(VerifyError::Interrupted)
+        });
+        assert!(matches!(stopped, Err(VerifyError::Interrupted)));
+        assert_eq!(memo.len(), 0);
+        let built =
+            build_conditions_swept(&mut s, &formulas, 0, &cands, &mut memo, |_, n| Ok(n)).unwrap();
+        assert_eq!(built.plus_parts.len(), 1);
+        assert_eq!((memo.len(), memo.hits()), (1, 0));
     }
 }

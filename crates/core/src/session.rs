@@ -24,13 +24,15 @@
 //!
 //! That is the SAT rung, where the session also SAT-sweeps its arena
 //! (`crate::sweep`): a base pass per circuit version proves the final
-//! formulas equal to simpler representatives, a per-target pass proves
-//! cofactor pairs equal, and condition construction drops every
-//! disjunct whose two sides merged. On the canonical ANF and BDD rungs
-//! (`--backend anf|bdd`, and `auto` until it reaches SAT) the session
-//! builds no cofactors: it normalises each final formula once per
-//! circuit version and decides (6.2) by support membership (the
-//! `support` module); only the (6.1) root goes through the decision
+//! formulas equal to simpler representatives. Every rung answers "which
+//! other qubits depend on `q`" from a support index built once per
+//! circuit version (the `support` module). On the SAT rung it holds the
+//! representatives' structural supports, which name candidates: a
+//! per-target pass cofactors only those, proves cofactor pairs equal,
+//! and drops every disjunct whose two sides merged. On the canonical ANF
+//! and BDD rungs (`--backend anf|bdd`, and `auto` until it reaches SAT)
+//! the supports are exact, so (6.2) is decided by support membership and
+//! no cofactor is built; only the (6.1) root goes through the decision
 //! cache.
 //!
 //! [`verify_circuit_parallel`] shards independent targets across
@@ -38,8 +40,8 @@
 //! dependencies) and reassembles verdicts in request order.
 
 use crate::backend::{anf_witness, AutoPreference, BackendKind, Decision, AUTO_ANF_TERM_CAP};
-use crate::conditions::{build_conditions_memo, zero_condition, CofactorMemo};
-use crate::support::SupportMemo;
+use crate::conditions::{build_conditions_swept, zero_condition, OutcomeMemo};
+use crate::support::{structural_supports, SupportMemo};
 use crate::sweep::{Proof, Prover, Sweep, SWEEP_CONFLICT_CAP};
 use crate::symbolic::{
     initial_formulas, symbolic_apply, symbolic_execute, InitialValue, SymbolicState,
@@ -369,9 +371,10 @@ pub struct SessionStats {
     pub decision_hits: u64,
     /// Decision-cache entries dropped by LRU eviction.
     pub decision_evictions: u64,
-    /// Memoised per-root cofactor entries (condition construction).
+    /// Memoised (6.2) disjunct outcomes of the SAT rung, one per
+    /// (candidate root, target variable); 0 on the ANF and BDD rungs.
     pub cofactor_memo_entries: usize,
-    /// Cofactor lookups answered without a graph walk.
+    /// Candidate outcomes answered without a cofactor pass.
     pub cofactor_hits: u64,
     /// Memoised final-formula supports (the plus condition on the ANF
     /// and BDD rungs).
@@ -454,8 +457,8 @@ pub struct SessionStats {
     /// Condition roots shown satisfiable by a simulation pattern, with
     /// no solver call.
     pub sweep_sim_witnesses: u64,
-    /// Cumulative condition-construction (cofactor) time, including the
-    /// batched memo priming of multi-target sweeps.
+    /// Cumulative condition-construction time of the SAT rung: structural
+    /// supports and cofactor passes, without the sweep passes.
     pub cofactor_time: Duration,
     /// Wall-latency histogram over completed [`VerifySession::verify_target`]
     /// calls (nanosecond samples; the daemon folds these into its
@@ -571,16 +574,16 @@ pub struct VerifySession {
     /// whose roots were reclaimed — such a root can never be queried
     /// under its old id again), and the cache itself is LRU-bounded.
     decisions: HashMap<NodeId, CachedDecision>,
-    /// Memoised per-root cofactors (the condition construction of the
-    /// SAT rung; see [`CofactorMemo`]).
-    cofactors: CofactorMemo,
-    /// Target variables of the running multi-target sweep, primed into
-    /// the cofactor memo in one batch when the first target takes the
-    /// SAT path.
-    sweep_prime: Vec<Var>,
     /// Memoised final-formula supports (the plus condition on the ANF
     /// and BDD rungs; see [`SupportMemo`]).
     supports: SupportMemo,
+    /// Memoised structural supports of the sweep representatives (the
+    /// (6.2) candidates of the SAT rung). Never shares entries with
+    /// `supports`, whose entries are all real dependencies.
+    structural: SupportMemo,
+    /// Memoised (6.2) candidate outcomes of the SAT rung (see
+    /// [`OutcomeMemo`]).
+    outcomes: OutcomeMemo,
     /// SAT-sweeping state of the SAT rung (see [`Sweep`]).
     sweep: Sweep,
     decision_hits: u64,
@@ -668,9 +671,9 @@ impl VerifySession {
             anf,
             permanent_len: circuit.size(),
             decisions: HashMap::new(),
-            cofactors: CofactorMemo::default(),
-            sweep_prime: Vec::new(),
             supports: SupportMemo::default(),
+            structural: SupportMemo::default(),
+            outcomes: OutcomeMemo::default(),
             sweep: Sweep::default(),
             decision_hits: 0,
             decision_clock: 0,
@@ -816,8 +819,8 @@ impl VerifySession {
             cached_decisions: self.decisions.len(),
             decision_hits: self.decision_hits,
             decision_evictions: self.decision_evictions,
-            cofactor_memo_entries: self.cofactors.len(),
-            cofactor_hits: self.cofactors.hits(),
+            cofactor_memo_entries: self.outcomes.len(),
+            cofactor_hits: self.outcomes.hits(),
             support_memo_entries: self.supports.len(),
             support_hits: self.supports.hits(),
             arena_collections: self.arena_collections,
@@ -886,19 +889,6 @@ impl VerifySession {
         }
         roots.extend(self.decisions.keys().copied());
         roots.extend(self.sweep.roots());
-        // Primed-but-unused cofactor cones are reachable only through
-        // the memo; keep the current formulas' entries alive so a
-        // mid-sweep collection cannot undo the batch construction. On
-        // the SAT rung the memo is keyed by the formulas' sweep
-        // representatives.
-        let current: std::collections::HashSet<NodeId> = self
-            .state
-            .formulas
-            .iter()
-            .chain(self.sweep.roots())
-            .copied()
-            .collect();
-        self.cofactors.extend_live_roots(&mut roots, &current);
         // Keep every root's representative, so merges survive.
         self.sweep.extend_live_roots(&mut roots);
         let before = self.state.arena.len();
@@ -923,8 +913,9 @@ impl VerifySession {
         if let Some(anf) = &mut self.anf {
             anf.remap_nodes(&remap);
         }
-        self.cofactors.remap_nodes(&remap);
         self.supports.remap_nodes(&remap);
+        self.structural.remap_nodes(&remap);
+        self.outcomes.remap_nodes(&remap);
         self.sweep.remap_nodes(&remap);
         self.arena_collections += 1;
         self.arena_nodes_collected += (before - self.state.arena.len()) as u64;
@@ -1140,9 +1131,8 @@ impl VerifySession {
     }
 
     /// Runs one root query on the shared SAT state, opening the target
-    /// scope lazily and timing the solver work. On the SAT rung a
-    /// simulation pattern that sets the root is its witness, and no
-    /// solver call is made.
+    /// scope lazily and timing the solver work. A simulation pattern that
+    /// sets the root is its witness, and no solver call is made.
     fn run_sat_root(
         &mut self,
         root: NodeId,
@@ -1151,37 +1141,25 @@ impl VerifySession {
         let _span = qb_obs::span("backend", "sat");
         let t0 = Instant::now();
         self.ensure_sat();
-        if self.sweeping() {
-            let sig = self.sweep.sig(&self.state.arena, root);
-            if sig != 0 {
-                self.sweep.sim_witnesses += 1;
-                qb_obs::counter_add("sweep", "sim_witnesses", 1);
-                let model = Sweep::pattern(&self.state.vars, sig.trailing_zeros());
-                let elapsed = t0.elapsed();
-                self.sweep.time += elapsed;
-                self.sat_time += elapsed;
-                return Ok(Decision {
-                    unsat: false,
-                    model: Some(model),
-                    size: 0,
-                });
-            }
+        let sig = self.sweep.sig(&self.state.arena, root);
+        if sig != 0 {
+            self.sweep.sim_witnesses += 1;
+            qb_obs::counter_add("sweep", "sim_witnesses", 1);
+            let model = Sweep::pattern(&self.state.vars, sig.trailing_zeros());
+            let elapsed = t0.elapsed();
+            self.sweep.time += elapsed;
+            self.sat_time += elapsed;
+            return Ok(Decision {
+                unsat: false,
+                model: Some(model),
+                size: 0,
+            });
         }
         let sat = self.sat.as_mut().expect("SAT backend state");
         let guard = scope.guard(sat);
         let d = Self::run_query(sat, &self.state.arena, &[root], guard, &mut scope.vars);
         self.sat_time += t0.elapsed();
         d
-    }
-
-    /// Whether the session sweeps: it sits on the SAT rung (`--backend
-    /// sat`, or `auto` once the ladder reached SAT).
-    fn sweeping(&self) -> bool {
-        match self.opts.backend {
-            BackendKind::Sat => true,
-            BackendKind::Auto => self.auto_pref.backend() == BackendKind::Sat,
-            _ => false,
-        }
     }
 
     /// The base pass, once per circuit version: sweeps the final
@@ -1212,10 +1190,10 @@ impl VerifySession {
         Ok(self.sweep.roots().to_vec())
     }
 
-    /// Condition construction on the SAT path: cofactors of the final
-    /// formulas (of their sweep representatives when sweeping, with each
-    /// cofactor pair swept in this target's scope — one per-target pass),
-    /// batch-primed for a multi-target sweep.
+    /// Condition construction on the SAT path: the base pass, the
+    /// structural supports of its representatives (once per circuit
+    /// version), then the cofactors of `q`'s candidates, each pair swept
+    /// in this target's scope (one per-target pass).
     fn sat_conditions(
         &mut self,
         q: usize,
@@ -1224,37 +1202,17 @@ impl VerifySession {
         let _span = qb_obs::span("cofactor", "");
         let clock = Instant::now();
         let (swept_before, sat_before) = (self.sweep.time, self.sat_time);
-        let sweeping = self.sweeping();
         let built = (|| {
-            let formulas = if sweeping {
-                self.sweep_base()?
-            } else {
-                self.state.formulas.clone()
-            };
-            if !self.sweep_prime.is_empty() {
-                let _span = qb_obs::span("cofactor", "prime");
-                let vars = std::mem::take(&mut self.sweep_prime);
-                let before = self.state.arena.len();
-                self.cofactors
-                    .prime(&mut self.state.arena, &formulas, &vars);
-                // The primed cones are live (the memo keeps them for the
-                // current roots), so they move the collection watermark
-                // as a collection would: collecting right after a prime
-                // reclaimed ≈ 1% of adder-256's arena for a quarter of
-                // its sweep time.
-                self.arena_watermark = self
-                    .arena_watermark
-                    .saturating_add(self.state.arena.len() - before);
+            let roots = self.sweep_base()?;
+            let missing = self.structural.missing(&roots);
+            if !missing.is_empty() {
+                let supports = structural_supports(&self.state.arena, &missing);
+                for (f, support) in missing.into_iter().zip(supports) {
+                    self.structural.insert(f, support);
+                }
             }
-            if !sweeping {
-                return build_conditions_memo(
-                    &mut self.state,
-                    &formulas,
-                    q,
-                    &mut self.cofactors,
-                    |_, node| Ok(node),
-                );
-            }
+            let var = self.state.vars[q];
+            let candidates: Vec<usize> = self.structural.dependents(&roots, q, var).collect();
             let _span = qb_obs::span("sweep", "target");
             let mut prover = SatProver {
                 sat: self.sat.as_mut().expect("SAT backend state"),
@@ -1262,11 +1220,12 @@ impl VerifySession {
                 calls: 0,
             };
             let sweep = &mut self.sweep;
-            let built = build_conditions_memo(
+            let built = build_conditions_swept(
                 &mut self.state,
-                &formulas,
+                &roots,
                 q,
-                &mut self.cofactors,
+                &candidates,
+                &mut self.outcomes,
                 |arena, node| {
                     let clock = Instant::now();
                     let canon = sweep.canon(arena, &mut prover, node);
@@ -1495,7 +1454,11 @@ impl VerifySession {
             }
         }
         let var = self.state.vars[q];
-        let Some(p) = self.supports.first_dependent(&self.state.formulas, q, var) else {
+        let Some(p) = self
+            .supports
+            .dependents(&self.state.formulas, q, var)
+            .next()
+        else {
             return Ok(Decision {
                 unsat: true,
                 model: None,
@@ -1725,9 +1688,14 @@ impl VerifySession {
                 self.decide_target(zero_root, &[], &mut scope)
                     .map(|(zero, zero_time, _, _)| (zero, zero_time, plus, support_time))
             }
-            Ok(None) => self
-                .sat_conditions(q, &mut scope)
-                .and_then(|c| self.decide_target(c.zero, &c.plus_parts, &mut scope)),
+            // SAT rung: the (6.2) construction is charged to the plus
+            // time, as the support normalisation is above.
+            Ok(None) => self.sat_conditions(q, &mut scope).and_then(|c| {
+                let built = t_plus.elapsed();
+                self.decide_target(c.zero, &c.plus_parts, &mut scope).map(
+                    |(zero, zero_time, plus, plus_time)| (zero, zero_time, plus, built + plus_time),
+                )
+            }),
             Err(e) => Err(e),
         };
         self.close_target(scope);
@@ -1805,14 +1773,12 @@ impl VerifySession {
     /// Verifies a sequence of targets, returning verdicts in request
     /// order.
     ///
-    /// On the SAT rung, multi-target sweeps prime the session cofactor
-    /// memo when the first target is constructed: one batched arena
-    /// traversal computes every target's cofactor pairs
-    /// ([`qb_formula::Arena::cofactor_batch`]), so per-target condition
-    /// construction is pure map lookups — cold construction is
-    /// O(DAG + Σ cones) instead of O(targets · DAG). The ANF and BDD
-    /// rungs need no cofactors: they normalise each final formula once
-    /// per circuit version and decide (6.2) by support.
+    /// Every rung answers (6.2) from a support index built once per
+    /// circuit version. The ANF and BDD rungs normalise each final
+    /// formula and decide (6.2) by exact support. The SAT rung indexes
+    /// the structural supports of its sweep representatives, and each
+    /// target cofactors only the candidates the index names; their
+    /// memoised outcomes make a warm sweep lookups only.
     ///
     /// # Errors
     ///
@@ -1822,16 +1788,7 @@ impl VerifySession {
         // Overload tests arm this with `delay-<ms>` to make any sweep
         // artificially slow without needing a large circuit.
         qb_testutil::failpoints::hit("slow_solve");
-        let n = self.state.num_qubits();
-        if targets.len() > 1 && targets.iter().all(|&q| q < n) {
-            let mut vars: Vec<Var> = targets.iter().map(|&q| self.state.vars[q]).collect();
-            vars.sort_unstable();
-            vars.dedup();
-            self.sweep_prime = vars;
-        }
-        let verdicts = targets.iter().map(|&q| self.verify_target(q)).collect();
-        self.sweep_prime.clear();
-        verdicts
+        targets.iter().map(|&q| self.verify_target(q)).collect()
     }
 
     /// [`VerifySession::verify_targets`] under [`VerifyLimits`]:

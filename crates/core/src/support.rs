@@ -1,34 +1,48 @@
-//! The plus condition (6.2) decided by support on the canonical rungs.
+//! The plus condition (6.2) decided by support.
 //!
 //! Formula (6.2) for dirty qubit `q` asks whether some other qubit's
-//! final formula `b_{q'}` depends on `q` (Thm. 6.2/6.4). On a canonical
-//! representation that is exact support membership: `q` labels a node of
-//! `b_{q'}`'s reduced BDD, or occurs in a term of its ANF polynomial. A
-//! session on the ANF or BDD rung therefore normalises every final
-//! formula once per circuit version, records each support in a
-//! [`SupportMemo`] keyed by formula node, and answers each target with
-//! one lookup in an inverted index (variable → dependent qubits) instead
-//! of one cofactor XOR root per (target, other qubit).
+//! final formula `b_{q'}` depends on `q` (Thm. 6.2/6.4). A
+//! [`SupportMemo`] records one support per formula node and answers a
+//! target from an inverted index (variable → dependent qubits), through
+//! [`SupportMemo::dependents`]. A session keeps two instances, which
+//! never share entries:
+//!
+//! * On the canonical ANF and BDD rungs the supports are exact: `q`
+//!   labels a node of `b_{q'}`'s reduced BDD, or occurs in a term of its
+//!   ANF polynomial. The session normalises every final formula once per
+//!   circuit version, and the first dependent is the violated disjunct.
+//! * On the SAT rung the supports are *structural*
+//!   ([`structural_supports`]): the variables whose `Var` node a sweep
+//!   representative reaches. They over-approximate the true supports, so
+//!   the dependents are only candidates. Condition construction
+//!   (`crate::conditions`) cofactors each candidate, and every other
+//!   qubit's disjunct is identically false without a cofactor pass.
 
-use qb_formula::{NodeId, NodeRemap, Var};
+use qb_formula::{Arena, Node, NodeId, NodeRemap, Var};
 use std::collections::HashMap;
 
-/// Flush bound of the memo: past `max(cap, slack · qubits)` entries it
-/// is cleared wholesale (a rare, correctness-free event), so an edit
-/// stream that keeps minting new formulas cannot grow it without bound
-/// while one circuit version's formulas always fit.
+/// Flush bound of a memo: past `max(cap, slack · qubits)` entries it is
+/// cleared wholesale (a rare, correctness-free event), so an edit stream
+/// that keeps minting new formulas cannot grow it without bound while
+/// one circuit version's formulas always fit.
 const SUPPORT_MEMO_CAP: usize = 1 << 14;
 
 /// Headroom multiplier over one circuit version's formula count.
 const SUPPORT_MEMO_SLACK: usize = 4;
 
-/// Memoised supports of final formulas, keyed by formula [`NodeId`].
+/// Whether a memo holding `entries` for a circuit of `qubits` formulas
+/// is past its flush bound (see [`SUPPORT_MEMO_CAP`]).
+pub(crate) fn memo_full(entries: usize, qubits: usize) -> bool {
+    entries > SUPPORT_MEMO_CAP.max(SUPPORT_MEMO_SLACK * qubits)
+}
+
+/// Memoised supports of formulas, keyed by formula [`NodeId`].
 ///
 /// The arena is append-only and hash-consed, so an id denotes one Boolean
-/// function and its support never changes: entries stay valid across
-/// sweeps and edits, and an edit only normalises the formulas whose node
-/// id it changed. Arena collections remap the keys like the cofactor
-/// memo's.
+/// function and one structure, and neither its support nor its structural
+/// support ever changes: entries stay valid across sweeps and edits, and
+/// an edit only recomputes the supports of the formulas whose node id it
+/// changed. Arena collections remap the keys.
 #[derive(Debug, Default)]
 pub(crate) struct SupportMemo {
     map: HashMap<NodeId, Box<[Var]>>,
@@ -39,10 +53,10 @@ pub(crate) struct SupportMemo {
 /// The inverted index over one circuit version's supports.
 #[derive(Debug)]
 struct SupportIndex {
-    /// The final formulas it indexes (the circuit version).
+    /// The formulas it indexes (the circuit version).
     formulas: Vec<NodeId>,
-    /// `dependents[v]`: the qubits whose final formula depends on
-    /// variable `v`, ascending.
+    /// `dependents[v]`: the qubits whose formula depends on variable
+    /// `v`, ascending.
     dependents: Vec<Vec<usize>>,
 }
 
@@ -54,7 +68,7 @@ impl SupportMemo {
         if self.indexes(formulas) {
             return Vec::new();
         }
-        if self.map.len() > SUPPORT_MEMO_CAP.max(SUPPORT_MEMO_SLACK * formulas.len()) {
+        if memo_full(self.map.len(), formulas.len()) {
             self.map.clear();
         }
         let mut missing = Vec::new();
@@ -75,17 +89,16 @@ impl SupportMemo {
         self.map.insert(f, support.into_boxed_slice());
     }
 
-    /// The first qubit other than `q` whose formula in `formulas` depends
-    /// on `var` — the first violated (6.2) disjunct, in the order the
-    /// cofactor construction visits them. Indexes `formulas` first if
-    /// needed; every one of them must be memoised (see
-    /// [`SupportMemo::missing`]).
-    pub(crate) fn first_dependent(
+    /// The qubits other than `q` whose formula in `formulas` depends on
+    /// `var`, in qubit order — the order the cofactor construction visits
+    /// the (6.2) disjuncts. Indexes `formulas` first if needed; every one
+    /// of them must be memoised (see [`SupportMemo::missing`]).
+    pub(crate) fn dependents(
         &mut self,
         formulas: &[NodeId],
         q: usize,
         var: Var,
-    ) -> Option<usize> {
+    ) -> impl Iterator<Item = usize> + '_ {
         if !self.indexes(formulas) {
             let mut dependents: Vec<Vec<usize>> = Vec::new();
             for (qubit, f) in formulas.iter().enumerate() {
@@ -105,10 +118,11 @@ impl SupportMemo {
         let index = self.index.as_ref().expect("index built above");
         index
             .dependents
-            .get(var as usize)?
-            .iter()
+            .get(var as usize)
+            .into_iter()
+            .flatten()
             .copied()
-            .find(|&p| p != q)
+            .filter(move |&p| p != q)
     }
 
     /// Whether the index covers the circuit version `formulas`.
@@ -145,13 +159,67 @@ impl SupportMemo {
     }
 }
 
+/// The structural supports of `roots`: for each, the variables whose
+/// `Var` node it reaches, ascending. One bottom-up pass of per-node
+/// bitsets over the nodes reachable from `roots` (children precede
+/// parents in the arena).
+pub(crate) fn structural_supports(arena: &Arena, roots: &[NodeId]) -> Vec<Vec<Var>> {
+    let live = arena.reachable(roots);
+    // One bitset row per reachable node.
+    let mut row = vec![usize::MAX; live.len()];
+    let (mut rows, mut vars) = (0, 0);
+    for (i, _) in live.iter().enumerate().filter(|(_, &l)| l) {
+        row[i] = rows;
+        rows += 1;
+        if let Node::Var(v) = arena.node(arena.id_at(i)) {
+            vars = vars.max(*v as usize + 1);
+        }
+    }
+    let words = vars.div_ceil(64).max(1);
+    let mut bits = vec![0u64; rows * words];
+    for (i, &r) in row.iter().enumerate() {
+        if r == usize::MAX {
+            continue;
+        }
+        let at = r * words;
+        match arena.node(arena.id_at(i)) {
+            Node::Const(_) => {}
+            Node::Var(v) => bits[at + *v as usize / 64] |= 1 << (v % 64),
+            Node::And(children) | Node::Xor(children, _) => {
+                for c in children.iter() {
+                    let from = row[c.index()] * words;
+                    for w in 0..words {
+                        let word = bits[from + w];
+                        bits[at + w] |= word;
+                    }
+                }
+            }
+        }
+    }
+    roots
+        .iter()
+        .map(|r| {
+            let at = row[r.index()] * words;
+            let mut support = Vec::new();
+            for (w, &word) in bits[at..at + words].iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    support.push((w * 64) as Var + word.trailing_zeros());
+                    word &= word - 1;
+                }
+            }
+            support
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qb_formula::{Arena, Simplify};
 
     #[test]
-    fn first_dependent_skips_the_target_and_follows_qubit_order() {
+    fn dependents_skip_the_target_and_follow_qubit_order() {
         let mut arena = Arena::new(Simplify::Full);
         let x: Vec<NodeId> = (0..4).map(|v| arena.var(v)).collect();
         // q0 = x0, q1 = x1 ⊕ x0, q2 = x2, q3 = x3 ⊕ x0.
@@ -163,9 +231,13 @@ mod tests {
         for (f, s) in formulas.iter().zip(supports) {
             memo.insert(*f, s);
         }
-        assert_eq!(memo.first_dependent(&formulas, 0, 0), Some(1));
-        assert_eq!(memo.first_dependent(&formulas, 1, 1), None);
-        assert_eq!(memo.first_dependent(&formulas, 2, 2), None);
+        let dependents = |memo: &mut SupportMemo, q, var| -> Vec<usize> {
+            memo.dependents(&formulas, q, var).collect()
+        };
+        assert_eq!(dependents(&mut memo, 0, 0), vec![1, 3]);
+        assert_eq!(dependents(&mut memo, 1, 0), vec![0, 3]);
+        assert_eq!(dependents(&mut memo, 1, 1), Vec::<usize>::new());
+        assert_eq!(dependents(&mut memo, 2, 2), Vec::<usize>::new());
         assert!(memo.missing(&formulas).is_empty(), "indexed version");
         assert_eq!(memo.hits(), 0);
 
@@ -174,5 +246,17 @@ mod tests {
         edited[2] = arena.xor2(x[2], x[0]);
         assert_eq!(memo.missing(&edited), vec![edited[2]]);
         assert_eq!(memo.hits(), 3);
+    }
+
+    #[test]
+    fn structural_supports_over_approximate_and_span_words() {
+        let mut arena = Arena::new(Simplify::Raw);
+        let (x0, x1, x70) = (arena.var(0), arena.var(1), arena.var(70));
+        // Raw construction keeps `x0 ⊕ x0`: x0 is reached, not depended on.
+        let cancel = arena.xor2(x0, x0);
+        let f = arena.xor2(x1, cancel);
+        let g = arena.and2(x70, f);
+        let supports = structural_supports(&arena, &[f, g, x70, NodeId::TRUE]);
+        assert_eq!(supports, vec![vec![0, 1], vec![0, 1, 70], vec![70], vec![]]);
     }
 }

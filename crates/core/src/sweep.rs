@@ -24,15 +24,17 @@
 //! proven equal to (possibly complemented), or itself. The map is flat —
 //! the first member to enter a class stays its representative, so
 //! structure built over a representative never goes stale. Condition
-//! construction then cofactors the final formulas' representatives: a
-//! restored qubit's formula reduces to its `Var` node, whose cofactor
-//! pair is one node, and the pair of every remaining disjunct is swept
-//! too, so the identity check in `conditions.rs` drops every disjunct
-//! whose two sides merged before any solver call.
+//! construction then works on the final formulas' representatives: a
+//! restored qubit's formula reduces to its `Var` node, which reaches no
+//! other variable, so the structural support index (`support.rs`) names
+//! only the qubits whose representative still reaches the target's
+//! variable. Their cofactor pairs are swept too, so the identity check
+//! in `conditions.rs` drops every disjunct whose two sides merged before
+//! any solver call.
 //!
 //! Only proven merges are recorded and the arena stays append-only, so a
-//! [`NodeId`] still names one function: the decision cache and the
-//! cofactor memo stay sound. The state persists across targets, sweeps
+//! [`NodeId`] still names one function and one structure: the decision
+//! cache, the structural supports and the outcome memo stay sound. The state persists across targets, sweeps
 //! and edits (a suffix edit sweeps only nodes it has not seen), follows
 //! arena collections ([`Sweep::remap_nodes`]), and is deterministic:
 //! fixed patterns, and caps counted in conflicts.

@@ -435,43 +435,7 @@ impl Arena {
     /// New nodes may be appended to the arena; only ids that existed when
     /// the call started appear as keys (positions) of the returned map.
     pub fn cofactor_all(&mut self, var: Var, val: bool) -> Vec<NodeId> {
-        let original_len = self.nodes.len();
-        let mut map: Vec<NodeId> = Vec::with_capacity(original_len);
-        for i in 0..original_len {
-            let mapped = match self.nodes[i].clone() {
-                Node::Const(b) => self.constant(b),
-                Node::Var(v) => {
-                    if v == var {
-                        self.constant(val)
-                    } else {
-                        NodeId(i as u32)
-                    }
-                }
-                Node::And(children) => {
-                    let mapped: Vec<NodeId> = children.iter().map(|c| map[c.index()]).collect();
-                    if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
-                        NodeId(i as u32)
-                    } else {
-                        self.and(&mapped)
-                    }
-                }
-                Node::Xor(children, parity) => {
-                    let mapped: Vec<NodeId> = children.iter().map(|c| map[c.index()]).collect();
-                    if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
-                        NodeId(i as u32)
-                    } else {
-                        let x = self.xor(&mapped);
-                        if parity {
-                            self.not(x)
-                        } else {
-                            x
-                        }
-                    }
-                }
-            };
-            map.push(mapped);
-        }
-        map
+        self.cofactor_where(|_| true, var, val)
     }
 
     /// Substitutes a single root (convenience over [`Arena::cofactor_all`]).
@@ -486,199 +450,52 @@ impl Arena {
     /// work proportional to the live formula graph instead of the whole
     /// arena history.
     pub fn cofactor_reachable(&mut self, roots: &[NodeId], var: Var, val: bool) -> Vec<NodeId> {
-        let original_len = self.nodes.len();
         let live = self.reachable(roots);
+        self.cofactor_where(|i| live[i], var, val)
+    }
+
+    /// The cofactor map of [`Arena::cofactor_all`] over the nodes at the
+    /// positions `live` accepts; every other position maps to itself. A
+    /// node whose children all map to themselves maps to itself without
+    /// a constructor call, so no node id changes needlessly.
+    fn cofactor_where(&mut self, live: impl Fn(usize) -> bool, var: Var, val: bool) -> Vec<NodeId> {
+        let original_len = self.nodes.len();
         let mut map: Vec<NodeId> = Vec::with_capacity(original_len);
-        for (i, &is_live) in live.iter().enumerate().take(original_len) {
-            if !is_live {
-                map.push(NodeId(i as u32));
+        let mut mapped: Vec<NodeId> = Vec::new();
+        for i in 0..original_len {
+            let id = NodeId(i as u32);
+            let (children, parity) = match &self.nodes[i] {
+                Node::Var(v) if *v == var && live(i) => {
+                    map.push(self.constant(val));
+                    continue;
+                }
+                Node::And(children) if live(i) => (children, None),
+                Node::Xor(children, parity) if live(i) => (children, Some(*parity)),
+                _ => {
+                    map.push(id);
+                    continue;
+                }
+            };
+            mapped.clear();
+            mapped.extend(children.iter().map(|c| map[c.index()]));
+            if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
+                map.push(id);
                 continue;
             }
-            let mapped = match self.nodes[i].clone() {
-                Node::Const(b) => self.constant(b),
-                Node::Var(v) => {
-                    if v == var {
-                        self.constant(val)
+            let cofactored = match parity {
+                None => self.and(&mapped),
+                Some(parity) => {
+                    let x = self.xor(&mapped);
+                    if parity {
+                        self.not(x)
                     } else {
-                        NodeId(i as u32)
-                    }
-                }
-                Node::And(children) => {
-                    let mapped: Vec<NodeId> = children.iter().map(|c| map[c.index()]).collect();
-                    if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
-                        NodeId(i as u32)
-                    } else {
-                        self.and(&mapped)
-                    }
-                }
-                Node::Xor(children, parity) => {
-                    let mapped: Vec<NodeId> = children.iter().map(|c| map[c.index()]).collect();
-                    if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
-                        NodeId(i as u32)
-                    } else {
-                        let x = self.xor(&mapped);
-                        if parity {
-                            self.not(x)
-                        } else {
-                            x
-                        }
+                        x
                     }
                 }
             };
-            map.push(mapped);
+            map.push(cofactored);
         }
         map
-    }
-
-    /// Batched multi-variable cofactoring: computes, for every variable
-    /// in `vars`, the pair of cofactors (`var := false`, `var := true`)
-    /// of every root — all in **one** shared traversal of the graph
-    /// reachable from `roots`. `result[vi][ri]` is the cofactor pair of
-    /// `roots[ri]` under `vars[vi]`.
-    ///
-    /// A per-target sweep over k variables via
-    /// [`Arena::cofactor_reachable`] walks the live graph 2·k times,
-    /// paying the reachability marking and the per-node identity checks
-    /// again for every target even though most nodes do not depend on
-    /// most targets. This pass instead marks reachability once, computes
-    /// per-node support bitsets over `vars` in the same bottom-up order
-    /// (children precede parents in an append-only arena), and then
-    /// builds cofactors *only inside each variable's dependent cone* —
-    /// total work O(graph + Σᵥ |cone(v)|) instead of O(k·graph). The
-    /// per-root results are identical to the sequential calls thanks to
-    /// hash-consing (both restrict the same nodes with the same
-    /// connectives).
-    pub fn cofactor_batch(&mut self, roots: &[NodeId], vars: &[Var]) -> Vec<Vec<(NodeId, NodeId)>> {
-        let original_len = self.nodes.len();
-        let live = self.reachable(roots);
-        let k = vars.len();
-        let words = k.div_ceil(64).max(1);
-        let var_slot: HashMap<Var, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        // Per-node support bitset over `vars`, bottom-up (children precede
-        // parents in an append-only arena), plus per-variable cone lists
-        // (the nodes that actually depend on that variable, in
-        // topological order).
-        let mut support = vec![0u64; original_len * words];
-        let mut cones: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for i in 0..original_len {
-            if !live[i] {
-                continue;
-            }
-            match &self.nodes[i] {
-                Node::Const(_) => {}
-                Node::Var(v) => {
-                    if let Some(&slot) = var_slot.get(v) {
-                        support[i * words + slot / 64] |= 1u64 << (slot % 64);
-                    }
-                }
-                Node::And(children) | Node::Xor(children, _) => {
-                    for w in 0..words {
-                        let mut acc = 0u64;
-                        for c in children.iter() {
-                            acc |= support[c.index() * words + w];
-                        }
-                        support[i * words + w] |= acc;
-                    }
-                }
-            }
-            for w in 0..words {
-                let mut bits = support[i * words + w];
-                while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    cones[slot].push(i as u32);
-                }
-            }
-        }
-        // One pass per variable over its cone only, with stamped dense
-        // scratch arrays (no clearing between variables, no hashing).
-        let mut stamp = vec![0u32; original_len];
-        let mut pair: Vec<(NodeId, NodeId)> = vec![(NodeId::FALSE, NodeId::FALSE); original_len];
-        let mut scratch0: Vec<NodeId> = Vec::new();
-        let mut scratch1: Vec<NodeId> = Vec::new();
-        let mut out: Vec<Vec<(NodeId, NodeId)>> = Vec::with_capacity(k);
-        for (slot, cone) in cones.iter().enumerate() {
-            let cur = slot as u32 + 1;
-            for &iu in cone {
-                let i = iu as usize;
-                let p = match self.nodes[i].clone() {
-                    Node::Const(_) => unreachable!("constants have empty support"),
-                    Node::Var(_) => {
-                        // In its own cone ⇒ this *is* the variable.
-                        (self.constant(false), self.constant(true))
-                    }
-                    Node::And(children) => {
-                        let (same0, same1) = batch_map_children(
-                            &children,
-                            &stamp,
-                            &pair,
-                            cur,
-                            &mut scratch0,
-                            &mut scratch1,
-                        );
-                        // Identity short-circuits keep node ids identical
-                        // to the sequential cofactor path.
-                        let a0 = if same0 {
-                            NodeId(i as u32)
-                        } else {
-                            self.and(&scratch0)
-                        };
-                        let a1 = if same1 {
-                            NodeId(i as u32)
-                        } else {
-                            self.and(&scratch1)
-                        };
-                        (a0, a1)
-                    }
-                    Node::Xor(children, parity) => {
-                        let (same0, same1) = batch_map_children(
-                            &children,
-                            &stamp,
-                            &pair,
-                            cur,
-                            &mut scratch0,
-                            &mut scratch1,
-                        );
-                        let x0 = if same0 {
-                            NodeId(i as u32)
-                        } else {
-                            let x = self.xor(&scratch0);
-                            if parity {
-                                self.not(x)
-                            } else {
-                                x
-                            }
-                        };
-                        let x1 = if same1 {
-                            NodeId(i as u32)
-                        } else {
-                            let x = self.xor(&scratch1);
-                            if parity {
-                                self.not(x)
-                            } else {
-                                x
-                            }
-                        };
-                        (x0, x1)
-                    }
-                };
-                stamp[i] = cur;
-                pair[i] = p;
-            }
-            out.push(
-                roots
-                    .iter()
-                    .map(|r| {
-                        if stamp[r.index()] == cur {
-                            pair[r.index()]
-                        } else {
-                            (*r, *r)
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        out
     }
 
     /// Number of nodes reachable from `roots` (shared nodes counted once).
@@ -888,36 +705,6 @@ impl NodeRemap {
     pub fn len_before(&self) -> usize {
         self.map.len()
     }
-}
-
-/// Shared child-mapping step of [`Arena::cofactor_batch`]: fills
-/// `scratch0`/`scratch1` with each child's cofactor pair (identity for
-/// children outside the current variable's cone) and reports whether
-/// either side is unchanged — the identity short-circuit both
-/// constructor arms rely on to keep node ids equal to the sequential
-/// cofactor path.
-fn batch_map_children(
-    children: &[NodeId],
-    stamp: &[u32],
-    pair: &[(NodeId, NodeId)],
-    cur: u32,
-    scratch0: &mut Vec<NodeId>,
-    scratch1: &mut Vec<NodeId>,
-) -> (bool, bool) {
-    scratch0.clear();
-    scratch1.clear();
-    for c in children {
-        let (c0, c1) = if stamp[c.index()] == cur {
-            pair[c.index()]
-        } else {
-            (*c, *c)
-        };
-        scratch0.push(c0);
-        scratch1.push(c1);
-    }
-    let same0 = scratch0.iter().zip(children.iter()).all(|(m, c)| m == c);
-    let same1 = scratch1.iter().zip(children.iter()).all(|(m, c)| m == c);
-    (same0, same1)
 }
 
 impl fmt::Display for Arena {

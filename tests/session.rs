@@ -539,3 +539,100 @@ fn sat_sweep_merges_survive_arena_collection() {
     );
     assert!(after_second.arena_collections > after_first.arena_collections);
 }
+
+/// `program`, every qubit unconstrained, and its verification targets.
+fn dirty_program(source: &str) -> (Circuit, Vec<InitialValue>, Vec<usize>) {
+    let program = elaborate(&parse(source).unwrap()).unwrap();
+    let initial = vec![InitialValue::Free; program.num_qubits()];
+    let targets = program.qubits_to_verify();
+    (program.circuit, initial, targets)
+}
+
+/// The SAT rung cofactors only the candidates its structural support
+/// index names, and memoises one outcome per (candidate, target): after
+/// an adder-64 sweep under `--backend sat` the outcome memo holds at most
+/// two entries per target (a memo keyed by every (root, variable, value)
+/// held 16,002). A warm re-sweep answers every candidate from it and
+/// appends no arena node.
+#[test]
+fn sat_rung_memoises_candidate_outcomes_and_warm_sweeps_append_nothing() {
+    let (circuit, initial, targets) = dirty_program(&adder_source(64));
+    let mut session = VerifySession::new(&circuit, &initial, &VerifyOptions::default()).unwrap();
+    let first = session.verify_report(&targets).unwrap();
+    assert!(first.all_safe());
+    let cold = session.stats();
+    assert!(
+        cold.cofactor_memo_entries > 0 && cold.cofactor_memo_entries <= 2 * targets.len(),
+        "{} outcomes for {} targets",
+        cold.cofactor_memo_entries,
+        targets.len()
+    );
+    let second = session.verify_report(&targets).unwrap();
+    assert_same_verdicts(&first, &second, "adder-64 warm");
+    let warm = session.stats();
+    assert_eq!(
+        warm.arena_nodes, cold.arena_nodes,
+        "a warm re-sweep appends no node"
+    );
+    assert_eq!(warm.cofactor_memo_entries, cold.cofactor_memo_entries);
+    assert!(
+        warm.cofactor_hits >= cold.cofactor_hits + cold.cofactor_memo_entries as u64,
+        "every candidate outcome is a memo hit: {cold:?} -> {warm:?}"
+    );
+}
+
+/// Structural candidates that are not dependencies, next to real ones.
+/// An appended `CNOT[a[3], q[5]]` pair, which Raw construction does not
+/// fold, leaves adder-64 all safe. A leak into `a[10]` after it makes
+/// `a[3]` unsafe through its second candidate: the first, `q[64]`,
+/// reaches `a[3]`'s variable only through cancelling structure. Under
+/// `--backend sat` the session's verdicts equal the fresh pipeline's and
+/// every witness replays.
+#[test]
+fn sat_rung_decides_every_candidate_and_drops_only_proven_ones() {
+    let pair = "CNOT[a[3], q[5]];\nCNOT[a[3], q[5]];\n";
+    let cases = [
+        (format!("adder-64 + {pair}"), true),
+        (format!("adder-64 + {pair}CNOT[a[3], a[10]];\n"), false),
+    ];
+    let opts = VerifyOptions::default();
+    let oracle_opts = VerifyOptions {
+        simplify: Simplify::Full,
+        ..opts
+    };
+    for (name, all_safe) in cases {
+        let source = adder_source(64) + name.trim_start_matches("adder-64 + ");
+        let (circuit, initial, targets) = dirty_program(&source);
+        let oracle = verify_circuit_fresh(&circuit, &initial, &targets, &oracle_opts).unwrap();
+        assert_eq!(oracle.all_safe(), all_safe, "{name}");
+        let report = verify_circuit(&circuit, &initial, &targets, &opts).unwrap();
+        assert_same_verdicts(&oracle, &report, &name);
+        assert_witnesses_replay(&circuit, &report, &name);
+    }
+}
+
+/// `plus_time` means the same on every rung: the canonical rungs charge
+/// support normalisation to it, and the SAT rung charges its (6.2)
+/// construction — the base sweep pass, the cofactors and the per-target
+/// pass. Those intervals nest inside the targets' (6.1) and (6.2)
+/// times, so on adder-64 under `--backend sat` the per-target times add
+/// up to at least the session's sweep and cofactor time.
+#[test]
+fn sat_plus_time_covers_the_plus_condition_construction() {
+    let (circuit, initial, targets) = dirty_program(&adder_source(64));
+    let mut session = VerifySession::new(&circuit, &initial, &VerifyOptions::default()).unwrap();
+    let report = session.verify_report(&targets).unwrap();
+    let stats = session.stats();
+    let timed: std::time::Duration = report
+        .verdicts
+        .iter()
+        .map(|v| v.zero_time + v.plus_time)
+        .sum();
+    assert!(stats.sweep_time > std::time::Duration::ZERO, "{stats:?}");
+    assert!(
+        timed >= stats.sweep_time + stats.cofactor_time,
+        "targets timed {timed:?}, sweep {:?} + cofactor {:?}",
+        stats.sweep_time,
+        stats.cofactor_time
+    );
+}

@@ -350,11 +350,6 @@ impl BddManager {
         self.node_budget
     }
 
-    /// Replaces the node budget (takes effect on the next construction).
-    pub fn set_node_budget(&mut self, node_budget: usize) {
-        self.node_budget = node_budget.max(2);
-    }
-
     /// Bounds the computed table to `cap` memoised results.
     pub fn set_computed_table_capacity(&mut self, cap: usize) {
         self.cache.cap = cap.max(16);
@@ -728,11 +723,6 @@ impl BddManager {
         let r = &mut self.refs[x.index()];
         debug_assert!(*r > 0, "unbalanced ref_dec");
         *r = r.saturating_sub(1);
-    }
-
-    /// Number of nodes currently holding external references.
-    pub fn referenced_nodes(&self) -> usize {
-        self.refs.iter().filter(|&&r| r > 0).count()
     }
 
     /// Mark-sweep garbage collection: keeps the terminal and every node

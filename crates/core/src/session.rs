@@ -80,11 +80,6 @@ const ARENA_GC_MIN_NODES: usize = 1 << 12;
 /// with amortised-linear total GC work.
 const ARENA_GC_GROWTH: usize = 2;
 
-/// Unit-propagation budget for the inter-target vivification pass over
-/// the permanent base clauses. Probing is plain unit propagation, so the
-/// budget bounds the pass to a fraction of one query's typical work.
-const VIVIFY_PROP_BUDGET: u64 = 20_000;
-
 /// Default bound on memoised condition-root decisions. Entries beyond it
 /// are evicted least-recently-used; evicted roots stay live only until
 /// the next arena collection.
@@ -94,8 +89,8 @@ const DECISION_CACHE_CAPACITY: usize = 1 << 13;
 /// live CDCL solver (no intermediate [`qb_formula::Cnf`]). With `guard`
 /// set, every emitted clause is activation-guarded so a whole encoding
 /// scope can later be detached in one selector retirement. Records the
-/// variables it allocates so the session can prioritise fresh query
-/// structure in the branching order and deaden it after retraction.
+/// variables it allocates so the session can deaden them after
+/// retraction.
 struct SolverSink<'a> {
     solver: &'a mut Solver,
     guard: Option<Lit>,
@@ -193,10 +188,8 @@ impl Prover for SatProver<'_> {
             new_vars: Vec::new(),
         };
         let lits = sat.encoder.encode_roots(arena, &[a, b], &mut sink);
-        let new_vars = sink.new_vars;
         sat.encode_time += clock.elapsed();
-        sat.solver.prioritize_vars(&new_vars);
-        self.scope.vars.extend(new_vars);
+        self.scope.vars.extend(sink.new_vars);
         let la = Lit::from_dimacs(lits[0]);
         let lb = Lit::from_dimacs(if complement { -lits[1] } else { lits[1] });
         // `a ≢ b` needs a model of `a ∧ ¬b` or of `¬a ∧ b`.
@@ -287,9 +280,10 @@ impl SatSession {
         self.encoder.encode_roots(arena, roots, &mut sink);
         self.encode_time += clock.elapsed();
         let clauses = sink.clauses;
-        let vars = sink.new_vars;
-        self.solver.prioritize_vars(&vars);
-        self.suffix = SuffixScope { selector, vars };
+        self.suffix = SuffixScope {
+            selector,
+            vars: sink.new_vars,
+        };
         clauses
     }
 
@@ -306,11 +300,8 @@ impl SatSession {
     }
 
     /// Periodic GC: once enough selectors have been retired, compacts the
-    /// solver's clause/variable arenas and remaps the encoder (and the
-    /// suffix selector handle) through the returned table. The map is
-    /// literal-valued: a pinned variable may survive as the (possibly
-    /// negated) representative of its level-zero equivalence class, and
-    /// the encoder follows the polarity.
+    /// solver's clause/variable arenas and remaps the encoder and the
+    /// suffix scope's handles through the returned variable map.
     fn maybe_compact(&mut self) {
         if self.solver.retired_since_compaction() < COMPACT_RETIRED_INTERVAL {
             return;
@@ -324,21 +315,13 @@ impl SatSession {
         pinned.push(self.suffix.selector.var());
         pinned.extend(self.suffix.vars.iter().copied());
         let map = self.solver.compact(&pinned);
-        let dimacs: Vec<Option<i32>> = map.iter().map(|m| m.map(Lit::to_dimacs)).collect();
-        self.encoder.remap_vars(&dimacs);
+        let indices: Vec<Option<usize>> = map.iter().map(|m| m.map(SatVar::index)).collect();
+        self.encoder.remap_vars(&indices);
         let sel = self.suffix.selector;
         let mapped = map[sel.var().index()].expect("pinned variable survives compaction");
-        self.suffix.selector = if sel.is_neg() {
-            mapped.negate()
-        } else {
-            mapped
-        };
-        // Suffix auxiliaries occur in live guarded clauses (and cannot
-        // dissolve into an equivalence class — every clause mentioning
-        // them carries the live guard literal); remap their handles for
-        // the eventual retraction.
+        self.suffix.selector = Lit::new(mapped, sel.is_neg());
         for v in &mut self.suffix.vars {
-            *v = map[v.index()].expect("suffix var survives").var();
+            *v = map[v.index()].expect("pinned variable survives compaction");
         }
         self.compactions += 1;
     }
@@ -386,6 +369,9 @@ pub struct SessionStats {
     pub arena_collections: u64,
     /// Total arena nodes reclaimed across all collections.
     pub arena_nodes_collected: u64,
+    /// Cumulative wall time of arena collections and the table remaps
+    /// that follow them.
+    pub arena_gc_time: Duration,
     /// Arena length at which the next collection triggers.
     pub arena_gc_watermark: usize,
     /// Resident BDD-manager nodes (0 for non-BDD backends).
@@ -430,8 +416,6 @@ pub struct SessionStats {
     pub solver_decisions: u64,
     /// Restarts performed by the SAT solver.
     pub solver_restarts: u64,
-    /// Permanent base clauses strengthened by inter-target vivification.
-    pub solver_vivified: u64,
     /// Cumulative wall time spent inside the SAT backend.
     pub sat_time: Duration,
     /// Cumulative wall time spent inside the BDD backend (including
@@ -598,6 +582,7 @@ pub struct VerifySession {
     arena_watermark_min: usize,
     arena_collections: u64,
     arena_nodes_collected: u64,
+    arena_gc_time: Duration,
     edits: u64,
     /// Auto-ladder demotions from ANF (see [`SessionStats`]).
     anf_fallbacks: u64,
@@ -683,6 +668,7 @@ impl VerifySession {
             arena_watermark_min: ARENA_GC_MIN_NODES,
             arena_collections: 0,
             arena_nodes_collected: 0,
+            arena_gc_time: Duration::ZERO,
             edits: 0,
             anf_fallbacks: 0,
             bdd_fallbacks: 0,
@@ -825,6 +811,7 @@ impl VerifySession {
             support_hits: self.supports.hits(),
             arena_collections: self.arena_collections,
             arena_nodes_collected: self.arena_nodes_collected,
+            arena_gc_time: self.arena_gc_time,
             arena_gc_watermark: self.arena_watermark,
             bdd_resident_nodes: bdd.resident_nodes,
             bdd_cached_translations: bdd.cached_translations,
@@ -843,7 +830,6 @@ impl VerifySession {
             solver_conflicts: solver.conflicts,
             solver_decisions: solver.decisions,
             solver_restarts: solver.restarts,
-            solver_vivified: solver.vivified_clauses,
             sat_time: self.sat_time,
             bdd_time: self.bdd_time,
             anf_time: self.anf_time,
@@ -883,6 +869,7 @@ impl VerifySession {
             return;
         }
         qb_testutil::failpoints::hit("arena_gc");
+        let clock = Instant::now();
         let mut roots: Vec<NodeId> = self.state.formulas.clone();
         if let Some(sat) = &self.sat {
             roots.extend(sat.encoder.encoded_node_ids());
@@ -921,6 +908,7 @@ impl VerifySession {
         self.arena_nodes_collected += (before - self.state.arena.len()) as u64;
         self.arena_watermark =
             (self.state.arena.len() * ARENA_GC_GROWTH).max(self.arena_watermark_min);
+        self.arena_gc_time += clock.elapsed();
     }
 
     /// Keeps the decision cache within its LRU bound. Eviction runs in
@@ -1070,7 +1058,7 @@ impl VerifySession {
         sat.encode_time += clock.elapsed();
         drop(enc_span);
         let emitted = sink.clauses;
-        let new_vars = sink.new_vars;
+        scope_vars.extend(sink.new_vars);
         let size = emitted + 1;
         if root_lits.is_empty() {
             return Ok(Decision {
@@ -1079,10 +1067,6 @@ impl VerifySession {
                 size,
             });
         }
-        // Fresh query structure would start cold in the VSIDS order;
-        // lift it above the stale hot variables of earlier queries.
-        sat.solver.prioritize_vars(&new_vars);
-        scope_vars.extend(new_vars);
         let selector = Lit::pos(sat.solver.new_selector());
         let clause: Vec<Lit> = root_lits.iter().map(|&l| Lit::from_dimacs(l)).collect();
         let added = sat.solver.add_guarded_clause(selector, &clause);
@@ -1591,11 +1575,6 @@ impl VerifySession {
             sat.solver.simplify_satisfied();
             sat.solver.deaden_vars(&scope.vars);
             sat.maybe_compact();
-            // Vivify permanent base clauses between targets: shorter base
-            // clauses propagate earlier in every remaining query. Each
-            // clause is attempted once (flagged), so warm sweeps pay a
-            // flag scan only.
-            sat.solver.vivify_base(VIVIFY_PROP_BUDGET);
             self.sat_time += t0.elapsed();
         }
         if let Some(bdd) = &mut self.bdd {

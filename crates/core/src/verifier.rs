@@ -147,15 +147,6 @@ impl VerificationReport {
     pub fn all_safe(&self) -> bool {
         self.verdicts.iter().all(|v| v.safe)
     }
-
-    /// The qubits that failed.
-    pub fn unsafe_qubits(&self) -> Vec<usize> {
-        self.verdicts
-            .iter()
-            .filter(|v| !v.safe)
-            .map(|v| v.qubit)
-            .collect()
-    }
 }
 
 /// Verification errors.

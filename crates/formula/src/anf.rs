@@ -273,11 +273,6 @@ impl Anf {
         self.xor(&Anf::one())
     }
 
-    /// Returns `true` if any term mentions `v`.
-    pub fn contains_var(&self, v: Var) -> bool {
-        self.terms.iter().any(|t| t.contains(v))
-    }
-
     /// The sorted support: every variable some term mentions. ANF is
     /// canonical, so these are exactly the variables the function
     /// depends on.

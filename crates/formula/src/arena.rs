@@ -414,21 +414,6 @@ impl Arena {
         }
     }
 
-    /// Computes, for every node, whether it syntactically depends on `var`.
-    pub fn depends_on_all(&self, var: Var) -> Vec<bool> {
-        let mut dep = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            dep[i] = match node {
-                Node::Const(_) => false,
-                Node::Var(v) => *v == var,
-                Node::And(children) | Node::Xor(children, _) => {
-                    children.iter().any(|c| dep[c.index()])
-                }
-            };
-        }
-        dep
-    }
-
     /// Substitutes the constant `val` for `var` in every node, returning a
     /// map from old node id to the cofactored node id.
     ///
@@ -859,19 +844,6 @@ mod tests {
             // Unreachable positions are identity, not cofactored.
             assert_eq!(restricted[junk.index()], junk, "mode {mode:?}");
         }
-    }
-
-    #[test]
-    fn depends_on_tracks_variables() {
-        let mut f = Arena::new(Simplify::Raw);
-        let x = f.var(0);
-        let y = f.var(1);
-        let _z = f.var(2);
-        let root = f.and2(x, y);
-        let dep0 = f.depends_on_all(0);
-        let dep2 = f.depends_on_all(2);
-        assert!(dep0[root.index()]);
-        assert!(!dep2[root.index()]);
     }
 
     #[test]

@@ -270,32 +270,25 @@ impl IncrementalEncoder {
     }
 
     /// Rewrites every stored literal after a solver variable compaction:
-    /// `map[old]` is the signed 1-based DIMACS literal that the *positive*
-    /// literal of the variable with old 0-based index `old` now denotes,
-    /// or `None` if the solver dropped the variable. A negative entry
-    /// means the variable was substituted by the negation of its
-    /// level-zero equivalence-class representative.
+    /// `map[old]` is the new 0-based index of the variable with old
+    /// 0-based index `old`, or `None` if the solver dropped the variable.
     ///
     /// # Panics
     ///
     /// Panics if a referenced variable was dropped (the caller must pin
     /// [`IncrementalEncoder::referenced_dimacs_vars`]).
-    pub fn remap_vars(&mut self, map: &[Option<i32>]) {
+    pub fn remap_vars(&mut self, map: &[Option<usize>]) {
         let remap = |l: i32| -> i32 {
             if l == 0 {
                 return 0;
             }
             let old = (l.unsigned_abs() - 1) as usize;
-            let dimacs = map
+            let new = map
                 .get(old)
                 .copied()
                 .flatten()
                 .expect("encoder-referenced variable survives compaction");
-            if l < 0 {
-                -dimacs
-            } else {
-                dimacs
-            }
+            (new as i32 + 1) * l.signum()
         };
         for l in &mut self.lits {
             *l = remap(*l);
@@ -606,7 +599,7 @@ mod tests {
         // Shift every variable up by one slot (as a compaction that
         // dropped variable 0 of a larger solver would).
         let max = referenced.iter().max().copied().unwrap() as usize;
-        let map: Vec<Option<i32>> = (0..max).map(|v| Some(v as i32 + 2)).collect();
+        let map: Vec<Option<usize>> = (0..max).map(|v| Some(v + 1)).collect();
         let old_var_lit = enc.lit_of_var(0).unwrap();
         enc.remap_vars(&map);
         assert_eq!(
@@ -622,28 +615,6 @@ mod tests {
             lit.signum(),
             "polarity preserved"
         );
-    }
-
-    #[test]
-    fn remap_vars_applies_substitution_polarity() {
-        // A level-zero equivalence substitution maps a variable to the
-        // *negation* of its class representative: the encoder must flip
-        // stored polarities accordingly.
-        let mut f = Arena::new(Simplify::Raw);
-        let mut enc = IncrementalEncoder::new();
-        let mut cnf = Cnf::new();
-        let x = f.var(0);
-        let nx = f.not(x);
-        enc.encode_roots(&f, &[x, nx], &mut cnf);
-        let lx = enc.lit_of(x).unwrap();
-        assert_eq!(enc.lit_of(nx).unwrap(), -lx);
-        // Substitute x's variable by ¬(variable 0 of the new numbering).
-        let old = (lx.unsigned_abs() - 1) as usize;
-        let mut map: Vec<Option<i32>> = vec![None; old + 1];
-        map[old] = Some(-1);
-        enc.remap_vars(&map);
-        assert_eq!(enc.lit_of(x).unwrap(), -lx.signum());
-        assert_eq!(enc.lit_of(nx).unwrap(), lx.signum());
     }
 
     #[test]

@@ -338,7 +338,6 @@ mod randomized {
         fresh: usize,
         /// Optional extra assumption on a base variable.
         assume_base: Option<(usize, bool)>,
-        vivify: bool,
         compact: bool,
     }
 
@@ -378,11 +377,14 @@ mod randomized {
                         .collect(),
                 );
             }
+            let assume_base = rng.gen_bool().then(|| (rng.gen_below(nv), rng.gen_bool()));
+            // A retired per-round option drew here; the draw stays so
+            // every seed keeps generating the same scripts.
+            rng.gen_bool();
             rounds.push(Round {
                 guarded,
                 fresh,
-                assume_base: rng.gen_bool().then(|| (rng.gen_below(nv), rng.gen_bool())),
-                vivify: rng.gen_bool(),
+                assume_base,
                 compact: r % 2 == 1,
             });
         }
@@ -391,47 +393,43 @@ mod randomized {
 
     /// Drives the solver through the whole incremental protocol a
     /// session performs — guarded query scopes, selector retirement,
-    /// satisfied-clause sweeps, variable deadening, vivification and
-    /// compaction with handle remapping — recording every verdict.
+    /// satisfied-clause sweeps, variable deadening and compaction with
+    /// handle remapping — recording every verdict.
     fn run_protocol(script: &Script) -> Vec<SatResult> {
-        let sign = |l: Lit, neg: bool| if neg { l.negate() } else { l };
         let mut s = Solver::new();
-        let mut handles: Vec<Lit> = (0..script.nv).map(|_| Lit::pos(s.new_var())).collect();
+        let mut handles: Vec<SatVar> = (0..script.nv).map(|_| s.new_var()).collect();
         let mut results = Vec::new();
         for c in &script.base {
-            let lits: Vec<Lit> = c.iter().map(|&(v, neg)| sign(handles[v], neg)).collect();
+            let lits: Vec<Lit> = c
+                .iter()
+                .map(|&(v, neg)| Lit::new(handles[v], neg))
+                .collect();
             s.add_clause(&lits);
         }
         for round in &script.rounds {
             let sel = Lit::pos(s.new_selector());
-            let fresh: Vec<Lit> = (0..round.fresh).map(|_| Lit::pos(s.new_var())).collect();
+            let fresh: Vec<SatVar> = (0..round.fresh).map(|_| s.new_var()).collect();
             for cl in &round.guarded {
                 let lits: Vec<Lit> = cl
                     .iter()
                     .map(|&(is_base, i, neg)| {
-                        sign(if is_base { handles[i] } else { fresh[i] }, neg)
+                        Lit::new(if is_base { handles[i] } else { fresh[i] }, neg)
                     })
                     .collect();
                 s.add_guarded_clause(sel, &lits);
             }
             let mut assumptions = vec![sel];
             if let Some((v, neg)) = round.assume_base {
-                assumptions.push(sign(handles[v], neg));
+                assumptions.push(Lit::new(handles[v], neg));
             }
             results.push(s.solve_with_assumptions(&assumptions));
             s.retire_selector(sel);
             s.simplify_satisfied();
-            let fresh_vars: Vec<SatVar> = fresh.iter().map(|l| l.var()).collect();
-            s.deaden_vars(&fresh_vars);
-            if round.vivify {
-                s.vivify_base(2_000);
-            }
+            s.deaden_vars(&fresh);
             if round.compact {
-                let pinned: Vec<SatVar> = handles.iter().map(|l| l.var()).collect();
-                let map = s.compact(&pinned);
+                let map = s.compact(&handles);
                 for h in &mut handles {
-                    let m = map[h.var().index()].expect("pinned base variable survives");
-                    *h = if h.is_neg() { m.negate() } else { m };
+                    *h = map[h.index()].expect("pinned base variable survives");
                 }
                 // Post-compaction verdict: the base formula must decide
                 // identically through the remapped handles.
@@ -507,8 +505,8 @@ mod randomized {
 
     /// The incremental verdict stream matches a reference solve of each
     /// query by a fresh, non-incremental [`Solver`]. The reference run
-    /// uses none of the guarded scopes, retirement, deadening,
-    /// vivification or compaction, so a disagreement is theirs.
+    /// uses none of the guarded scopes, retirement, deadening or
+    /// compaction, so a disagreement is theirs.
     #[test]
     fn incremental_protocol_matches_reference_solver() {
         let mut rng = Rng::new(0x1C5A_0001);

@@ -25,9 +25,8 @@ struct Checked {
     /// Variables of the oracle formula, dense from 0.
     oracle_vars: usize,
     clauses: Vec<Vec<Lit>>,
-    /// What the positive literal of each solver variable denotes in the
-    /// oracle formula.
-    to_oracle: Vec<Lit>,
+    /// The oracle variable of each solver variable.
+    to_oracle: Vec<SatVar>,
 }
 
 impl Deref for Checked {
@@ -69,8 +68,7 @@ impl Checked {
     fn new_var(&mut self) -> SatVar {
         let v = self.solver.new_var();
         assert_eq!(v.index(), self.to_oracle.len());
-        self.to_oracle
-            .push(Lit::pos(SatVar::from_index(self.oracle_vars)));
+        self.to_oracle.push(SatVar::from_index(self.oracle_vars));
         self.oracle_vars += 1;
         v
     }
@@ -80,12 +78,7 @@ impl Checked {
     }
 
     fn oracle_lit(&self, l: Lit) -> Lit {
-        let m = self.to_oracle[l.var().index()];
-        if l.is_neg() {
-            m.negate()
-        } else {
-            m
-        }
+        Lit::new(self.to_oracle[l.var().index()], l.is_neg())
     }
 
     fn record(&mut self, lits: &[Lit]) {
@@ -110,16 +103,15 @@ impl Checked {
         self.solver.retire_selector(selector);
     }
 
-    fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<Lit>> {
+    fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<SatVar>> {
         let map = self.solver.compact(pinned);
-        let mut to_oracle: Vec<Option<Lit>> = vec![None; self.solver.num_vars()];
+        let mut to_oracle: Vec<Option<SatVar>> = vec![None; self.solver.num_vars()];
         for (old, m) in map.iter().enumerate() {
             if let Some(m) = m {
-                let slot = &mut to_oracle[m.var().index()];
-                if slot.is_none() {
-                    let o = self.to_oracle[old];
-                    *slot = Some(if m.is_neg() { o.negate() } else { o });
-                }
+                assert!(
+                    to_oracle[m.index()].replace(self.to_oracle[old]).is_none(),
+                    "compaction merged two variables"
+                );
             }
         }
         self.to_oracle = to_oracle
@@ -155,7 +147,7 @@ impl Checked {
             );
             let mut value: Vec<Option<bool>> = vec![None; self.oracle_vars];
             for (v, o) in self.to_oracle.iter().enumerate() {
-                value[o.var().index()] = Some(model[v] ^ o.is_neg());
+                value[o.index()] = Some(model[v]);
             }
             for c in &self.clauses {
                 let vals: Option<Vec<bool>> = c
@@ -334,9 +326,9 @@ mod tests {
 
         // Pinned variables survive and the base formula still decides
         // identically through the remapped handles.
-        let a2 = map[a.index()].unwrap();
-        let b2 = map[b.index()].unwrap();
-        let c2 = map[c.index()].unwrap();
+        let a2 = Lit::pos(map[a.index()].unwrap());
+        let b2 = Lit::pos(map[b.index()].unwrap());
+        let c2 = Lit::pos(map[c.index()].unwrap());
         assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(
             s.solve_with_assumptions(&[a2.negate(), b2.negate()]),
@@ -347,10 +339,7 @@ mod tests {
             SatResult::Unsat
         );
         assert_eq!(s.solve_with_assumptions(&[a2]), SatResult::Sat);
-        assert!(
-            s.model()[c2.var().index()] ^ c2.is_neg(),
-            "a → c still propagates"
-        );
+        assert!(s.model()[c2.var().index()], "a → c still propagates");
     }
 
     #[test]
@@ -366,89 +355,76 @@ mod tests {
         let map = s.compact(&[a, b]);
         let a2 = map[a.index()].unwrap();
         let b2 = map[b.index()].unwrap();
-        assert_eq!(s.solve_with_assumptions(&[b2.negate()]), SatResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[a2.negate()]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(b2)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(a2)]), SatResult::Unsat);
         assert_eq!(s.solve(), SatResult::Sat);
-        assert!(s.model()[a2.var().index()] ^ a2.is_neg());
-        assert!(s.model()[b2.var().index()] ^ b2.is_neg());
+        assert!(s.model()[a2.index()]);
+        assert!(s.model()[b2.index()]);
+    }
+
+    /// Compacts `clauses` over `num_vars` DIMACS variables, pinning
+    /// `pinned`. Compaction renumbers but never merges: every pinned
+    /// variable survives as its own variable, unpinned level-zero units
+    /// are dropped, and the oracle checks every verdict under each
+    /// assumption set over the remapped handles.
+    fn assert_compaction_keeps_pinned(num_vars: usize, clauses: &[&[i32]], pinned: &[i32]) {
+        let mut s = solver_with(num_vars, clauses);
+        let vars: Vec<SatVar> = pinned
+            .iter()
+            .map(|&d| SatVar::from_index(d as usize - 1))
+            .collect();
+        let map = s.compact(&vars);
+        let kept: Vec<SatVar> = vars.iter().map(|v| map[v.index()].unwrap()).collect();
+        assert_eq!(
+            s.num_vars(),
+            kept.len(),
+            "unpinned level-zero unit is dropped"
+        );
+        for code in 0..3usize.pow(kept.len() as u32) {
+            let mut assumptions = Vec::new();
+            let mut rest = code;
+            for &v in &kept {
+                if rest % 3 != 0 {
+                    assumptions.push(Lit::new(v, rest % 3 == 2));
+                }
+                rest /= 3;
+            }
+            s.solve_with_assumptions(&assumptions);
+        }
     }
 
     #[test]
     fn compaction_substitutes_unit_strengthened_equivalences() {
         // A level-zero unit strengthens two ternary clauses into the
-        // binary pair (¬x∨y), (x∨¬y), i.e. x ≡ y: compaction must
-        // dissolve the class into one variable while every verdict
-        // through the remapped handles is unchanged.
-        let mut s = Checked::new();
-        let a = s.new_var();
-        let x = s.new_var();
-        let y = s.new_var();
-        let z = s.new_var();
-        s.add_clause(&[Lit::pos(a)]);
-        s.add_clause(&[Lit::neg(a), Lit::neg(x), Lit::pos(y)]);
-        s.add_clause(&[Lit::neg(a), Lit::pos(x), Lit::neg(y)]);
-        s.add_clause(&[Lit::neg(y), Lit::pos(z)]); // semantic payload y → z
-
-        let map = s.compact(&[x, y, z]);
-        assert!(
-            map[a.index()].is_none(),
-            "unpinned level-zero unit is dropped"
+        // binary pair (¬x∨y), (x∨¬y), i.e. x ≡ y. Compaction keeps x
+        // and y apart rather than substituting one for the other.
+        let (a, x, y, z) = (1, 2, 3, 4);
+        assert_compaction_keeps_pinned(
+            4,
+            &[&[a], &[-a, -x, y], &[-a, x, -y], &[-y, z]],
+            &[x, y, z],
         );
-        let mx = map[x.index()].unwrap();
-        let my = map[y.index()].unwrap();
-        let mz = map[z.index()].unwrap();
-        assert_eq!(mx.var(), my.var(), "x and y merged into one class");
-        assert!(!(mx.is_neg() ^ my.is_neg()), "x ≡ y with equal polarity");
-        assert_eq!(s.num_vars(), 2, "class representative + z survive");
-
-        // y → z still holds through either handle of the class.
-        assert_eq!(
-            s.solve_with_assumptions(&[my, mz.negate()]),
-            SatResult::Unsat
-        );
-        assert_eq!(
-            s.solve_with_assumptions(&[mx, mz.negate()]),
-            SatResult::Unsat
-        );
-        assert_eq!(s.solve_with_assumptions(&[my.negate()]), SatResult::Sat);
-        assert_eq!(s.solve_with_assumptions(&[mx, mz]), SatResult::Sat);
     }
 
     #[test]
     fn compaction_substitutes_negated_equivalence_with_polarity() {
-        // (x∨y) ∧ (¬x∨¬y) ⇒ x ≡ ¬y: the class dissolves into one
-        // variable and the returned map carries the flipped polarity.
-        let mut s = Checked::new();
-        let x = s.new_var();
-        let y = s.new_var();
-        s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
-        s.add_clause(&[Lit::neg(x), Lit::neg(y)]);
-        let map = s.compact(&[x, y]);
-        let mx = map[x.index()].unwrap();
-        let my = map[y.index()].unwrap();
-        assert_eq!(mx.var(), my.var());
-        assert!(mx.is_neg() ^ my.is_neg(), "x ≡ ¬y: polarities differ");
-        assert_eq!(s.num_vars(), 1);
-        assert_eq!(s.solve_with_assumptions(&[mx, my]), SatResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[mx, my.negate()]), SatResult::Sat);
-        assert_eq!(s.solve_with_assumptions(&[mx.negate(), my]), SatResult::Sat);
+        // (x∨y) ∧ (¬x∨¬y) force x ≡ ¬y; both survive compaction and
+        // every assumption over them keeps its polarity.
+        assert_compaction_keeps_pinned(2, &[&[1, 2], &[-1, -2]], &[1, 2]);
     }
 
     #[test]
     fn compaction_never_dissolves_live_guard_selectors() {
-        // Even if (it cannot happen structurally, but defensively) a
-        // selector sits in an equivalence class, a live guard keeps its
-        // identity so retirement still detaches the right clauses.
+        // A live guard survives compaction under its new number, so
+        // retirement still detaches the right clauses.
         let mut s = Checked::new();
         let x = s.new_var();
         let sel = Lit::pos(s.new_selector());
         s.add_guarded_clause(sel, &[Lit::pos(x)]);
         let map = s.compact(&[x, sel.var()]);
-        let msel = map[sel.var().index()].unwrap();
-        assert!(!msel.is_neg(), "guard selector keeps its polarity");
         // The guarded clause still activates and retires correctly.
-        let new_sel = Lit::new(msel.var(), sel.is_neg());
-        let mx = map[x.index()].unwrap();
+        let new_sel = Lit::pos(map[sel.var().index()].unwrap());
+        let mx = Lit::pos(map[x.index()].unwrap());
         assert_eq!(
             s.solve_with_assumptions(&[new_sel, mx.negate()]),
             SatResult::Unsat

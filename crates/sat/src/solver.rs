@@ -6,11 +6,11 @@
 //! propagation with blocker literals and binary clauses specialised
 //! directly into the watch lists (the binary-propagation fast path never
 //! dereferences clause storage), 1UIP conflict analysis with recursive
-//! clause minimisation, exponential VSIDS branching with phase saving,
-//! Glucose-style dual-EMA LBD adaptive restarts with trail-size restart
-//! blocking, activity/LBD-based learnt clause database reduction, and
-//! clause vivification for the permanent problem clauses of incremental
-//! sessions.
+//! clause minimisation, VMTF (variable-move-to-front) branching with
+//! phase saving, Glucose-style dual-EMA LBD adaptive restarts with
+//! trail-size restart blocking, and activity/LBD-based learnt clause
+//! database reduction. The clause database changes only by adding,
+//! learning, level-zero strengthening and deletion.
 //!
 //! This solver stands in for the external CVC5/Bitwuzla backends used by
 //! the paper: the verification conditions of §6.1 are plain Boolean
@@ -50,8 +50,6 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Learnt clauses currently in the database.
     pub learnt_clauses: u64,
-    /// Permanent clauses strengthened or subsumed by vivification.
-    pub vivified_clauses: u64,
 }
 
 /// A clause handle: the word offset of the clause header in the flat
@@ -66,9 +64,7 @@ const H_ACT: usize = 2;
 const HEADER_WORDS: usize = 3;
 const F_LEARNT: u32 = 1;
 const F_DELETED: u32 = 1 << 1;
-const F_GUARDED: u32 = 1 << 2;
-const F_VIVIFIED: u32 = 1 << 3;
-const LBD_SHIFT: u32 = 4;
+const LBD_SHIFT: u32 = 2;
 const LBD_MAX: u32 = u32::MAX >> LBD_SHIFT;
 /// Watcher tag marking a binary clause: its blocker *is* the whole rest
 /// of the clause, so propagation never touches the arena for it.
@@ -166,12 +162,6 @@ pub struct Solver {
     trail_avg: f64,
     /// Conflicts since the last restart (or solve start).
     restart_conflicts: u64,
-    /// Next slot index [`Solver::vivify_base`] resumes from.
-    vivify_cursor: usize,
-    /// Live, unflagged, vivification-eligible clauses (non-learnt,
-    /// unguarded). When zero, [`Solver::vivify_base`] is O(1) — the
-    /// steady state between compactions.
-    vivify_candidates: usize,
     /// Cooperative cancellation handle, polled once per conflict.
     cancel: Option<crate::CancelToken>,
     /// The last solve stopped at its own conflict cap
@@ -193,9 +183,6 @@ const RESTART_BLOCK_MARGIN: f64 = 1.4;
 const LBD_FAST_ALPHA: f64 = 1.0 / 32.0;
 const LBD_SLOW_ALPHA: f64 = 1.0 / 4096.0;
 const TRAIL_ALPHA: f64 = 1.0 / 4096.0;
-/// Clauses longer than this are skipped by vivification (probing cost
-/// grows with length; Tseitin clauses are short).
-const VIVIFY_MAX_LEN: usize = 8;
 
 impl Solver {
     /// Creates an empty solver.
@@ -234,8 +221,6 @@ impl Solver {
             lbd_slow: 0.0,
             trail_avg: 0.0,
             restart_conflicts: 0,
-            vivify_cursor: 0,
-            vivify_candidates: 0,
             cancel: None,
             capped: false,
         }
@@ -332,10 +317,6 @@ impl Solver {
     /// to be rebuilt); the storage is reclaimed by the next arena GC.
     fn mark_deleted(&mut self, c: ClauseRef) {
         let len = self.c_len(c);
-        let flags = self.ca[c as usize + H_FLAGS];
-        if flags & (F_DELETED | F_LEARNT | F_GUARDED | F_VIVIFIED) == 0 {
-            self.vivify_candidates -= 1;
-        }
         self.ca[c as usize + H_FLAGS] |= F_DELETED;
         self.garbage += HEADER_WORDS + len;
     }
@@ -365,7 +346,7 @@ impl Solver {
     /// added at decision level zero) or if a literal names an unallocated
     /// variable.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        let ok = self.add_clause_ref(lits, false).0;
+        let ok = self.add_clause_ref(lits).0;
         self.publish_propagations();
         ok
     }
@@ -373,7 +354,7 @@ impl Solver {
     /// [`Solver::add_clause`], additionally reporting the attached clause
     /// (when the normalised clause was neither dropped nor reduced to a
     /// unit).
-    fn add_clause_ref(&mut self, lits: &[Lit], guarded: bool) -> (bool, Option<ClauseRef>) {
+    fn add_clause_ref(&mut self, lits: &[Lit]) -> (bool, Option<ClauseRef>) {
         assert!(
             self.trail_lim.is_empty(),
             "clauses must be added at decision level zero"
@@ -410,7 +391,7 @@ impl Solver {
                 (self.ok, None)
             }
             _ => {
-                let cref = self.attach_clause(&filtered, false, 0, guarded);
+                let cref = self.attach_clause(&filtered, false, 0);
                 (true, Some(cref))
             }
         }
@@ -439,26 +420,12 @@ impl Solver {
         let mut guarded: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
         guarded.push(selector.negate());
         guarded.extend_from_slice(lits);
-        let (ok, cref) = self.add_clause_ref(&guarded, true);
+        let (ok, cref) = self.add_clause_ref(&guarded);
         if let Some(cref) = cref {
             self.guarded.entry(selector.var().0).or_default().push(cref);
         }
         self.publish_propagations();
         ok
-    }
-
-    /// Lifts `vars` to the front of the VMTF branching queue.
-    /// Incremental sessions call this for freshly encoded query
-    /// structure, which would otherwise sit behind stale hot variables
-    /// left over from earlier queries — exactly the variables the
-    /// *current* query needs the solver to branch on first.
-    pub fn prioritize_vars(&mut self, vars: &[SatVar]) {
-        for &v in vars {
-            self.order.bump(v);
-            if self.assigns[v.index()] == VAL_UNDEF {
-                self.order.unassigned_hint(v);
-            }
-        }
     }
 
     /// Fixes every currently unassigned variable in `vars` at level zero
@@ -475,7 +442,7 @@ impl Solver {
         assert!(self.trail_lim.is_empty(), "level-zero operation only");
         for &v in vars {
             if self.assigns[v.index()] == VAL_UNDEF {
-                self.add_clause_ref(&[Lit::neg(v)], false);
+                self.add_clause_ref(&[Lit::neg(v)]);
             }
         }
         self.publish_propagations();
@@ -555,30 +522,10 @@ impl Solver {
             .count()
     }
 
-    /// Vivifies permanent problem clauses: for each unguarded, non-learnt
-    /// clause (cycling a cursor across calls, spending at most
-    /// `prop_budget` propagations), probes the negation of its literals
-    /// one at a time and strengthens the clause when unit propagation
-    /// proves a literal redundant or a prefix already implied. Incremental
-    /// sessions call this between targets: the permanent base encoding is
-    /// queried thousands of times, so shorter base clauses pay for
-    /// themselves across the remaining sweep. Returns the number of
-    /// clauses strengthened; each clause is attempted once (a flag marks
-    /// it) until the database is compacted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level zero.
-    pub fn vivify_base(&mut self, prop_budget: u64) -> usize {
-        let strengthened = self.vivify(prop_budget);
-        self.publish_propagations();
-        strengthened
-    }
-
     /// Publishes the propagations made since the last publish to the
     /// metrics registry, so the registry agrees with [`Solver::stats`].
-    /// Every public operation that can propagate (solving, vivification,
-    /// adding or retiring clauses) ends here, once per call.
+    /// Every public operation that can propagate (solving, adding or
+    /// retiring clauses) ends here, once per call.
     fn publish_propagations(&mut self) {
         let made = self.stats.propagations - self.published_propagations;
         if made > 0 {
@@ -587,133 +534,11 @@ impl Solver {
         }
     }
 
-    fn vivify(&mut self, prop_budget: u64) -> usize {
-        assert!(self.trail_lim.is_empty(), "level-zero operation only");
-        if !self.ok || self.starts.is_empty() || self.vivify_candidates == 0 {
-            // Everything eligible is already flagged: O(1) no-op (the
-            // steady state of a warm session until the next compaction
-            // clears the flags).
-            return 0;
-        }
-        let _span = qb_obs::span("sat.vivify", "");
-        let budget_end = self.stats.propagations + prop_budget;
-        let nslots = self.starts.len();
-        let mut strengthened = 0usize;
-        let mut lits: Vec<Lit> = Vec::new();
-        for _ in 0..nslots {
-            if self.stats.propagations >= budget_end {
-                break;
-            }
-            if self.vivify_cursor >= nslots {
-                self.vivify_cursor = 0;
-            }
-            let cref = self.starts[self.vivify_cursor];
-            self.vivify_cursor += 1;
-            let flags = self.c_flags(cref);
-            if flags & (F_DELETED | F_LEARNT | F_GUARDED | F_VIVIFIED) != 0 {
-                continue;
-            }
-            self.ca[cref as usize + H_FLAGS] |= F_VIVIFIED;
-            self.vivify_candidates -= 1;
-            let len = self.c_len(cref);
-            if !(2..=VIVIFY_MAX_LEN).contains(&len) {
-                continue;
-            }
-            lits.clear();
-            for k in 0..len {
-                lits.push(self.c_lit(cref, k));
-            }
-            if lits.iter().any(|&l| self.value_lit(l).is_true()) {
-                continue; // satisfied at level zero; the sweep handles it
-            }
-            // Detach so the clause cannot propagate on itself while its
-            // own literals are probed.
-            self.detach_watchers(cref);
-            let mut kept: Vec<Lit> = Vec::with_capacity(len);
-            let mut idx = 0;
-            'probe: while idx < lits.len() {
-                let l = lits[idx];
-                match self.value_lit(l) {
-                    // ¬(kept) already implies l: the clause `kept ∨ l`
-                    // is entailed by the database and subsumes this one.
-                    LBool::True => {
-                        kept.push(l);
-                        break;
-                    }
-                    // ¬(kept) implies ¬l: l is redundant in the clause.
-                    LBool::False => {
-                        idx += 1;
-                        continue;
-                    }
-                    LBool::Undef => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(l.negate(), CREF_NONE);
-                        if self.propagate().is_some() {
-                            // ¬(kept) ∧ ¬l is contradictory: `kept ∨ l`
-                            // is entailed and subsumes the clause.
-                            kept.push(l);
-                            break;
-                        }
-                        kept.push(l);
-                        idx += 1;
-                        // A *later* literal the probe just made true also
-                        // closes the clause: `kept ∨ that literal` is
-                        // entailed and subsumes it.
-                        for &later in &lits[idx..] {
-                            if self.value_lit(later).is_true() {
-                                kept.push(later);
-                                break 'probe;
-                            }
-                        }
-                    }
-                }
-            }
-            self.backtrack_to(0);
-            if kept.len() < lits.len() {
-                self.mark_deleted(cref);
-                self.stats.vivified_clauses += 1;
-                qb_obs::counter_add("solver_vivified", "sat", 1);
-                strengthened += 1;
-                match kept.len() {
-                    0 => {
-                        self.ok = false;
-                        return strengthened;
-                    }
-                    1 => match self.value_lit(kept[0]) {
-                        LBool::True => {}
-                        LBool::False => {
-                            self.ok = false;
-                            return strengthened;
-                        }
-                        LBool::Undef => {
-                            self.enqueue(kept[0], CREF_NONE);
-                            if self.propagate().is_some() {
-                                self.ok = false;
-                                return strengthened;
-                            }
-                        }
-                    },
-                    _ => {
-                        let newc = self.attach_clause(&kept, false, 0, false);
-                        self.ca[newc as usize + H_FLAGS] |= F_VIVIFIED;
-                        self.vivify_candidates -= 1;
-                    }
-                }
-            } else {
-                self.reattach_watchers(cref);
-            }
-        }
-        strengthened
-    }
-
     /// Compacts the solver's arenas: strengthens the clause database with
     /// every level-zero fact (satisfied clauses are dropped, falsified
-    /// literals removed, resulting units applied to fixpoint), substitutes
-    /// level-zero binary equivalence classes (`x ≡ ±y` implied by
-    /// complementary binary clause pairs) into one representative per
-    /// class, then drops deleted clause slots and every variable that
-    /// neither occurs in a live clause nor is (the class representative
-    /// of) a `pinned` variable, renumbering the survivors densely so the
+    /// literals removed, resulting units applied to fixpoint), then drops
+    /// deleted clause slots and every variable that neither occurs in a
+    /// live clause nor is `pinned`, renumbering the survivors densely so the
     /// per-variable arrays (assignments, activity, phase, watch lists,
     /// branching heap) and the flat clause arena shrink back to the live
     /// working set. Long incremental sessions retire selectors and deaden
@@ -721,57 +546,36 @@ impl Solver {
     /// and every scan over them — grow with session *history* instead of
     /// live state.
     ///
-    /// Returns the old→new literal mapping: `map[v]` is what the old
-    /// *positive* literal of `v` now denotes (`None` = dropped; a negated
-    /// entry means `v` dissolved into the negation of its class
-    /// representative). **Every externally held [`SatVar`]/[`Lit`] handle
-    /// is invalidated**: callers must pin the variables they intend to
-    /// keep referencing and remap their handles (with polarity!) through
-    /// the returned table. Satisfiability is unchanged: live clauses,
+    /// Returns the old→new variable mapping: `map[v]` is the variable `v`
+    /// became (`None` = dropped). **Every externally held
+    /// [`SatVar`]/[`Lit`] handle is invalidated**: callers must pin the
+    /// variables they intend to keep referencing and remap their handles
+    /// through the returned table. Satisfiability is unchanged: live clauses,
     /// level-zero facts of surviving variables, learnt clauses, and
     /// activities all carry over.
     ///
     /// # Panics
     ///
     /// Panics if called above decision level zero.
-    pub fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<Lit>> {
+    pub fn compact(&mut self, pinned: &[SatVar]) -> Vec<Option<SatVar>> {
         assert!(self.trail_lim.is_empty(), "level-zero operation only");
         qb_testutil::failpoints::hit("solver_compact");
         self.retired_selectors = 0;
         let n = self.num_vars();
-        let identity = |n: usize| -> Vec<Option<Lit>> {
-            (0..n as u32).map(|v| Some(Lit::pos(SatVar(v)))).collect()
-        };
+        if self.ok {
+            // Fold every level-zero fact into the clause database (this
+            // subsumes the satisfied-clause sweep) so dead false literals
+            // don't pin their variables through another GC cycle.
+            self.strengthen_level_zero();
+        }
         if !self.ok {
             // Permanently unsat: nothing to renumber usefully.
-            return identity(n);
-        }
-        // Fold every level-zero fact into the clause database (this
-        // subsumes the satisfied-clause sweep) so dead false literals
-        // don't pin their variables through another GC cycle.
-        self.strengthen_level_zero();
-        if !self.ok {
-            return identity(n);
-        }
-        // Live guard selectors must keep their variable identity: the
-        // guarded-clause map is keyed by variable and retirement asserts
-        // a specific polarity. (Their clause shape makes an equivalence
-        // involving them impossible anyway; freezing is belt and braces.)
-        let mut frozen = vec![false; n];
-        for &sel in self.guarded.keys() {
-            frozen[sel as usize] = true;
-        }
-        let mut dsu = self.substitute_equivalences(&frozen);
-        if !self.ok {
-            return identity(n);
+            return (0..n as u32).map(|v| Some(SatVar(v))).collect();
         }
 
         let mut keep = vec![false; n];
         for &v in pinned {
-            // A substituted pinned variable survives *as* its class
-            // representative (with polarity carried by the returned map).
-            let (root, _) = dsu.find(v.0);
-            keep[root as usize] = true;
+            keep[v.index()] = true;
         }
         // Collect live clause slots, marking variable occurrences.
         let mut live: Vec<ClauseRef> = Vec::new();
@@ -812,11 +616,7 @@ impl Solver {
         for &old in &live {
             let len = self.c_len(old);
             let new = ca.len() as ClauseRef;
-            // Vivification flags are cleared: compaction folds fresh
-            // level-zero facts into the database, so a clause that
-            // resisted vivification before may strengthen now (this is
-            // the re-attempt the vivify_base contract promises).
-            ca.push(self.ca[old as usize + H_FLAGS] & !F_VIVIFIED);
+            ca.push(self.ca[old as usize + H_FLAGS]);
             ca.push(len as u32);
             ca.push(self.ca[old as usize + H_ACT]);
             for k in 0..len {
@@ -887,14 +687,9 @@ impl Solver {
             .collect();
         self.stats.learnt_clauses = learnt_refs.len() as u64;
 
-        self.vivify_candidates = starts
-            .iter()
-            .filter(|&&c| ca[c as usize + H_FLAGS] & (F_LEARNT | F_GUARDED) == 0)
-            .count();
         self.ca = ca;
         self.starts = starts;
         self.garbage = 0;
-        self.vivify_cursor = 0;
         self.learnt_refs = learnt_refs;
         self.watches = watches;
         self.assigns = assigns;
@@ -907,14 +702,7 @@ impl Solver {
         self.seen = vec![false; new_n];
         self.model = model;
         self.guarded = guarded;
-        // Public map: route every old variable through its equivalence
-        // class, carrying the substitution polarity.
-        (0..n as u32)
-            .map(|v| {
-                let (root, parity) = dsu.find(v);
-                var_map[root as usize].map(|new| Lit::new(SatVar(new), parity))
-            })
-            .collect()
+        var_map.into_iter().map(|v| v.map(SatVar)).collect()
     }
 
     /// Level-zero clause strengthening used by [`Solver::compact`]:
@@ -982,105 +770,15 @@ impl Solver {
         self.stats.learnt_clauses = self.learnt_refs.len() as u64;
     }
 
-    /// Detects level-zero binary equivalences (complementary binary
-    /// clause pairs `(a ∨ b)` and `(¬a ∨ ¬b)`, which force `a ≡ ¬b`) and
-    /// substitutes each class into one representative: every occurrence
-    /// of a non-representative member is rewritten (with polarity), the
-    /// now-tautological defining pairs are deleted, and any unit this
-    /// creates is folded back in via another strengthening pass. Members
-    /// whose root is `frozen` never dissolve. Returns the class structure
-    /// so [`Solver::compact`] can translate handles of substituted
-    /// variables. Only valid inside compaction (watch lists go stale).
-    fn substitute_equivalences(&mut self, frozen: &[bool]) -> ParityDsu {
-        use std::collections::HashSet;
-        let n = self.num_vars();
-        let mut dsu = ParityDsu::new(n);
-        let mut bins: HashSet<(Lit, Lit)> = HashSet::new();
-        for si in 0..self.starts.len() {
-            let cref = self.starts[si];
-            if self.c_is_deleted(cref) || self.c_len(cref) != 2 {
-                continue;
-            }
-            let (a, b) = (self.c_lit(cref, 0), self.c_lit(cref, 1));
-            bins.insert((a.min(b), a.max(b)));
-        }
-        let mut merged = false;
-        for &(a, b) in &bins {
-            let (na, nb) = (a.negate(), b.negate());
-            if bins.contains(&(na.min(nb), na.max(nb))) {
-                // (a ∨ b) ∧ (¬a ∨ ¬b) ⇒ a ≡ ¬b as literals, i.e.
-                // var(a) ≡ var(b) ⊕ ¬(sign(a) ⊕ sign(b)).
-                let diff = !(a.is_neg() ^ b.is_neg());
-                merged |= dsu.union(a.var().0, b.var().0, diff, frozen);
-            }
-        }
-        if !merged {
-            return dsu;
-        }
-        for si in 0..self.starts.len() {
-            let cref = self.starts[si];
-            if self.c_is_deleted(cref) {
-                continue;
-            }
-            let len = self.c_len(cref);
-            let mut lits: Vec<Lit> = (0..len).map(|k| self.c_lit(cref, k)).collect();
-            let mut rewritten = false;
-            for l in &mut lits {
-                let (root, parity) = dsu.find(l.var().0);
-                if root != l.var().0 {
-                    *l = Lit::new(SatVar(root), l.is_neg() ^ parity);
-                    rewritten = true;
-                }
-            }
-            if !rewritten {
-                continue;
-            }
-            lits.sort_unstable();
-            lits.dedup();
-            if lits.windows(2).any(|w| w[1] == w[0].negate()) {
-                // Tautology — typically one of the defining pairs.
-                self.mark_deleted(cref);
-                continue;
-            }
-            if lits.len() == 1 {
-                self.mark_deleted(cref);
-                match self.value_lit(lits[0]) {
-                    LBool::True => {}
-                    LBool::False => {
-                        self.ok = false;
-                        return dsu;
-                    }
-                    LBool::Undef => self.enqueue(lits[0], CREF_NONE),
-                }
-                continue;
-            }
-            let base = cref as usize + HEADER_WORDS;
-            for (k, l) in lits.iter().enumerate() {
-                self.ca[base + k] = l.code();
-            }
-            self.garbage += len - lits.len();
-            self.ca[cref as usize + H_LEN] = lits.len() as u32;
-        }
-        self.learnt_refs
-            .retain(|&r| self.ca[r as usize + H_FLAGS] & F_DELETED == 0);
-        self.stats.learnt_clauses = self.learnt_refs.len() as u64;
-        // Substitution-created units may strengthen further.
-        self.strengthen_level_zero();
-        dsu
-    }
-
     /// Appends a clause to the flat arena and watches its first two
     /// literals — binary clauses are tagged in the watch lists so
     /// propagation decides them from the watcher alone.
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32, guarded: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.ca.len() as ClauseRef;
         let mut flags = lbd.min(LBD_MAX) << LBD_SHIFT;
         if learnt {
             flags |= F_LEARNT;
-        }
-        if guarded {
-            flags |= F_GUARDED;
         }
         self.ca.push(flags);
         self.ca.push(lits.len() as u32);
@@ -1089,9 +787,6 @@ impl Solver {
             self.ca.push(l.code());
         }
         self.starts.push(cref);
-        if !learnt && !guarded {
-            self.vivify_candidates += 1;
-        }
         let tag = if lits.len() == 2 {
             cref | BIN_FLAG
         } else {
@@ -1118,23 +813,6 @@ impl Solver {
         let w1 = self.c_lit(cref, 1).negate().index();
         self.watches[w0].retain(|w| w.cref & !BIN_FLAG != cref);
         self.watches[w1].retain(|w| w.cref & !BIN_FLAG != cref);
-    }
-
-    /// Re-adds the clause's two watchers (inverse of
-    /// [`Solver::detach_watchers`]).
-    fn reattach_watchers(&mut self, cref: ClauseRef) {
-        let len = self.c_len(cref);
-        let l0 = self.c_lit(cref, 0);
-        let l1 = self.c_lit(cref, 1);
-        let tag = if len == 2 { cref | BIN_FLAG } else { cref };
-        self.watches[l0.negate().index()].push(Watcher {
-            cref: tag,
-            blocker: l1,
-        });
-        self.watches[l1.negate().index()].push(Watcher {
-            cref: tag,
-            blocker: l0,
-        });
     }
 
     fn detach_clause(&mut self, cref: ClauseRef) {
@@ -1175,7 +853,6 @@ impl Solver {
         self.ca = ca;
         self.starts = starts;
         self.garbage = 0;
-        self.vivify_cursor = 0;
         for ws in &mut self.watches {
             for w in ws.iter_mut() {
                 let flag = w.cref & BIN_FLAG;
@@ -1810,7 +1487,7 @@ impl Solver {
             self.enqueue(learnt[0], CREF_NONE);
         } else {
             let asserting = learnt[0];
-            let cref = self.attach_clause(learnt, true, lbd, false);
+            let cref = self.attach_clause(learnt, true, lbd);
             self.enqueue(asserting, cref);
         }
     }
@@ -1825,60 +1502,6 @@ impl Solver {
 impl Default for Solver {
     fn default() -> Self {
         Solver::new()
-    }
-}
-
-/// Union-find with parity over variables: `find(v) = (root, p)` records
-/// the level-zero fact `v ≡ root ⊕ p`. Used by [`Solver::compact`] to
-/// dissolve binary equivalence classes into one representative each.
-struct ParityDsu {
-    parent: Vec<u32>,
-    /// Polarity of this variable relative to its (path-compressed)
-    /// parent.
-    parity: Vec<bool>,
-}
-
-impl ParityDsu {
-    fn new(n: usize) -> Self {
-        ParityDsu {
-            parent: (0..n as u32).collect(),
-            parity: vec![false; n],
-        }
-    }
-
-    /// Root and cumulative parity of `v`, with path compression.
-    fn find(&mut self, v: u32) -> (u32, bool) {
-        let p = self.parent[v as usize];
-        if p == v {
-            return (v, false);
-        }
-        let (root, root_parity) = self.find(p);
-        let total = root_parity ^ self.parity[v as usize];
-        self.parent[v as usize] = root;
-        self.parity[v as usize] = total;
-        (root, total)
-    }
-
-    /// Records `a ≡ b ⊕ diff`. Frozen roots never become children; a
-    /// union of two frozen roots is skipped. Returns whether a merge
-    /// happened.
-    fn union(&mut self, a: u32, b: u32, diff: bool, frozen: &[bool]) -> bool {
-        let (ra, pa) = self.find(a);
-        let (rb, pb) = self.find(b);
-        if ra == rb {
-            return false;
-        }
-        let link = pa ^ pb ^ diff;
-        let (child, root) = if frozen[ra as usize] && frozen[rb as usize] {
-            return false;
-        } else if frozen[ra as usize] {
-            (rb, ra)
-        } else {
-            (ra, rb)
-        };
-        self.parent[child as usize] = root;
-        self.parity[child as usize] = link;
-        true
     }
 }
 
@@ -2039,9 +1662,9 @@ mod tests {
 
         // Pinned variables survive and the base formula still decides
         // identically through the remapped handles.
-        let a2 = map[a.index()].unwrap();
-        let b2 = map[b.index()].unwrap();
-        let c2 = map[c.index()].unwrap();
+        let a2 = Lit::pos(map[a.index()].unwrap());
+        let b2 = Lit::pos(map[b.index()].unwrap());
+        let c2 = Lit::pos(map[c.index()].unwrap());
         assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(
             s.solve_with_assumptions(&[a2.negate(), b2.negate()]),
@@ -2052,10 +1675,7 @@ mod tests {
             SatResult::Unsat
         );
         assert_eq!(s.solve_with_assumptions(&[a2]), SatResult::Sat);
-        assert!(
-            s.model()[c2.var().index()] ^ c2.is_neg(),
-            "a → c still propagates"
-        );
+        assert!(s.model()[c2.var().index()], "a → c still propagates");
     }
 
     #[test]
@@ -2071,89 +1691,102 @@ mod tests {
         let map = s.compact(&[a, b]);
         let a2 = map[a.index()].unwrap();
         let b2 = map[b.index()].unwrap();
-        assert_eq!(s.solve_with_assumptions(&[b2.negate()]), SatResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[a2.negate()]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(b2)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(a2)]), SatResult::Unsat);
         assert_eq!(s.solve(), SatResult::Sat);
-        assert!(s.model()[a2.var().index()] ^ a2.is_neg());
-        assert!(s.model()[b2.var().index()] ^ b2.is_neg());
+        assert!(s.model()[a2.index()]);
+        assert!(s.model()[b2.index()]);
+    }
+
+    /// Asserts that `s` decides every assumption set over `kept`, each
+    /// variable fixed either way or left free, as [`crate::dpll_solve`]
+    /// decides `cnf` under the same assumptions on `pinned`: `kept[i]`
+    /// is the solver variable DIMACS variable `pinned[i]` became.
+    fn assert_matches_dpll(s: &mut Solver, cnf: &Cnf, pinned: &[i32], kept: &[SatVar]) {
+        for code in 0..3usize.pow(kept.len() as u32) {
+            let mut assumptions = Vec::new();
+            let mut oracle = cnf.clone();
+            let mut rest = code;
+            for (&d, &v) in pinned.iter().zip(kept) {
+                if rest % 3 != 0 {
+                    let neg = rest % 3 == 2;
+                    assumptions.push(Lit::new(v, neg));
+                    oracle.add_clause(&[if neg { -d } else { d }]);
+                }
+                rest /= 3;
+            }
+            assert_eq!(
+                s.solve_with_assumptions(&assumptions),
+                crate::dpll_solve(&oracle),
+                "assumptions {assumptions:?}"
+            );
+        }
+    }
+
+    /// Compacts `clauses` over `num_vars` DIMACS variables, pinning
+    /// `pinned`. Compaction renumbers but never merges: every pinned
+    /// variable survives as its own variable, unpinned level-zero units
+    /// are dropped, and every verdict through the remapped handles
+    /// matches the oracle.
+    fn assert_compaction_keeps_pinned(num_vars: usize, clauses: &[&[i32]], pinned: &[i32]) {
+        let mut cnf = Cnf::new();
+        for _ in 0..num_vars {
+            cnf.fresh_var();
+        }
+        for c in clauses {
+            cnf.add_clause(c);
+        }
+        let mut s = Solver::from_cnf(&cnf);
+        let vars: Vec<SatVar> = pinned
+            .iter()
+            .map(|&d| SatVar::from_index(d as usize - 1))
+            .collect();
+        let map = s.compact(&vars);
+        let kept: Vec<SatVar> = vars.iter().map(|v| map[v.index()].unwrap()).collect();
+        let mut distinct = kept.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), kept.len(), "no two pinned variables merge");
+        assert_eq!(
+            s.num_vars(),
+            kept.len(),
+            "unpinned level-zero unit is dropped"
+        );
+        assert_matches_dpll(&mut s, &cnf, pinned, &kept);
     }
 
     #[test]
     fn compaction_substitutes_unit_strengthened_equivalences() {
         // A level-zero unit strengthens two ternary clauses into the
-        // binary pair (¬x∨y), (x∨¬y), i.e. x ≡ y: compaction must
-        // dissolve the class into one variable while every verdict
-        // through the remapped handles is unchanged.
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let x = s.new_var();
-        let y = s.new_var();
-        let z = s.new_var();
-        s.add_clause(&[Lit::pos(a)]);
-        s.add_clause(&[Lit::neg(a), Lit::neg(x), Lit::pos(y)]);
-        s.add_clause(&[Lit::neg(a), Lit::pos(x), Lit::neg(y)]);
-        s.add_clause(&[Lit::neg(y), Lit::pos(z)]); // semantic payload y → z
-
-        let map = s.compact(&[x, y, z]);
-        assert!(
-            map[a.index()].is_none(),
-            "unpinned level-zero unit is dropped"
+        // binary pair (¬x∨y), (x∨¬y), i.e. x ≡ y. Compaction keeps x
+        // and y apart rather than substituting one for the other.
+        let (a, x, y, z) = (1, 2, 3, 4);
+        assert_compaction_keeps_pinned(
+            4,
+            &[&[a], &[-a, -x, y], &[-a, x, -y], &[-y, z]],
+            &[x, y, z],
         );
-        let mx = map[x.index()].unwrap();
-        let my = map[y.index()].unwrap();
-        let mz = map[z.index()].unwrap();
-        assert_eq!(mx.var(), my.var(), "x and y merged into one class");
-        assert!(!(mx.is_neg() ^ my.is_neg()), "x ≡ y with equal polarity");
-        assert_eq!(s.num_vars(), 2, "class representative + z survive");
-
-        // y → z still holds through either handle of the class.
-        assert_eq!(
-            s.solve_with_assumptions(&[my, mz.negate()]),
-            SatResult::Unsat
-        );
-        assert_eq!(
-            s.solve_with_assumptions(&[mx, mz.negate()]),
-            SatResult::Unsat
-        );
-        assert_eq!(s.solve_with_assumptions(&[my.negate()]), SatResult::Sat);
-        assert_eq!(s.solve_with_assumptions(&[mx, mz]), SatResult::Sat);
     }
 
     #[test]
     fn compaction_substitutes_negated_equivalence_with_polarity() {
-        // (x∨y) ∧ (¬x∨¬y) ⇒ x ≡ ¬y: the class dissolves into one
-        // variable and the returned map carries the flipped polarity.
-        let mut s = Solver::new();
-        let x = s.new_var();
-        let y = s.new_var();
-        s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
-        s.add_clause(&[Lit::neg(x), Lit::neg(y)]);
-        let map = s.compact(&[x, y]);
-        let mx = map[x.index()].unwrap();
-        let my = map[y.index()].unwrap();
-        assert_eq!(mx.var(), my.var());
-        assert!(mx.is_neg() ^ my.is_neg(), "x ≡ ¬y: polarities differ");
-        assert_eq!(s.num_vars(), 1);
-        assert_eq!(s.solve_with_assumptions(&[mx, my]), SatResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[mx, my.negate()]), SatResult::Sat);
-        assert_eq!(s.solve_with_assumptions(&[mx.negate(), my]), SatResult::Sat);
+        // (x∨y) ∧ (¬x∨¬y) force x ≡ ¬y; both survive compaction and
+        // every assumption over them keeps its polarity.
+        assert_compaction_keeps_pinned(2, &[&[1, 2], &[-1, -2]], &[1, 2]);
     }
 
     #[test]
     fn compaction_never_dissolves_live_guard_selectors() {
-        // Even if (it cannot happen structurally, but defensively) a
-        // selector sits in an equivalence class, a live guard keeps its
-        // identity so retirement still detaches the right clauses.
+        // A live guard survives compaction under its new number, so
+        // retirement still detaches the right clauses.
         let mut s = Solver::new();
         let x = s.new_var();
         let sel = Lit::pos(s.new_selector());
         s.add_guarded_clause(sel, &[Lit::pos(x)]);
         let map = s.compact(&[x, sel.var()]);
-        let msel = map[sel.var().index()].unwrap();
-        assert!(!msel.is_neg(), "guard selector keeps its polarity");
         // The guarded clause still activates and retires correctly.
-        let new_sel = Lit::new(msel.var(), sel.is_neg());
-        let mx = map[x.index()].unwrap();
+        let new_sel = Lit::pos(map[sel.var().index()].unwrap());
+        let mx = Lit::pos(map[x.index()].unwrap());
         assert_eq!(
             s.solve_with_assumptions(&[new_sel, mx.negate()]),
             SatResult::Unsat
@@ -2172,58 +1805,6 @@ mod tests {
         cnf.add_clause(&[-b]);
         let mut s = Solver::from_cnf(&cnf);
         assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn vivification_strengthens_redundant_base_clauses() {
-        // C = (a ∨ b ∨ c) with DB ⊨ (a ∨ b) and (a ∨ c): whichever
-        // literal the probe decides first, unit propagation derives one
-        // of the others, so C strengthens to a binary subset regardless
-        // of the (propagation-shuffled) literal order.
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let c = s.new_var();
-        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        s.add_clause(&[Lit::pos(a), Lit::pos(c)]);
-        s.add_clause(&[Lit::pos(a), Lit::pos(b), Lit::pos(c)]);
-        let live_before = s.live_clauses();
-        let strengthened = s.vivify_base(1_000_000);
-        assert!(strengthened >= 1, "the ternary clause is subsumed");
-        assert!(s.stats().vivified_clauses >= 1);
-        assert!(s.live_clauses() <= live_before);
-        // Semantics unchanged.
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert_eq!(
-            s.solve_with_assumptions(&lits(&[-1, -2])),
-            SatResult::Unsat,
-            "¬a ∧ ¬b still contradicts (a ∨ b)"
-        );
-        // A second call is a no-op (everything flagged).
-        assert_eq!(s.vivify_base(1_000_000), 0);
-    }
-
-    #[test]
-    fn vivification_skips_guarded_and_learnt_clauses() {
-        let mut s = Solver::new();
-        let x = s.new_var();
-        let y = s.new_var();
-        let z = s.new_var();
-        let sel = Lit::pos(s.new_selector());
-        s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
-        // Guarded clause that *would* vivify were it a base clause.
-        s.add_guarded_clause(sel, &[Lit::pos(x), Lit::pos(y), Lit::pos(z)]);
-        let strengthened = s.vivify_base(1_000_000);
-        assert_eq!(strengthened, 0, "guarded clauses are never vivified");
-        // The guarded clause still works under its selector.
-        assert_eq!(
-            s.solve_with_assumptions(&[sel, Lit::neg(x), Lit::neg(y), Lit::neg(z)]),
-            SatResult::Unsat
-        );
-        assert_eq!(
-            s.solve_with_assumptions(&[sel, Lit::neg(x), Lit::pos(y)]),
-            SatResult::Sat
-        );
     }
 
     #[test]

@@ -642,11 +642,14 @@ impl SessionActor {
             ),
             ("solver_conflicts", Json::Int(stats.solver_conflicts as i64)),
             ("solver_restarts", Json::Int(stats.solver_restarts as i64)),
-            ("solver_vivified", Json::Int(stats.solver_vivified as i64)),
             ("encode_ns", Json::Int(stats.encode_time.as_nanos() as i64)),
             (
                 "cofactor_ns",
                 Json::Int(stats.cofactor_time.as_nanos() as i64),
+            ),
+            (
+                "arena_gc_ns",
+                Json::Int(stats.arena_gc_time.as_nanos() as i64),
             ),
         ];
         pairs.extend(sweep_pairs(&stats));
@@ -822,6 +825,10 @@ impl SessionActor {
                 Json::Int(stats.arena_collections as i64),
             ),
             (
+                "arena_gc_ns",
+                Json::Int(stats.arena_gc_time.as_nanos() as i64),
+            ),
+            (
                 "arena_nodes_collected",
                 Json::Int(stats.arena_nodes_collected as i64),
             ),
@@ -856,7 +863,6 @@ impl SessionActor {
             ),
             ("solver_conflicts", Json::Int(stats.solver_conflicts as i64)),
             ("solver_restarts", Json::Int(stats.solver_restarts as i64)),
-            ("solver_vivified", Json::Int(stats.solver_vivified as i64)),
             ("sat_ns", Json::Int(stats.sat_time.as_nanos() as i64)),
             ("bdd_ns", Json::Int(stats.bdd_time.as_nanos() as i64)),
             ("anf_ns", Json::Int(stats.anf_time.as_nanos() as i64)),

@@ -774,8 +774,7 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
         prom("qb_obs_dropped_spans", "all")
     );
 
-    // Solver work: the sessions' own counters add up to the registry's,
-    // vivification included.
+    // Solver work: the sessions' own counters add up to the registry's.
     let propagations = sum(programs, "solver_propagations");
     assert!(propagations > 0, "{status}");
     assert_eq!(prom("qb_solver_propagations_total", "sat"), propagations);

@@ -540,6 +540,38 @@ fn sat_sweep_merges_survive_arena_collection() {
     assert!(after_second.arena_collections > after_first.arena_collections);
 }
 
+/// Arena collection is booked in `arena_gc_time`: on adder-64 under
+/// `--backend sat` with a 64-node GC floor, one sweep collects, and the
+/// collections take some but not all of the sweep's wall time. With the
+/// floor out of reach nothing is collected and nothing is booked.
+#[test]
+fn arena_gc_time_books_collections_within_the_sweep() {
+    let (circuit, initial, targets) = dirty_program(&adder_source(64));
+    let opts = VerifyOptions {
+        backend: BackendKind::Sat,
+        ..VerifyOptions::default()
+    };
+    let mut session = VerifySession::new(&circuit, &initial, &opts).unwrap();
+    session.set_memory_limits(Some(64), None);
+    let clock = std::time::Instant::now();
+    session.verify_report(&targets).unwrap();
+    let wall = clock.elapsed();
+    let stats = session.stats();
+    assert!(stats.arena_collections > 0, "{stats:?}");
+    assert!(
+        stats.arena_gc_time > std::time::Duration::ZERO && stats.arena_gc_time <= wall,
+        "gc {:?} of a {wall:?} sweep",
+        stats.arena_gc_time
+    );
+
+    let mut session = VerifySession::new(&circuit, &initial, &opts).unwrap();
+    session.set_memory_limits(Some(usize::MAX), None);
+    session.verify_report(&targets).unwrap();
+    let stats = session.stats();
+    assert_eq!(stats.arena_collections, 0, "{stats:?}");
+    assert_eq!(stats.arena_gc_time, std::time::Duration::ZERO);
+}
+
 /// `program`, every qubit unconstrained, and its verification targets.
 fn dirty_program(source: &str) -> (Circuit, Vec<InitialValue>, Vec<usize>) {
     let program = elaborate(&parse(source).unwrap()).unwrap();

@@ -629,6 +629,10 @@ fn daemon_soak_arena_bounded_and_verdicts_exact_over_200_cycles() {
     );
     assert!(p.get("arena_nodes_collected").and_then(Json::as_i64) > Some(0));
     assert!(
+        p.get("arena_gc_ns").and_then(Json::as_i64) > Some(0),
+        "collection time is booked: {p}"
+    );
+    assert!(
         p.get("cached_decisions").and_then(Json::as_i64) <= Some(CACHE_CAP as i64),
         "decision cache within its configured bound: {p}"
     );

@@ -964,12 +964,7 @@ impl BddSession {
                 continue;
             }
             need.push(id);
-            match arena.node(id) {
-                Node::And(children) | Node::Xor(children, _) => {
-                    stack.extend_from_slice(children);
-                }
-                _ => {}
-            }
+            stack.extend_from_slice(arena.children(id));
         }
         // Children precede parents in arena order, so ascending index
         // order computes every dependency first.
@@ -987,8 +982,8 @@ impl BddSession {
                 }
             }
             let result = match arena.node(id) {
-                Node::Const(b) => Ok(self.manager.constant(*b)),
-                Node::Var(v) => self.manager.var(*v),
+                Node::Const(b) => Ok(self.manager.constant(b)),
+                Node::Var(v) => self.manager.var(v),
                 Node::And(children) => {
                     let mut acc = Ok(BddRef::TRUE);
                     for c in children.iter() {
@@ -1001,7 +996,7 @@ impl BddSession {
                     acc
                 }
                 Node::Xor(children, parity) => {
-                    let mut acc = Ok(self.manager.constant(*parity));
+                    let mut acc = Ok(self.manager.constant(parity));
                     for c in children.iter() {
                         let child = self.cache[c].bdd;
                         acc = acc.and_then(|a| self.manager.xor(a, child));

@@ -904,8 +904,13 @@ impl VerifySession {
         self.structural.remap_nodes(&remap);
         self.outcomes.remap_nodes(&remap);
         self.sweep.remap_nodes(&remap);
+        let collected = (before - self.state.arena.len()) as u64;
         self.arena_collections += 1;
-        self.arena_nodes_collected += (before - self.state.arena.len()) as u64;
+        self.arena_nodes_collected += collected;
+        // Published as it happens, so the registry agrees with the
+        // session counters.
+        qb_obs::counter_add("arena_collections", "", 1);
+        qb_obs::counter_add("arena_nodes_collected", "", collected);
         self.arena_watermark =
             (self.state.arena.len() * ARENA_GC_GROWTH).max(self.arena_watermark_min);
         self.arena_gc_time += clock.elapsed();

@@ -172,7 +172,7 @@ pub(crate) fn structural_supports(arena: &Arena, roots: &[NodeId]) -> Vec<Vec<Va
         row[i] = rows;
         rows += 1;
         if let Node::Var(v) = arena.node(arena.id_at(i)) {
-            vars = vars.max(*v as usize + 1);
+            vars = vars.max(v as usize + 1);
         }
     }
     let words = vars.div_ceil(64).max(1);
@@ -184,7 +184,7 @@ pub(crate) fn structural_supports(arena: &Arena, roots: &[NodeId]) -> Vec<Vec<Va
         let at = r * words;
         match arena.node(arena.id_at(i)) {
             Node::Const(_) => {}
-            Node::Var(v) => bits[at + *v as usize / 64] |= 1 << (v % 64),
+            Node::Var(v) => bits[at + v as usize / 64] |= 1 << (v % 64),
             Node::And(children) | Node::Xor(children, _) => {
                 for c in children.iter() {
                     let from = row[c.index()] * words;

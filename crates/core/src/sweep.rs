@@ -99,6 +99,8 @@ pub(crate) struct Sweep {
     /// representatives (the roots condition construction cofactors).
     formulas: Vec<NodeId>,
     roots: Vec<NodeId>,
+    /// Scratch buffer of [`Sweep::sweep_node`]'s rebuilt children.
+    kids: Vec<NodeId>,
     pub(crate) merged: u64,
     pub(crate) refuted: u64,
     pub(crate) capped: u64,
@@ -119,6 +121,7 @@ impl Default for Sweep {
             classes: HashMap::new(),
             formulas: Vec::new(),
             roots: Vec::new(),
+            kids: Vec::new(),
             merged: 0,
             refuted: 0,
             capped: 0,
@@ -243,11 +246,9 @@ impl Sweep {
                 continue;
             }
             stack.push((id, true));
-            if let Node::And(children) | Node::Xor(children, _) = arena.node(id) {
-                for &c in children.iter() {
-                    if self.lookup(c).is_none() {
-                        stack.push((c, false));
-                    }
+            for &c in arena.children(id) {
+                if self.lookup(c).is_none() {
+                    stack.push((c, false));
                 }
             }
         }
@@ -262,28 +263,26 @@ impl Sweep {
         prover: &mut dyn Prover,
         id: NodeId,
     ) -> Result<(), VerifyError> {
-        let rebuilt = match arena.node(id).clone() {
+        // The children's representatives replace the children in a
+        // buffer kept across calls.
+        let mut kids = std::mem::take(&mut self.kids);
+        kids.clear();
+        kids.extend_from_slice(arena.children(id));
+        let rebuilt = match arena.node(id) {
             Node::Const(_) | Node::Var(_) => id,
-            Node::And(children) => {
-                let kids: Vec<NodeId> = children
-                    .iter()
-                    .map(|&c| {
-                        let (r, complement) = self.lookup(c).expect("children are swept");
-                        self.node_of(arena, r, complement)
-                    })
-                    .collect();
+            Node::And(_) => {
+                for kid in &mut kids {
+                    let (r, complement) = self.lookup(*kid).expect("children are swept");
+                    *kid = self.node_of(arena, r, complement);
+                }
                 arena.and(&kids)
             }
-            Node::Xor(children, parity) => {
-                let mut parity = parity;
-                let kids: Vec<NodeId> = children
-                    .iter()
-                    .map(|&c| {
-                        let (r, complement) = self.lookup(c).expect("children are swept");
-                        parity ^= complement;
-                        r
-                    })
-                    .collect();
+            Node::Xor(_, mut parity) => {
+                for kid in &mut kids {
+                    let (r, complement) = self.lookup(*kid).expect("children are swept");
+                    parity ^= complement;
+                    *kid = r;
+                }
                 let x = arena.xor(&kids);
                 if parity {
                     arena.not(x)
@@ -292,6 +291,7 @@ impl Sweep {
                 }
             }
         };
+        self.kids = kids;
         self.grow(arena);
         let rep = match self.lookup(rebuilt) {
             Some(r) => r,
@@ -313,12 +313,11 @@ impl Sweep {
         prover: &mut dyn Prover,
         id: NodeId,
     ) -> Result<(NodeId, bool), VerifyError> {
-        if let Node::And(children) | Node::Xor(children, _) = arena.node(id).clone() {
-            for c in children.iter() {
-                if self.lookup(*c).is_none() {
-                    let r = self.classify_fresh(arena, prover, *c)?;
-                    self.rep[c.index()] = Some(r);
-                }
+        for k in 0..arena.children(id).len() {
+            let c = arena.children(id)[k];
+            if self.lookup(c).is_none() {
+                let r = self.classify_fresh(arena, prover, c)?;
+                self.rep[c.index()] = Some(r);
             }
         }
         let r = self.classify(arena, prover, id)?;
@@ -336,25 +335,25 @@ impl Sweep {
         id: NodeId,
     ) -> Result<(NodeId, bool), VerifyError> {
         match arena.node(id) {
-            Node::Const(b) => return Ok((NodeId::FALSE, *b)),
+            Node::Const(b) => return Ok((NodeId::FALSE, b)),
             Node::Xor(children, parity) if children.len() == 1 => {
                 let (r, complement) = self.lookup(children[0]).expect("children are swept");
-                return Ok((r, complement != *parity));
+                return Ok((r, complement != parity));
             }
             // `x ⊕ x` and `x ∧ x`: the Raw constructors keep them, and a
             // rebuild over merged children creates them.
             Node::Xor(children, parity) if children.len() == 2 && children[0] == children[1] => {
-                return Ok((NodeId::FALSE, *parity));
+                return Ok((NodeId::FALSE, parity));
             }
             Node::And(children) if children.iter().all(|&c| c == children[0]) => {
                 return Ok(self.lookup(children[0]).expect("children are swept"));
             }
             // `(u ⊕ v) ⊕ v`: a gate and its inverse next to each other.
             Node::Xor(children, parity) if children.len() == 2 => {
-                if let Some(r) = self.cancel_pair(arena, children[0], children[1], *parity) {
+                if let Some(r) = self.cancel_pair(arena, children[0], children[1], parity) {
                     return Ok(r);
                 }
-                if let Some(r) = self.cancel_pair(arena, children[1], children[0], *parity) {
+                if let Some(r) = self.cancel_pair(arena, children[1], children[0], parity) {
                     return Ok(r);
                 }
             }

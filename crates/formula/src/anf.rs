@@ -350,13 +350,13 @@ impl Anf {
             let id = NodeId::from_index(i);
             let anf = match arena.node(id) {
                 Node::Const(b) => {
-                    if *b {
+                    if b {
                         Anf::one()
                     } else {
                         Anf::zero()
                     }
                 }
-                Node::Var(v) => Anf::var(*v),
+                Node::Var(v) => Anf::var(v),
                 Node::And(children) => {
                     let mut acc = Anf::one();
                     for c in children.iter() {
@@ -366,7 +366,7 @@ impl Anf {
                     acc
                 }
                 Node::Xor(children, parity) => {
-                    let mut acc = if *parity { Anf::one() } else { Anf::zero() };
+                    let mut acc = if parity { Anf::one() } else { Anf::zero() };
                     for c in children.iter() {
                         let child = table[c.index()].as_ref().expect("children precede parents");
                         acc = acc.xor(child);
@@ -419,12 +419,7 @@ impl Anf {
                 continue;
             }
             need.push(id);
-            match arena.node(id) {
-                Node::And(children) | Node::Xor(children, _) => {
-                    stack.extend_from_slice(children);
-                }
-                _ => {}
-            }
+            stack.extend_from_slice(arena.children(id));
         }
         // Children precede parents in arena order; oversized polynomials
         // are not admitted into the cache and live in `local` instead.
@@ -445,13 +440,13 @@ impl Anf {
         for id in need {
             let anf = match arena.node(id) {
                 Node::Const(b) => {
-                    if *b {
+                    if b {
                         Anf::one()
                     } else {
                         Anf::zero()
                     }
                 }
-                Node::Var(v) => Anf::var(*v),
+                Node::Var(v) => Anf::var(v),
                 Node::And(children) => {
                     let mut acc = Anf::one();
                     for c in children.iter() {
@@ -460,7 +455,7 @@ impl Anf {
                     acc
                 }
                 Node::Xor(children, parity) => {
-                    let mut acc = if *parity { Anf::one() } else { Anf::zero() };
+                    let mut acc = if parity { Anf::one() } else { Anf::zero() };
                     for c in children.iter() {
                         acc = acc.xor(child_poly(*c, &local, cache));
                     }

@@ -23,9 +23,27 @@
 //!   the identity used in the paper's Fig. 6.1) and n-ary AND with
 //!   idempotence and annihilation. Compute/uncompute pairs collapse at
 //!   construction time.
+//!
+//! # Storage
+//!
+//! The layout is that of an AIG manager (as behind FRAIG sweeping,
+//! Mishchenko et al.). Each node is one fixed-size head: its tag, the
+//! XOR parity, and either the constant/variable or a range of one shared
+//! `Vec<NodeId>` child pool, so a node is stored once. The cons table is
+//! an open-addressed `Vec<u32>` of node indices that hashes a node's tag,
+//! parity and pool slice and holds no key. Constructors look a node up
+//! with a slice on the caller's stack, so a hit allocates nothing.
+//!
+//! [`Arena::node`] returns a [`Node`] view whose child slices borrow the
+//! pool: it lives as long as the shared borrow of the arena, so copy the
+//! children out (or re-read them by position) before calling a
+//! constructor. [`Arena::collect`] compacts heads and pool in place in
+//! one ascending pass and refiles the survivors in the cons table; it
+//! allocates the mark vector and the returned [`NodeRemap`], whatever the
+//! arena's size.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a Boolean input variable (one per qubit in the verifier).
 pub type Var = u32;
@@ -56,20 +74,23 @@ impl NodeId {
     }
 }
 
-/// An interned formula node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Node {
+/// A borrowed view of an interned formula node (see [`Arena::node`]).
+///
+/// Child slices point into the arena's pool, so a view lives as long as
+/// the shared borrow of the arena that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Node<'a> {
     /// A Boolean constant.
     Const(bool),
     /// An input variable.
     Var(Var),
     /// Conjunction of the children (each child id < this node's id).
-    And(Box<[NodeId]>),
+    And(&'a [NodeId]),
     /// Exclusive-or of the children, XORed with the parity flag.
     ///
     /// `Xor([x], true)` is negation; in [`Simplify::Full`] mode children are
     /// sorted, duplicate-free and never themselves `Xor` or `Const` nodes.
-    Xor(Box<[NodeId]>, bool),
+    Xor(&'a [NodeId], bool),
 }
 
 /// How aggressively the smart constructors canonicalise (see module docs).
@@ -82,7 +103,61 @@ pub enum Simplify {
     Full,
 }
 
-/// An append-only, hash-consed store of formula nodes.
+/// The stored form of one node: [`Node`] with its children replaced by
+/// their range in the arena's pool.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    Const(bool),
+    Var(Var),
+    And(Span),
+    Xor(Span, bool),
+}
+
+/// A range of the child pool.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The span of `len` children starting at pool position `start`.
+    fn new(start: usize, len: usize) -> Span {
+        let fits = |n: usize| u32::try_from(n).expect("the child pool fits u32 positions");
+        Span {
+            start: fits(start),
+            len: fits(len),
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// An empty slot of the cons table.
+const EMPTY: u32 = u32::MAX;
+
+/// Smallest cons-table size (a power of two).
+const MIN_TABLE: usize = 16;
+
+/// The cons-table hash of a node: Fx-style mixing of its tag, parity,
+/// payload and children.
+fn hash_node(node: Node<'_>) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
+    match node {
+        Node::Const(b) => mix(0, u64::from(b)),
+        Node::Var(v) => mix(1, u64::from(v)),
+        Node::And(children) => children.iter().fold(2, |h, c| mix(h, u64::from(c.0))),
+        Node::Xor(children, parity) => children
+            .iter()
+            .fold(4 | u64::from(parity), |h, c| mix(h, u64::from(c.0))),
+    }
+}
+
+/// An append-only, hash-consed store of formula nodes (layout and costs
+/// in the module docs).
 ///
 /// # Examples
 ///
@@ -97,8 +172,13 @@ pub enum Simplify {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Arena {
-    nodes: Vec<Node>,
-    interned: HashMap<Node, NodeId>,
+    /// One head per node, indexed by [`NodeId`].
+    heads: Vec<Head>,
+    /// The children of every `And`/`Xor` node, in node order.
+    pool: Vec<NodeId>,
+    /// Open-addressed (linear probing) cons table of node indices, at
+    /// most half full; its length is a power of two.
+    table: Vec<u32>,
     mode: Simplify,
 }
 
@@ -106,8 +186,9 @@ impl Arena {
     /// Creates an empty arena (the two constants are pre-interned).
     pub fn new(mode: Simplify) -> Self {
         let mut arena = Arena {
-            nodes: Vec::new(),
-            interned: HashMap::new(),
+            heads: Vec::new(),
+            pool: Vec::new(),
+            table: vec![EMPTY; MIN_TABLE],
             mode,
         };
         let f = arena.intern(Node::Const(false));
@@ -126,22 +207,40 @@ impl Arena {
     /// Total number of interned nodes (including the two constants).
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// Returns `true` if only the constants are interned.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 2
+        self.heads.len() <= 2
     }
 
-    /// Borrow a node by id.
+    /// A view of the node `id`, borrowing the arena.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this arena.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        match self.heads[id.index()] {
+            Head::Const(b) => Node::Const(b),
+            Head::Var(v) => Node::Var(v),
+            Head::And(span) => Node::And(&self.pool[span.range()]),
+            Head::Xor(span, parity) => Node::Xor(&self.pool[span.range()], parity),
+        }
+    }
+
+    /// The children of `id` (empty for constants and variables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this arena.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        match self.heads[id.index()] {
+            Head::And(span) | Head::Xor(span, _) => &self.pool[span.range()],
+            Head::Const(_) | Head::Var(_) => &[],
+        }
     }
 
     /// The id stored at dense position `index` (inverse of
@@ -152,18 +251,82 @@ impl Arena {
     /// Panics if `index >= self.len()`.
     #[inline]
     pub fn id_at(&self, index: usize) -> NodeId {
-        assert!(index < self.nodes.len(), "node index out of range");
+        assert!(index < self.heads.len(), "node index out of range");
         NodeId::from_index(index)
     }
 
-    fn intern(&mut self, node: Node) -> NodeId {
-        if let Some(&id) = self.interned.get(&node) {
-            return id;
+    /// The cons-table slot holding `node`, or the empty slot where it
+    /// belongs.
+    fn find(&self, node: Node<'_>) -> Result<NodeId, usize> {
+        let mask = self.table.len() - 1;
+        let shift = 64 - self.table.len().trailing_zeros();
+        let mut slot = (hash_node(node) >> shift) as usize;
+        loop {
+            match self.table[slot] {
+                EMPTY => return Err(slot),
+                index if self.node(NodeId(index)) == node => return Ok(NodeId(index)),
+                _ => slot = (slot + 1) & mask,
+            }
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.interned.insert(node, id);
+    }
+
+    /// Interns `node`, whose children are not borrowed from this arena.
+    fn intern(&mut self, node: Node<'_>) -> NodeId {
+        let slot = match self.find(node) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let mut push = |children: &[NodeId]| {
+            let span = Span::new(self.pool.len(), children.len());
+            self.pool.extend_from_slice(children);
+            span
+        };
+        let head = match node {
+            Node::Const(b) => Head::Const(b),
+            Node::Var(v) => Head::Var(v),
+            Node::And(children) => Head::And(push(children)),
+            Node::Xor(children, parity) => Head::Xor(push(children), parity),
+        };
+        self.insert(head, slot)
+    }
+
+    /// Interns `Xor(children of x, parity)`, copying the children within
+    /// the pool.
+    fn intern_xor_of(&mut self, x: NodeId, parity: bool) -> NodeId {
+        let (Head::And(span) | Head::Xor(span, _)) = self.heads[x.index()] else {
+            unreachable!("only inner nodes have children");
+        };
+        let slot = match self.find(Node::Xor(&self.pool[span.range()], parity)) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let copy = Span::new(self.pool.len(), span.len as usize);
+        self.pool.extend_from_within(span.range());
+        self.insert(Head::Xor(copy, parity), slot)
+    }
+
+    /// Appends `head` as a new node filed at the empty `slot`.
+    fn insert(&mut self, head: Head, slot: usize) -> NodeId {
+        let id = NodeId::from_index(self.heads.len());
+        self.heads.push(head);
+        self.table[slot] = id.0;
+        if self.heads.len() * 2 > self.table.len() {
+            self.rebuild_table(self.table.len() * 2);
+        }
         id
+    }
+
+    /// Refiles every node in an empty cons table of `size` slots.
+    fn rebuild_table(&mut self, size: usize) {
+        self.table.clear();
+        self.table.resize(size, EMPTY);
+        for index in 0..self.heads.len() {
+            let id = NodeId::from_index(index);
+            let Err(slot) = self.find(self.node(id)) else {
+                unreachable!("interned nodes are distinct");
+            };
+            self.table[slot] = id.0;
+        }
     }
 
     /// The constant node for `b`.
@@ -183,7 +346,7 @@ impl Arena {
 
     /// Looks up the node of an already-interned variable.
     pub fn find_var(&self, v: Var) -> Option<NodeId> {
-        self.interned.get(&Node::Var(v)).copied()
+        self.find(Node::Var(v)).ok()
     }
 
     /// Logical negation `¬x`.
@@ -193,15 +356,13 @@ impl Arena {
             // Fold double negation / flip parity in both modes: a negation is
             // parity bookkeeping, not structure.
             Node::Xor(children, parity) => {
-                let flipped = !parity;
-                if children.len() == 1 && !flipped {
+                if children.len() == 1 && parity {
                     children[0]
                 } else {
-                    let node = Node::Xor(children.clone(), flipped);
-                    self.intern(node)
+                    self.intern_xor_of(x, !parity)
                 }
             }
-            _ => self.intern(Node::Xor(Box::new([x]), true)),
+            _ => self.intern(Node::Xor(&[x], true)),
         }
     }
 
@@ -234,16 +395,12 @@ impl Arena {
                     // which keeps cofactor-diff node ids stable across
                     // negation-only edits (an appended X on a shared
                     // qubit) and lets session decision caches hit.
-                    let stripped = match self.node(op) {
+                    let base = match self.node(op) {
                         Node::Const(b) => {
                             parity ^= b;
                             continue;
                         }
-                        Node::Xor(children, true) => Some(children.clone()),
-                        _ => None,
-                    };
-                    let base = match stripped {
-                        Some(children) => {
+                        Node::Xor(children, true) => {
                             parity = !parity;
                             if children.len() == 1 {
                                 children[0]
@@ -251,14 +408,14 @@ impl Arena {
                                 // The parity-false sibling exists: a
                                 // parity-true XOR is only ever created by
                                 // negating it.
-                                self.intern(Node::Xor(children, false))
+                                self.intern_xor_of(op, false)
                             }
                         }
-                        None => op,
+                        _ => op,
                     };
                     acc = Some(match acc {
                         None => base,
-                        Some(prev) => self.intern(Node::Xor(Box::new([prev, base]), false)),
+                        Some(prev) => self.intern(Node::Xor(&[prev, base], false)),
                     });
                 }
                 match (acc, parity) {
@@ -297,7 +454,7 @@ impl Arena {
                 match (kept.len(), parity) {
                     (0, p) => self.constant(p),
                     (1, false) => kept[0],
-                    _ => self.intern(Node::Xor(kept.into_boxed_slice(), parity)),
+                    _ => self.intern(Node::Xor(&kept, parity)),
                 }
             }
         }
@@ -315,7 +472,7 @@ impl Arena {
                         _ => {
                             acc = Some(match acc {
                                 None => op,
-                                Some(prev) => self.intern(Node::And(Box::new([prev, op]))),
+                                Some(prev) => self.intern(Node::And(&[prev, op])),
                             });
                         }
                     }
@@ -336,8 +493,8 @@ impl Arena {
                 leaves.dedup();
                 // x ∧ ¬x = 0: a negation is Xor([y], true); check for pairs.
                 for &id in &leaves {
-                    if let Node::Xor(children, true) = self.node(id) {
-                        if children.len() == 1 && leaves.binary_search(&children[0]).is_ok() {
+                    if let Node::Xor(&[child], true) = self.node(id) {
+                        if leaves.binary_search(&child).is_ok() {
                             return NodeId::FALSE;
                         }
                     }
@@ -345,7 +502,7 @@ impl Arena {
                 match leaves.len() {
                     0 => NodeId::TRUE,
                     1 => leaves[0],
-                    _ => self.intern(Node::And(leaves.into_boxed_slice())),
+                    _ => self.intern(Node::And(&leaves)),
                 }
             }
         }
@@ -373,16 +530,17 @@ impl Arena {
     ///
     /// Panics if a variable index is out of bounds for `env`.
     pub fn eval_all(&self, env: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            values[i] = match node {
-                Node::Const(b) => *b,
-                Node::Var(v) => env[*v as usize],
+        let mut values = Vec::with_capacity(self.heads.len());
+        for i in 0..self.heads.len() {
+            let value = match self.node(NodeId::from_index(i)) {
+                Node::Const(b) => b,
+                Node::Var(v) => env[v as usize],
                 Node::And(children) => children.iter().all(|c| values[c.index()]),
                 Node::Xor(children, parity) => children
                     .iter()
-                    .fold(*parity, |acc, c| acc ^ values[c.index()]),
+                    .fold(parity, |acc, c| acc ^ values[c.index()]),
             };
+            values.push(value);
         }
         values
     }
@@ -398,15 +556,15 @@ impl Arena {
     /// nodes past `sigs.len()` are evaluated, so a caller keeping `sigs`
     /// across calls pays once per node; nothing is appended to the arena.
     pub fn simulate(&self, sigs: &mut Vec<u64>, input: impl Fn(Var) -> u64) {
-        sigs.reserve(self.nodes.len().saturating_sub(sigs.len()));
-        for i in sigs.len()..self.nodes.len() {
-            let word = match &self.nodes[i] {
-                Node::Const(b) => 0u64.wrapping_sub(u64::from(*b)),
-                Node::Var(v) => input(*v),
+        sigs.reserve(self.heads.len().saturating_sub(sigs.len()));
+        for i in sigs.len()..self.heads.len() {
+            let word = match self.node(NodeId::from_index(i)) {
+                Node::Const(b) => 0u64.wrapping_sub(u64::from(b)),
+                Node::Var(v) => input(v),
                 Node::And(children) => children.iter().fold(!0, |acc, c| acc & sigs[c.index()]),
                 Node::Xor(children, parity) => children
                     .iter()
-                    .fold(0u64.wrapping_sub(u64::from(*parity)), |acc, c| {
+                    .fold(0u64.wrapping_sub(u64::from(parity)), |acc, c| {
                         acc ^ sigs[c.index()]
                     }),
             };
@@ -414,60 +572,45 @@ impl Arena {
         }
     }
 
-    /// Substitutes the constant `val` for `var` in every node, returning a
-    /// map from old node id to the cofactored node id.
-    ///
-    /// New nodes may be appended to the arena; only ids that existed when
-    /// the call started appear as keys (positions) of the returned map.
-    pub fn cofactor_all(&mut self, var: Var, val: bool) -> Vec<NodeId> {
-        self.cofactor_where(|_| true, var, val)
-    }
-
-    /// Substitutes a single root (convenience over [`Arena::cofactor_all`]).
+    /// Substitutes the constant `val` for `var` in a single root
+    /// (convenience over [`Arena::cofactor_reachable`]).
     pub fn cofactor(&mut self, root: NodeId, var: Var, val: bool) -> NodeId {
-        self.cofactor_all(var, val)[root.index()]
+        self.cofactor_reachable(&[root], var, val)[root.index()]
     }
 
-    /// Like [`Arena::cofactor_all`], but only cofactors nodes reachable
-    /// from `roots`; every other position of the returned map is the
-    /// identity. In a long-lived session arena (where earlier queries
-    /// have appended their own cofactor nodes) this keeps the per-query
-    /// work proportional to the live formula graph instead of the whole
-    /// arena history.
+    /// Substitutes the constant `val` for `var` in the nodes reachable
+    /// from `roots`, returning a map from old node id to the cofactored
+    /// node id; every other position of the map is the identity.
+    ///
+    /// Only the cone is visited, in ascending order, so in a long-lived
+    /// session arena (where earlier queries have appended their own
+    /// cofactor nodes) the per-query work follows the live formula graph
+    /// instead of the whole arena history. A node whose children all map
+    /// to themselves maps to itself without a constructor call, so no
+    /// node id changes needlessly. New nodes may be appended; only ids
+    /// that existed when the call started are positions of the map.
     pub fn cofactor_reachable(&mut self, roots: &[NodeId], var: Var, val: bool) -> Vec<NodeId> {
         let live = self.reachable(roots);
-        self.cofactor_where(|i| live[i], var, val)
-    }
-
-    /// The cofactor map of [`Arena::cofactor_all`] over the nodes at the
-    /// positions `live` accepts; every other position maps to itself. A
-    /// node whose children all map to themselves maps to itself without
-    /// a constructor call, so no node id changes needlessly.
-    fn cofactor_where(&mut self, live: impl Fn(usize) -> bool, var: Var, val: bool) -> Vec<NodeId> {
-        let original_len = self.nodes.len();
-        let mut map: Vec<NodeId> = Vec::with_capacity(original_len);
+        let mut map: Vec<NodeId> = (0..live.len()).map(NodeId::from_index).collect();
         let mut mapped: Vec<NodeId> = Vec::new();
-        for i in 0..original_len {
-            let id = NodeId(i as u32);
-            let (children, parity) = match &self.nodes[i] {
-                Node::Var(v) if *v == var && live(i) => {
-                    map.push(self.constant(val));
+        for i in (0..live.len()).filter(|&i| live[i]) {
+            let id = NodeId::from_index(i);
+            // `None` is an AND, `Some(parity)` an XOR.
+            let parity = match self.node(id) {
+                Node::Var(v) if v == var => {
+                    map[i] = self.constant(val);
                     continue;
                 }
-                Node::And(children) if live(i) => (children, None),
-                Node::Xor(children, parity) if live(i) => (children, Some(*parity)),
-                _ => {
-                    map.push(id);
-                    continue;
-                }
+                Node::Const(_) | Node::Var(_) => continue,
+                Node::And(_) => None,
+                Node::Xor(_, parity) => Some(parity),
             };
             mapped.clear();
-            mapped.extend(children.iter().map(|c| map[c.index()]));
-            if mapped.iter().zip(children.iter()).all(|(m, c)| m == c) {
-                map.push(id);
+            mapped.extend(self.children(id).iter().map(|c| map[c.index()]));
+            if mapped == self.children(id) {
                 continue;
             }
-            let cofactored = match parity {
+            map[i] = match parity {
                 None => self.and(&mapped),
                 Some(parity) => {
                     let x = self.xor(&mapped);
@@ -478,42 +621,29 @@ impl Arena {
                     }
                 }
             };
-            map.push(cofactored);
         }
         map
     }
 
     /// Number of nodes reachable from `roots` (shared nodes counted once).
     pub fn reachable_size(&self, roots: &[NodeId]) -> usize {
-        let mut mark = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if mark[id.index()] {
-                continue;
-            }
-            mark[id.index()] = true;
-            count += 1;
-            match self.node(id) {
-                Node::And(children) | Node::Xor(children, _) => stack.extend_from_slice(children),
-                _ => {}
-            }
-        }
-        count
+        self.reachable(roots).iter().filter(|&&m| m).count()
     }
 
-    /// Marks every node reachable from `roots`.
+    /// Marks every node reachable from `roots`: one descending pass over
+    /// the positions below the highest root (children precede parents),
+    /// which reads the children of marked nodes only.
     pub fn reachable(&self, roots: &[NodeId]) -> Vec<bool> {
-        let mut mark = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if mark[id.index()] {
-                continue;
-            }
-            mark[id.index()] = true;
-            match self.node(id) {
-                Node::And(children) | Node::Xor(children, _) => stack.extend_from_slice(children),
-                _ => {}
+        let mut mark = vec![false; self.heads.len()];
+        for r in roots {
+            mark[r.index()] = true;
+        }
+        let top = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
+        for i in (0..top).rev() {
+            if mark[i] {
+                for c in self.children(NodeId::from_index(i)) {
+                    mark[c.index()] = true;
+                }
             }
         }
         mark
@@ -524,6 +654,10 @@ impl Arena {
     /// `roots`, renumbers the survivors densely (preserving relative
     /// order, so children still precede parents and canonically sorted
     /// child lists stay sorted) and rebuilds the cons table.
+    ///
+    /// Heads and pool are compacted in place in one ascending pass (a
+    /// survivor's children only move down), so the call allocates the
+    /// mark vector and the returned map, whatever the arena's size.
     ///
     /// Every [`NodeId`] issued before the call is invalidated; holders
     /// must translate their ids through the returned [`NodeRemap`] (or
@@ -536,44 +670,35 @@ impl Arena {
     /// append-only arena grows monotonically with session history.
     pub fn collect(&mut self, roots: &[NodeId]) -> NodeRemap {
         let mark = self.reachable(roots);
-        let n = self.nodes.len();
-        let mut map: Vec<Option<NodeId>> = vec![None; n];
-        let mut kept: Vec<Node> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        let mut map: Vec<Option<NodeId>> = vec![None; self.heads.len()];
+        let (mut live, mut pool_end) = (0, 0);
+        for (i, &marked) in mark.iter().enumerate() {
             // The constants are structural anchors of every arena
             // ([`NodeId::FALSE`]/[`NodeId::TRUE`] are stable).
-            if !mark[i] && i >= 2 {
+            if !marked && i >= 2 {
                 continue;
             }
-            let remapped = match node {
-                Node::And(children) => Node::And(
-                    children
-                        .iter()
-                        .map(|c| map[c.index()].expect("child of a live node is live"))
-                        .collect(),
-                ),
-                Node::Xor(children, parity) => Node::Xor(
-                    children
-                        .iter()
-                        .map(|c| map[c.index()].expect("child of a live node is live"))
-                        .collect(),
-                    *parity,
-                ),
-                other => other.clone(),
+            let mut compact = |span: Span| {
+                let start = pool_end;
+                for k in span.range() {
+                    let child = self.pool[k];
+                    self.pool[pool_end] = map[child.index()].expect("child of a live node is live");
+                    pool_end += 1;
+                }
+                Span::new(start, span.len as usize)
             };
-            map[i] = Some(NodeId::from_index(kept.len()));
-            kept.push(remapped);
+            self.heads[live] = match self.heads[i] {
+                Head::And(span) => Head::And(compact(span)),
+                Head::Xor(span, parity) => Head::Xor(compact(span), parity),
+                leaf => leaf,
+            };
+            map[i] = Some(NodeId::from_index(live));
+            live += 1;
         }
-        self.interned = kept
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.clone(), NodeId::from_index(i)))
-            .collect();
-        self.nodes = kept;
-        NodeRemap {
-            map,
-            live: self.nodes.len(),
-        }
+        self.heads.truncate(live);
+        self.pool.truncate(pool_end);
+        self.rebuild_table((live * 2).next_power_of_two().max(MIN_TABLE));
+        NodeRemap { map, live }
     }
 
     /// Renders a formula with variable names supplied by `name`.
@@ -594,15 +719,15 @@ impl Arena {
         parens: bool,
     ) {
         match self.node(id) {
-            Node::Const(b) => out.push_str(if *b { "1" } else { "0" }),
-            Node::Var(v) => out.push_str(&name(*v)),
+            Node::Const(b) => out.push_str(if b { "1" } else { "0" }),
+            Node::Var(v) => out.push_str(&name(v)),
             Node::And(children) => {
-                for child in children.iter() {
+                for child in children {
                     self.render_into(*child, name, out, true);
                 }
             }
             Node::Xor(children, parity) => {
-                if children.len() == 1 && *parity {
+                if children.len() == 1 && parity {
                     out.push('~');
                     self.render_into(children[0], name, out, true);
                     return;
@@ -616,7 +741,7 @@ impl Arena {
                     }
                     self.render_into(*child, name, out, false);
                 }
-                if *parity {
+                if parity {
                     out.push_str(" + 1");
                 }
                 if parens {
@@ -694,7 +819,7 @@ impl NodeRemap {
 
 impl fmt::Display for Arena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Arena({} nodes, {:?})", self.nodes.len(), self.mode)
+        write!(f, "Arena({} nodes, {:?})", self.heads.len(), self.mode)
     }
 }
 
@@ -824,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn cofactor_reachable_matches_cofactor_all_on_roots() {
+    fn cofactor_reachable_matches_single_root_cofactors() {
         for mode in [Simplify::Raw, Simplify::Full] {
             let mut f = Arena::new(mode);
             let x = f.var(0);
@@ -837,12 +962,11 @@ mod tests {
             let junk = f.and2(z, r1);
 
             let mut clone = f.clone();
-            let all = clone.cofactor_all(1, true);
-            let restricted = f.cofactor_reachable(&[r1, r2], 1, true);
-            assert_eq!(restricted[r1.index()], all[r1.index()], "mode {mode:?}");
-            assert_eq!(restricted[r2.index()], all[r2.index()], "mode {mode:?}");
+            let single = [clone.cofactor(r1, 1, true), clone.cofactor(r2, 1, true)];
+            let shared = f.cofactor_reachable(&[r1, r2], 1, true);
+            assert_eq!([shared[r1.index()], shared[r2.index()]], single, "{mode:?}");
             // Unreachable positions are identity, not cofactored.
-            assert_eq!(restricted[junk.index()], junk, "mode {mode:?}");
+            assert_eq!(shared[junk.index()], junk, "mode {mode:?}");
         }
     }
 
@@ -975,11 +1099,9 @@ mod tests {
         let g1 = f.not(roots[0]);
         let _g2 = f.and2(g1, vars[5]);
         let remap = f.collect(&roots);
-        for (i, node) in (0..f.len()).map(|i| (i, f.node(f.id_at(i)).clone())) {
-            if let Node::And(children) | Node::Xor(children, _) = node {
-                for c in children.iter() {
-                    assert!(c.index() < i, "children precede parents");
-                }
+        for i in 0..f.len() {
+            for c in f.children(f.id_at(i)) {
+                assert!(c.index() < i, "children precede parents");
             }
         }
         for (old, r) in roots.iter().enumerate() {

@@ -334,12 +334,8 @@ impl IncrementalEncoder {
             }
             visiting[i] = true;
             pending.push(i);
-            match arena.node(id) {
-                Node::And(children) | Node::Xor(children, _) => {
-                    stack.extend(children.iter().filter(|c| self.lits[c.index()] == 0));
-                }
-                _ => {}
-            }
+            let children = arena.children(id);
+            stack.extend(children.iter().filter(|c| self.lits[c.index()] == 0));
         }
         for &i in &pending {
             visiting[i] = false;
@@ -359,19 +355,19 @@ impl IncrementalEncoder {
                             scope.true_lit_allocated = true;
                         }
                     }
-                    if *b {
+                    if b {
                         self.true_lit
                     } else {
                         -self.true_lit
                     }
                 }
-                Node::Var(v) => match self.var_lits.get(v) {
+                Node::Var(v) => match self.var_lits.get(&v) {
                     Some(&l) => l,
                     None => {
                         let l = sink.fresh_var();
-                        self.var_lits.insert(*v, l);
+                        self.var_lits.insert(v, l);
                         if let Some(scope) = self.scopes.last_mut() {
-                            scope.vars.push(*v);
+                            scope.vars.push(v);
                         }
                         l
                     }
@@ -405,7 +401,7 @@ impl IncrementalEncoder {
                         self.clauses_emitted += 4;
                         acc = y;
                     }
-                    if *parity {
+                    if parity {
                         -acc
                     } else {
                         acc

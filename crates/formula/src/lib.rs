@@ -132,21 +132,32 @@ mod randomized {
     const CASES: usize = 128;
 
     /// Raw and Full arenas both evaluate identically to the source
-    /// expression on every assignment.
+    /// expression on every assignment, also after a collection that
+    /// reclaims unrelated garbage: the remapped root keeps its function,
+    /// the rebuilt cons table finds it again, and the constants keep
+    /// their ids.
     #[test]
     fn arena_modes_agree_with_expression() {
         let mut rng = Rng::new(0xF0A0);
+        let mut junk_rng = Rng::new(0xF0A5);
         for _ in 0..CASES {
             let e = rand_expr(&mut rng, NVARS, 5);
-            let mut raw = Arena::new(Simplify::Raw);
-            let mut full = Arena::new(Simplify::Full);
-            let r_raw = build(&mut raw, &e);
-            let r_full = build(&mut full, &e);
-            for bits in 0u32..(1 << NVARS) {
-                let env: Vec<bool> = (0..NVARS).map(|i| bits >> i & 1 == 1).collect();
-                let expect = eval_expr(&e, &env);
-                assert_eq!(raw.eval(r_raw, &env), expect);
-                assert_eq!(full.eval(r_full, &env), expect);
+            let garbage = rand_expr(&mut junk_rng, NVARS, 5);
+            for mode in [Simplify::Raw, Simplify::Full] {
+                let mut f = Arena::new(mode);
+                let root = build(&mut f, &e);
+                let junk = build(&mut f, &garbage);
+                f.and2(junk, root);
+                f.xor2(junk, root);
+                let remap = f.collect(&[root]);
+                let kept = remap.remap(root).expect("the root survives");
+                for bits in 0u32..(1 << NVARS) {
+                    let env: Vec<bool> = (0..NVARS).map(|i| bits >> i & 1 == 1).collect();
+                    assert_eq!(f.eval(kept, &env), eval_expr(&e, &env), "{mode:?}");
+                }
+                assert_eq!(build(&mut f, &e), kept, "{mode:?}: rebuilt cons table");
+                assert_eq!(f.node(NodeId::FALSE), Node::Const(false));
+                assert_eq!(f.node(NodeId::TRUE), Node::Const(true));
             }
         }
     }
@@ -227,21 +238,40 @@ mod randomized {
         }
     }
 
-    /// Cofactoring in the arena matches semantic substitution.
+    /// Cofactoring in the arena matches semantic substitution in both
+    /// modes: for one root, and for two roots cofactored in one walk of
+    /// their cone, with unrelated garbage in the arena left as it is.
     #[test]
     fn cofactor_matches_semantics() {
         let mut rng = Rng::new(0xF0A4);
+        let mut junk_rng = Rng::new(0xF0A6);
         for _ in 0..CASES {
             let e = rand_expr(&mut rng, NVARS, 5);
             let var = rng.gen_below(NVARS as usize) as Var;
             let val = rng.gen_bool();
-            let mut full = Arena::new(Simplify::Full);
-            let root = build(&mut full, &e);
-            let cof = full.cofactor(root, var, val);
-            for bits in 0u32..(1 << NVARS) {
-                let mut env: Vec<bool> = (0..NVARS).map(|i| bits >> i & 1 == 1).collect();
-                env[var as usize] = val;
-                assert_eq!(full.eval(cof, &env), eval_expr(&e, &env));
+            let other = rand_expr(&mut junk_rng, NVARS, 5);
+            let garbage = rand_expr(&mut junk_rng, NVARS, 5);
+            for mode in [Simplify::Raw, Simplify::Full] {
+                let mut f = Arena::new(mode);
+                let root = build(&mut f, &e);
+                let cof = f.cofactor(root, var, val);
+                let second = build(&mut f, &other);
+                let junk = build(&mut f, &garbage);
+                let junk = f.and2(junk, cof);
+                let map = f.cofactor_reachable(&[root, second], var, val);
+                for bits in 0u32..(1 << NVARS) {
+                    let env: Vec<bool> = (0..NVARS).map(|i| bits >> i & 1 == 1).collect();
+                    let mut fixed = env.clone();
+                    fixed[var as usize] = val;
+                    let expect = eval_expr(&e, &fixed);
+                    assert_eq!(f.eval(cof, &env), expect, "{mode:?}");
+                    assert_eq!(f.eval(map[root.index()], &env), expect, "{mode:?}");
+                    let expect = eval_expr(&other, &fixed);
+                    assert_eq!(f.eval(map[second.index()], &env), expect, "{mode:?}");
+                }
+                if !f.reachable(&[root, second])[junk.index()] {
+                    assert_eq!(map[junk.index()], junk, "{mode:?}: outside the cone");
+                }
             }
         }
     }

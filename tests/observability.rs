@@ -607,6 +607,7 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
     // queued requests into `degraded` health.
     let child = std::process::Command::new(env!("CARGO_BIN_EXE_qborrow"))
         .args(["serve", "--quiet", "--queue-budget", "4"])
+        .args(["--arena-gc-floor", "64"])
         .args(["--sample-interval-ms", "50", "--socket"])
         .arg(&socket)
         .env("QB_FAILPOINTS", "slow_solve=delay-300")
@@ -787,6 +788,14 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
             sum(programs, &format!("sweep_{kind}")),
             "{kind}"
         );
+    }
+
+    // Arena collections likewise (the small GC floor makes both
+    // sessions collect).
+    for key in ["arena_collections", "arena_nodes_collected"] {
+        let total = sum(programs, key);
+        assert!(total > 0, "{key}: {status}");
+        assert_eq!(prom(&format!("qb_{key}_total"), ""), total, "{key}");
     }
 
     let resp = client.shutdown().unwrap();

@@ -59,14 +59,14 @@ pub use backend::{
 pub use conditions::{build_clean_condition, build_conditions, Conditions};
 pub use qb_sat::CancelToken;
 pub use session::{
-    verify_circuit_parallel, verify_program_parallel, EditStats, SessionStats, VerifyLimits,
+    verify_circuit_parallel, verify_program_parallel, EditStats, Fact, SessionStats, VerifyLimits,
     VerifySession,
 };
 pub use symbolic::{symbolic_execute, InitialValue, NotClassicalCircuit, SymbolicState};
 pub use verifier::{
-    check_clean_uncomputation, verify_circuit, verify_circuit_fresh, verify_program,
-    Counterexample, QubitVerdict, Verdict, VerificationReport, VerifyError, VerifyOptions,
-    Violation,
+    check_clean_uncomputation, initial_values, verify_circuit, verify_circuit_fresh,
+    verify_program, Counterexample, QubitVerdict, Verdict, VerificationReport, VerifyError,
+    VerifyOptions, Violation,
 };
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ use crate::verifier::{
 use qb_bdd::{BddBuildError, BddSession};
 use qb_circuit::{Circuit, Gate};
 use qb_formula::{Anf, AnfCache, AnfOverflow, Arena, CnfSink, IncrementalEncoder, NodeId, Var};
-use qb_lang::{gate_common_prefix, ElaboratedProgram, QubitKind};
+use qb_lang::{gate_common_prefix, ElaboratedProgram};
 use qb_obs::Histogram;
 use qb_sat::{CancelToken, Lit, SatResult, SatVar, Solver};
 use std::collections::HashMap;
@@ -454,6 +454,89 @@ pub struct SessionStats {
     pub root_latency: Histogram,
 }
 
+/// The value of one session fact ([`SessionStats::facts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fact {
+    /// Events counted over the session's lifetime.
+    Count(u64),
+    /// A resident size at this instant (a gauge).
+    Size(u64),
+    /// Cumulative wall time, in nanoseconds.
+    Nanos(u64),
+    /// A latency-histogram percentile, in microseconds.
+    Micros(u64),
+    /// The auto-ladder rung ([`AutoPreference::name`]), the one
+    /// string-valued fact.
+    Name(&'static str),
+}
+
+impl SessionStats {
+    /// Every session fact under its wire name, in field order: the one
+    /// table the daemon's `verify`, `load`/`edit` and `status` responses
+    /// and one-shot `--stats-json` render. Durations carry `_ns` names;
+    /// each latency histogram reports its p50 and p95.
+    pub fn facts(&self) -> Vec<(&'static str, Fact)> {
+        use Fact::{Count, Micros, Nanos, Size};
+        let size = |n: usize| Size(n as u64);
+        let ns = |d: Duration| Nanos(d.as_nanos().try_into().unwrap_or(u64::MAX));
+        let us = |ns: u64| Micros(ns / 1_000);
+        vec![
+            ("arena_nodes", size(self.arena_nodes)),
+            ("solver_vars", size(self.solver_vars)),
+            ("clause_slots", size(self.clause_slots)),
+            ("live_clauses", size(self.live_clauses)),
+            ("compactions", Count(self.compactions)),
+            ("edits", Count(self.edits)),
+            ("cached_decisions", size(self.cached_decisions)),
+            ("decision_hits", Count(self.decision_hits)),
+            ("decision_evictions", Count(self.decision_evictions)),
+            ("cofactor_memo_entries", size(self.cofactor_memo_entries)),
+            ("cofactor_hits", Count(self.cofactor_hits)),
+            ("support_memo_entries", size(self.support_memo_entries)),
+            ("support_hits", Count(self.support_hits)),
+            ("arena_collections", Count(self.arena_collections)),
+            ("arena_nodes_collected", Count(self.arena_nodes_collected)),
+            ("arena_gc_ns", ns(self.arena_gc_time)),
+            ("arena_gc_watermark", size(self.arena_gc_watermark)),
+            ("bdd_resident_nodes", size(self.bdd_resident_nodes)),
+            (
+                "bdd_cached_translations",
+                size(self.bdd_cached_translations),
+            ),
+            ("bdd_translation_hits", Count(self.bdd_translation_hits)),
+            ("bdd_translation_misses", Count(self.bdd_translation_misses)),
+            ("bdd_collections", Count(self.bdd_collections)),
+            ("bdd_nodes_collected", Count(self.bdd_nodes_collected)),
+            ("anf_fallbacks", Count(self.anf_fallbacks)),
+            ("bdd_fallbacks", Count(self.bdd_fallbacks)),
+            ("interrupts", Count(self.interrupts)),
+            ("deadline_fallbacks", Count(self.deadline_fallbacks)),
+            ("auto_preference", Fact::Name(self.auto_preference.name())),
+            ("anf_cached_polys", size(self.anf_cached_polys)),
+            ("anf_hits", Count(self.anf_hits)),
+            ("solver_propagations", Count(self.solver_propagations)),
+            ("solver_conflicts", Count(self.solver_conflicts)),
+            ("solver_decisions", Count(self.solver_decisions)),
+            ("solver_restarts", Count(self.solver_restarts)),
+            ("sat_ns", ns(self.sat_time)),
+            ("bdd_ns", ns(self.bdd_time)),
+            ("anf_ns", ns(self.anf_time)),
+            ("encode_ns", ns(self.encode_time)),
+            ("sweep_ns", ns(self.sweep_time)),
+            ("sweep_merged", Count(self.sweep_merges)),
+            ("sweep_refuted", Count(self.sweep_refuted)),
+            ("sweep_capped", Count(self.sweep_capped)),
+            ("sweep_sat_calls", Count(self.sweep_sat_calls)),
+            ("sweep_sim_witnesses", Count(self.sweep_sim_witnesses)),
+            ("cofactor_ns", ns(self.cofactor_time)),
+            ("target_p50_us", us(self.target_latency.p50())),
+            ("target_p95_us", us(self.target_latency.p95())),
+            ("root_p50_us", us(self.root_latency.p50())),
+            ("root_p95_us", us(self.root_latency.p95())),
+        ]
+    }
+}
+
 /// Resource limits for one bounded verification sweep
 /// ([`VerifySession::verify_targets_limited`]).
 ///
@@ -461,7 +544,7 @@ pub struct SessionStats {
 /// [`VerifySession::verify_targets`]. The `deadline` spans the *whole*
 /// sweep; `conflict_budget`/`propagation_budget` bound each individual
 /// solver call. An explicit `token` lets the caller keep a handle for
-/// out-of-band cancellation (e.g. a daemon watchdog thread); the sweep
+/// out-of-band cancellation (from another thread); the sweep
 /// arms it with the other limits and installs it into every backend.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyLimits {
@@ -1733,8 +1816,6 @@ impl VerifySession {
     /// The [`Verdict::Unknown`] verdict for an interrupted target, with
     /// the reason read off the installed token.
     fn unknown_verdict(&self, q: usize) -> QubitVerdict {
-        // Deadline first: a watchdog that hard-trips the token at the
-        // deadline would otherwise mask the more precise reason.
         let reason = match &self.cancel {
             Some(t) if t.deadline_expired() => "deadline",
             Some(t) if t.is_cancelled() => "cancelled",
@@ -1836,6 +1917,7 @@ impl VerifySession {
             solver_time,
             formula_nodes: self.formula_nodes(),
             options: self.opts,
+            sessions: vec![self.stats()],
         })
     }
 }
@@ -1898,6 +1980,7 @@ pub fn verify_circuit_parallel(
         construction_time: Duration,
         formula_nodes: usize,
         verdicts: Vec<(usize, QubitVerdict)>,
+        stats: SessionStats,
     }
 
     let results: Vec<Result<WorkerOut, VerifyError>> = std::thread::scope(|scope| {
@@ -1915,6 +1998,7 @@ pub fn verify_circuit_parallel(
                             construction_time: session.construction_time(),
                             formula_nodes: session.formula_nodes(),
                             verdicts,
+                            stats: session.stats(),
                         })
                     })();
                     // Hand the spans over before the join returns, so a
@@ -1934,8 +2018,10 @@ pub fn verify_circuit_parallel(
     let mut solver_time = Duration::ZERO;
     let mut formula_nodes = 0;
     let mut slots: Vec<Option<QubitVerdict>> = vec![None; targets.len()];
+    let mut sessions = Vec::with_capacity(jobs);
     for r in results {
         let out = r?;
+        sessions.push(out.stats);
         construction_time = construction_time.max(out.construction_time);
         formula_nodes = formula_nodes.max(out.formula_nodes);
         for (idx, v) in out.verdicts {
@@ -1952,6 +2038,7 @@ pub fn verify_circuit_parallel(
         solver_time,
         formula_nodes,
         options: *opts,
+        sessions,
     })
 }
 
@@ -1967,14 +2054,14 @@ pub fn verify_program_parallel(
     opts: &VerifyOptions,
     jobs: usize,
 ) -> Result<VerificationReport, VerifyError> {
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            QubitKind::BorrowedDirty | QubitKind::TrustedDirty => InitialValue::Free,
-        })
-        .collect();
     let targets = program.qubits_to_verify();
-    verify_circuit_parallel(&program.circuit, &initial, &targets, opts, jobs)
+    verify_circuit_parallel(
+        &program.circuit,
+        &crate::initial_values(program),
+        &targets,
+        opts,
+        jobs,
+    )
 }
 
 #[cfg(test)]
@@ -2123,12 +2210,7 @@ mod tests {
         // unlimited re-run matches the oracle.
         let program =
             qb_lang::elaborate(&qb_lang::parse(&qb_lang::adder_source(8)).unwrap()).unwrap();
-        let initial: Vec<InitialValue> = (0..program.num_qubits())
-            .map(|q| match program.qubit_kinds[q] {
-                QubitKind::Clean => InitialValue::Zero,
-                _ => InitialValue::Free,
-            })
-            .collect();
+        let initial = crate::initial_values(&program);
         let targets = program.qubits_to_verify();
         let opts = VerifyOptions {
             backend: BackendKind::Sat,

@@ -140,6 +140,11 @@ pub struct VerificationReport {
     pub formula_nodes: usize,
     /// The options used.
     pub options: VerifyOptions,
+    /// The final statistics of each session that ran the sweep: one
+    /// from [`verify_circuit`], one per worker from
+    /// [`crate::verify_circuit_parallel`], none from
+    /// [`verify_circuit_fresh`].
+    pub sessions: Vec<crate::SessionStats>,
 }
 
 impl VerificationReport {
@@ -343,6 +348,7 @@ pub fn verify_circuit_fresh(
         solver_time,
         formula_nodes,
         options: *opts,
+        sessions: Vec::new(),
     })
 }
 
@@ -450,14 +456,21 @@ pub fn verify_program(
     program: &ElaboratedProgram,
     opts: &VerifyOptions,
 ) -> Result<VerificationReport, VerifyError> {
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
+    let targets = program.qubits_to_verify();
+    verify_circuit(&program.circuit, &initial_values(program), &targets, opts)
+}
+
+/// Each qubit's initial value in `program`: `alloc` qubits start at
+/// `|0⟩`, `borrow` and `borrow@` qubits are free.
+pub fn initial_values(program: &ElaboratedProgram) -> Vec<InitialValue> {
+    program
+        .qubit_kinds
+        .iter()
+        .map(|kind| match kind {
             QubitKind::Clean => InitialValue::Zero,
             QubitKind::BorrowedDirty | QubitKind::TrustedDirty => InitialValue::Free,
         })
-        .collect();
-    let targets = program.qubits_to_verify();
-    verify_circuit(&program.circuit, &initial, &targets, opts)
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! conflict — a few thousand times per second at most — so the hot
 //! propagation path pays nothing.
 //!
-//! A token is *shared*: the owner keeps one clone (to flip from a
-//! watchdog thread) and installs another into each backend via
+//! A token is *shared*: the owner keeps one clone (to cancel from
+//! another thread) and installs another into each backend via
 //! [`crate::Solver::set_cancel_token`]. An interrupted solve returns
 //! [`crate::SatResult::Interrupted`] and leaves the solver in a sound
 //! state (level zero, learnt clauses retained), so the same query can be
@@ -44,7 +44,7 @@ const UNSET: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct CancelState {
-    /// The hard cancel flag (watchdog threads flip this).
+    /// The hard cancel flag ([`CancelToken::cancel`] sets it).
     flag: AtomicBool,
     /// Reference instant for the deadline; captured at construction so
     /// the deadline itself can live in a lock-free `u64`.

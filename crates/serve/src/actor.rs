@@ -14,17 +14,16 @@
 //! — one bad circuit never takes down a neighbouring editor's session.
 
 use crate::json::Json;
-use crate::protocol::{coded_error_response, error_response};
+use crate::protocol::{coded_error_response, error_response, render_verdict};
 use crate::router::{elaborate_source, hash_hex, not_loaded_response, ActorId, Router, SessionKey};
-use qb_core::{
-    CancelToken, QubitVerdict, SessionStats, Verdict, VerifyError, VerifyLimits, VerifySession,
-};
+use crate::snapshot::SessionRecord;
+use qb_core::{VerifyError, VerifyLimits, VerifySession};
 use qb_lang::{gate_diff, structural_hash, ElaboratedProgram};
 use qb_obs::Histogram;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Mailbox bound: enough to absorb a pipelining client's burst, small
@@ -97,20 +96,6 @@ impl ActorMsg {
     }
 }
 
-/// The actor's continuously published summary: status and metrics read
-/// this instead of queueing behind the mailbox, so a `status` request
-/// never waits for a slow sweep to finish (the daemon-control lane).
-pub(crate) struct PublishedStats {
-    /// Program-summary response members (everything except the
-    /// name and idle time, which are per-alias / per-read).
-    pub pairs: Vec<(&'static str, Json)>,
-    pub arena_nodes: usize,
-    pub bdd_resident_nodes: usize,
-    pub auto_preference: qb_core::AutoPreference,
-    pub target_latency: Histogram,
-    pub root_latency: Histogram,
-}
-
 /// State shared between an actor and the router/readers: routing needs
 /// queue depth, liveness, the mailbox-wait histogram and the breaker
 /// without a mailbox round-trip.
@@ -129,7 +114,11 @@ pub(crate) struct ActorShared {
     pub mailbox_wait: Mutex<Histogram>,
     /// Per-session circuit breaker over the quarantine-rebuild path.
     pub breaker: Mutex<Breaker>,
-    pub published: Mutex<PublishedStats>,
+    /// The actor's record as of its last handled request: status and
+    /// metrics read this instead of queueing behind the mailbox, so a
+    /// `status` request never waits for a slow sweep to finish (the
+    /// daemon-control lane).
+    pub published: Mutex<SessionRecord>,
 }
 
 /// Per-session circuit breaker: a session that panics (quarantine-
@@ -249,55 +238,6 @@ impl Drop for CaptureGuard {
     }
 }
 
-/// A deadline watchdog: a helper thread that trips `token` when the
-/// budget elapses, covering the window before the cooperative checks
-/// inside the solver loops observe the deadline themselves (and making
-/// every later check a cheap flag read). Dropping the guard wakes the
-/// thread immediately, so an in-budget verify pays one condvar signal,
-/// not a lingering thread per request.
-struct Watchdog {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(token: CancelToken, deadline: Duration) -> Watchdog {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let (lock, cvar) = &*thread_state;
-            let expires = Instant::now() + deadline;
-            let mut done = lock.lock().unwrap();
-            loop {
-                if *done {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= expires {
-                    token.cancel();
-                    return;
-                }
-                done = cvar.wait_timeout(done, expires - now).unwrap().0;
-            }
-        });
-        Watchdog {
-            state,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.state;
-        *lock.lock().unwrap() = true;
-        cvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Best-effort text of a caught panic payload.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -307,45 +247,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// The SAT sweep's counters (`SessionStats::sweep_*`) as they appear in
-/// the verify response and in `status`; `sweep_{merged,refuted,capped}`
-/// are the session's share of the `sweep` registry counters.
-fn sweep_pairs(stats: &SessionStats) -> [(&'static str, Json); 6] {
-    let int = |n: u64| Json::Int(n as i64);
-    [
-        ("sweep_merged", int(stats.sweep_merges)),
-        ("sweep_refuted", int(stats.sweep_refuted)),
-        ("sweep_capped", int(stats.sweep_capped)),
-        ("sweep_sat_calls", int(stats.sweep_sat_calls)),
-        ("sweep_sim_witnesses", int(stats.sweep_sim_witnesses)),
-        ("sweep_ns", Json::Int(stats.sweep_time.as_nanos() as i64)),
-    ]
-}
-
-fn render_verdict(program: &ElaboratedProgram, v: &QubitVerdict) -> Json {
-    let mut pairs = vec![
-        ("qubit", Json::Int(v.qubit as i64)),
-        ("name", Json::Str(program.qubit_name(v.qubit).to_string())),
-        ("safe", Json::Bool(v.safe)),
-        ("verdict", Json::Str(v.verdict.name().to_string())),
-        ("zero_ns", Json::Int(v.zero_time.as_nanos() as i64)),
-        ("plus_ns", Json::Int(v.plus_time.as_nanos() as i64)),
-    ];
-    if let Verdict::Unknown { reason } = &v.verdict {
-        pairs.push(("reason", Json::Str(reason.clone())));
-    }
-    if let Some(ce) = &v.counterexample {
-        pairs.push(("violation", Json::Str(ce.violation.to_string())));
-        if let Some(bits) = &ce.basis_assignment {
-            pairs.push((
-                "witness",
-                Json::Arr(bits.iter().map(|&b| Json::Bool(b)).collect()),
-            ));
-        }
-    }
-    Json::obj(pairs)
 }
 
 /// One session worker. Owns the program, its session and the retained
@@ -365,7 +266,7 @@ struct SessionActor {
     dead: bool,
 }
 
-/// Builds the initial published summary and spawns the worker thread.
+/// Publishes the initial record and spawns the worker thread.
 pub(crate) fn spawn_actor(
     router: Arc<Router>,
     id: ActorId,
@@ -379,7 +280,7 @@ pub(crate) fn spawn_actor(
     std::thread::JoinHandle<()>,
 ) {
     let (tx, rx) = std::sync::mpsc::sync_channel(MAILBOX_CAP);
-    let mut actor = SessionActor {
+    let actor = SessionActor {
         router,
         id,
         shared: Arc::new(ActorShared {
@@ -388,14 +289,10 @@ pub(crate) fn spawn_actor(
             send_lock: Mutex::new(()),
             mailbox_wait: Mutex::new(Histogram::new()),
             breaker: Mutex::new(Breaker::default()),
-            published: Mutex::new(PublishedStats {
-                pairs: Vec::new(),
-                arena_nodes: 0,
-                bdd_resident_nodes: 0,
-                auto_preference: qb_core::AutoPreference::Undecided,
-                target_latency: Histogram::new(),
-                root_latency: Histogram::new(),
-            }),
+            // Published before the spawn: a `status` racing the first
+            // message already sees the session (read-your-writes for
+            // the loading client).
+            published: Mutex::new(SessionRecord::new(key, &program, &session, 0)),
         }),
         key,
         program,
@@ -404,9 +301,6 @@ pub(crate) fn spawn_actor(
         verifies: 0,
         dead: false,
     };
-    // Publish before the spawn: a `status` racing the first message
-    // already sees the session (read-your-writes for the loading client).
-    actor.publish();
     let shared = Arc::clone(&actor.shared);
     let handle = std::thread::Builder::new()
         .name(format!("qb-session-{}", hash_hex(key.0)))
@@ -579,21 +473,11 @@ impl SessionActor {
         // `trace` only decides whether the rendered Chrome trace also
         // rides in this response.
         let capture = capture_begin();
-        let verdicts = match deadline {
-            None => self.session.verify_targets(&targets),
-            Some(budget) => {
-                let token = CancelToken::new();
-                let limits = VerifyLimits {
-                    deadline: Some(budget),
-                    token: Some(token.clone()),
-                    ..VerifyLimits::default()
-                };
-                // The watchdog hard-trips the token at the deadline;
-                // dropping the guard after the sweep retires it.
-                let _watchdog = Watchdog::arm(token, budget);
-                self.session.verify_targets_limited(&targets, &limits)
-            }
+        let limits = VerifyLimits {
+            deadline,
+            ..VerifyLimits::default()
         };
+        let verdicts = self.session.verify_targets_limited(&targets, &limits);
         let spans = capture.take();
         let trace_json = trace.then(|| qb_obs::chrome_trace(&spans));
         // Hand the span tree to the router before any early return, so
@@ -611,66 +495,17 @@ impl SessionActor {
             .iter()
             .map(|v| render_verdict(&self.program, v))
             .collect();
-        let stats = self.session.stats();
         self.router
             .remember_auto(self.key, self.session.auto_preference());
         let mut pairs = vec![
             ("ok", Json::Bool(true)),
             ("name", Json::Str(name.to_string())),
-            ("hash", Json::Str(hash_hex(self.key.0))),
-            ("backend", Json::Str(self.key.1.to_string())),
             ("all_safe", Json::Bool(all_safe)),
             ("unknowns", Json::Int(unknowns as i64)),
             ("verdicts", Json::Arr(rendered)),
             ("solve_ns", Json::Int(solve_ns)),
-            ("verifies", Json::Int(self.verifies as i64)),
-            ("compactions", Json::Int(stats.compactions as i64)),
-            ("anf_fallbacks", Json::Int(stats.anf_fallbacks as i64)),
-            ("bdd_fallbacks", Json::Int(stats.bdd_fallbacks as i64)),
-            ("interrupts", Json::Int(stats.interrupts as i64)),
-            (
-                "deadline_fallbacks",
-                Json::Int(stats.deadline_fallbacks as i64),
-            ),
-            (
-                "auto_preference",
-                Json::Str(stats.auto_preference.name().into()),
-            ),
-            (
-                "solver_propagations",
-                Json::Int(stats.solver_propagations as i64),
-            ),
-            ("solver_conflicts", Json::Int(stats.solver_conflicts as i64)),
-            ("solver_restarts", Json::Int(stats.solver_restarts as i64)),
-            ("encode_ns", Json::Int(stats.encode_time.as_nanos() as i64)),
-            (
-                "cofactor_ns",
-                Json::Int(stats.cofactor_time.as_nanos() as i64),
-            ),
-            (
-                "arena_gc_ns",
-                Json::Int(stats.arena_gc_time.as_nanos() as i64),
-            ),
         ];
-        pairs.extend(sweep_pairs(&stats));
-        pairs.extend([
-            (
-                "target_p50_us",
-                Json::Int((stats.target_latency.p50() / 1_000) as i64),
-            ),
-            (
-                "target_p95_us",
-                Json::Int((stats.target_latency.p95() / 1_000) as i64),
-            ),
-            (
-                "root_p50_us",
-                Json::Int((stats.root_latency.p50() / 1_000) as i64),
-            ),
-            (
-                "root_p95_us",
-                Json::Int((stats.root_latency.p95() / 1_000) as i64),
-            ),
-        ]);
+        pairs.extend(self.record().pairs());
         if let Ok(wait) = self.shared.mailbox_wait.lock() {
             pairs.push((
                 "mailbox_wait_p50_us",
@@ -776,129 +611,29 @@ impl SessionActor {
         Json::obj(pairs)
     }
 
-    /// The per-program summary members (the old daemon's
-    /// `program_summary`), computed from the owned session.
+    /// The program summary behind `load`, `edit` and alias rebinds.
     fn summary_pairs(&self, name: &str) -> Vec<(&'static str, Json)> {
         let mut pairs = vec![
             ("name", Json::Str(name.to_string())),
             ("idle_ms", Json::Int(0)),
         ];
-        pairs.extend(self.stat_pairs());
+        pairs.extend(self.record().pairs());
         pairs
     }
 
-    /// Summary members independent of any alias: everything in the old
-    /// `program_summary` except the name and idle time.
-    fn stat_pairs(&self) -> Vec<(&'static str, Json)> {
-        let (hash, backend) = self.key;
-        let stats = self.session.stats();
-        let mut pairs = vec![
-            ("hash", Json::Str(hash_hex(hash))),
-            ("backend", Json::Str(backend.to_string())),
-            ("qubits", Json::Int(self.program.num_qubits() as i64)),
-            ("gates", Json::Int(self.program.circuit.size() as i64)),
-            (
-                "targets",
-                Json::Arr(
-                    self.program
-                        .qubits_to_verify()
-                        .iter()
-                        .map(|&q| Json::Int(q as i64))
-                        .collect(),
-                ),
-            ),
-            ("verifies", Json::Int(self.verifies as i64)),
-            ("edits", Json::Int(stats.edits as i64)),
-            ("arena_nodes", Json::Int(stats.arena_nodes as i64)),
-            ("solver_vars", Json::Int(stats.solver_vars as i64)),
-            ("clause_slots", Json::Int(stats.clause_slots as i64)),
-            ("live_clauses", Json::Int(stats.live_clauses as i64)),
-            ("compactions", Json::Int(stats.compactions as i64)),
-            ("cached_decisions", Json::Int(stats.cached_decisions as i64)),
-            ("decision_hits", Json::Int(stats.decision_hits as i64)),
-            (
-                "decision_evictions",
-                Json::Int(stats.decision_evictions as i64),
-            ),
-            (
-                "arena_collections",
-                Json::Int(stats.arena_collections as i64),
-            ),
-            (
-                "arena_gc_ns",
-                Json::Int(stats.arena_gc_time.as_nanos() as i64),
-            ),
-            (
-                "arena_nodes_collected",
-                Json::Int(stats.arena_nodes_collected as i64),
-            ),
-            (
-                "arena_gc_watermark",
-                Json::Int(stats.arena_gc_watermark as i64),
-            ),
-            (
-                "bdd_resident_nodes",
-                Json::Int(stats.bdd_resident_nodes as i64),
-            ),
-            (
-                "bdd_cached_translations",
-                Json::Int(stats.bdd_cached_translations as i64),
-            ),
-            ("bdd_collections", Json::Int(stats.bdd_collections as i64)),
-            ("anf_fallbacks", Json::Int(stats.anf_fallbacks as i64)),
-            ("bdd_fallbacks", Json::Int(stats.bdd_fallbacks as i64)),
-            ("interrupts", Json::Int(stats.interrupts as i64)),
-            (
-                "deadline_fallbacks",
-                Json::Int(stats.deadline_fallbacks as i64),
-            ),
-            ("anf_cached_polys", Json::Int(stats.anf_cached_polys as i64)),
-            (
-                "auto_preference",
-                Json::Str(stats.auto_preference.name().into()),
-            ),
-            (
-                "solver_propagations",
-                Json::Int(stats.solver_propagations as i64),
-            ),
-            ("solver_conflicts", Json::Int(stats.solver_conflicts as i64)),
-            ("solver_restarts", Json::Int(stats.solver_restarts as i64)),
-            ("sat_ns", Json::Int(stats.sat_time.as_nanos() as i64)),
-            ("bdd_ns", Json::Int(stats.bdd_time.as_nanos() as i64)),
-            ("anf_ns", Json::Int(stats.anf_time.as_nanos() as i64)),
-            ("encode_ns", Json::Int(stats.encode_time.as_nanos() as i64)),
-            (
-                "cofactor_ns",
-                Json::Int(stats.cofactor_time.as_nanos() as i64),
-            ),
-            (
-                "target_p50_us",
-                Json::Int((stats.target_latency.p50() / 1_000) as i64),
-            ),
-            (
-                "target_p95_us",
-                Json::Int((stats.target_latency.p95() / 1_000) as i64),
-            ),
-        ];
-        pairs.extend(sweep_pairs(&stats));
-        pairs
+    fn record(&self) -> SessionRecord {
+        SessionRecord::new(self.key, &self.program, &self.session, self.verifies)
     }
 
-    /// Publishes the summary snapshot `status`/`metrics` read without
-    /// queueing behind this mailbox.
+    /// Publishes the record `status`/`metrics` read without queueing
+    /// behind this mailbox.
     fn publish(&mut self) {
         if self.dead {
             return;
         }
-        let stats = self.session.stats();
-        let pairs = self.stat_pairs();
+        let record = self.record();
         if let Ok(mut published) = self.shared.published.lock() {
-            published.pairs = pairs;
-            published.arena_nodes = stats.arena_nodes;
-            published.bdd_resident_nodes = stats.bdd_resident_nodes;
-            published.auto_preference = self.session.auto_preference();
-            published.target_latency = stats.target_latency;
-            published.root_latency = stats.root_latency;
+            *published = record;
         }
     }
 }

@@ -31,9 +31,14 @@ pub enum Json {
 }
 
 impl Json {
-    /// Builds an object from key/value pairs.
+    /// Builds an object from key/value pairs. A key must appear once:
+    /// a repeat would silently overwrite the earlier member.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        let len = pairs.len();
+        let map: BTreeMap<String, Json> =
+            pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        debug_assert_eq!(map.len(), len, "duplicate key in a JSON object");
+        Json::Obj(map)
     }
 
     /// Member lookup on objects.

@@ -62,4 +62,4 @@ mod snapshot;
 pub use client::{shed_retry_after, Client, RetryBudget};
 pub use daemon::{run, ServeOptions, Server, ServerLimits};
 pub use json::Json;
-pub use protocol::{coded_error_response, error_response, Request};
+pub use protocol::{coded_error_response, error_response, render_facts, render_verdict, Request};

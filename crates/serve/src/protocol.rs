@@ -27,6 +27,8 @@
 //! independent warm sessions.
 
 use crate::json::Json;
+use qb_core::{Fact, QubitVerdict, Verdict};
+use qb_lang::ElaboratedProgram;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,6 +315,53 @@ pub fn unavailable_response(message: &str, retry_after_ms: u64) -> Json {
         ("code", Json::Str("unavailable".to_string())),
         ("retry_after_ms", Json::Int(retry_after_ms as i64)),
     ])
+}
+
+/// Renders session facts ([`qb_core::SessionStats::facts`]) as response
+/// members: the one renderer behind every surface that reports a
+/// session's counters, sizes, durations and latencies.
+pub fn render_facts(
+    facts: impl IntoIterator<Item = (&'static str, Fact)>,
+) -> Vec<(&'static str, Json)> {
+    facts
+        .into_iter()
+        .map(|(name, fact)| {
+            let value = match fact {
+                Fact::Count(n) | Fact::Size(n) | Fact::Nanos(n) | Fact::Micros(n) => {
+                    Json::Int(n.try_into().unwrap_or(i64::MAX))
+                }
+                Fact::Name(s) => Json::Str(s.to_string()),
+            };
+            (name, value)
+        })
+        .collect()
+}
+
+/// Renders one qubit's verdict: its timings, and for an unsafe qubit
+/// the violated condition and the witness assignment (when the backend
+/// produced one), for an unknown one the interruption reason.
+pub fn render_verdict(program: &ElaboratedProgram, v: &QubitVerdict) -> Json {
+    let mut pairs = vec![
+        ("qubit", Json::Int(v.qubit as i64)),
+        ("name", Json::Str(program.qubit_name(v.qubit).to_string())),
+        ("safe", Json::Bool(v.safe)),
+        ("verdict", Json::Str(v.verdict.name().to_string())),
+        ("zero_ns", Json::Int(v.zero_time.as_nanos() as i64)),
+        ("plus_ns", Json::Int(v.plus_time.as_nanos() as i64)),
+    ];
+    if let Verdict::Unknown { reason } = &v.verdict {
+        pairs.push(("reason", Json::Str(reason.clone())));
+    }
+    if let Some(ce) = &v.counterexample {
+        pairs.push(("violation", Json::Str(ce.violation.to_string())));
+        if let Some(bits) = &ce.basis_assignment {
+            pairs.push((
+                "witness",
+                Json::Arr(bits.iter().map(|&b| Json::Bool(b)).collect()),
+            ));
+        }
+    }
+    Json::obj(pairs)
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@ use crate::protocol::{
     coded_error_response, error_response, overloaded_response, unavailable_response, Request,
 };
 use crate::snapshot::{DaemonSnapshot, RecorderCounts, SessionRow, TOP_WINDOW_NS};
-use qb_core::{AutoPreference, BackendKind, InitialValue, VerifyOptions, VerifySession};
-use qb_lang::{elaborate, gate_diff, parse, structural_hash, ElaboratedProgram, QubitKind};
+use qb_core::{initial_values, AutoPreference, BackendKind, VerifyOptions, VerifySession};
+use qb_lang::{elaborate, gate_diff, parse, structural_hash, ElaboratedProgram};
 use qb_obs::{FlightRecorder, RecordedRequest, SpanEvent, TimeSeries};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -105,15 +105,6 @@ pub(crate) fn elaborate_source(source: &str) -> Result<ElaboratedProgram, String
     elaborate(&ast).map_err(|e| e.to_string())
 }
 
-pub(crate) fn initial_values(program: &ElaboratedProgram) -> Vec<InitialValue> {
-    (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            QubitKind::BorrowedDirty | QubitKind::TrustedDirty => InitialValue::Free,
-        })
-        .collect()
-}
-
 /// The request's wire command name, the label requests are metered
 /// under.
 fn request_cmd(request: &Request) -> &'static str {
@@ -178,12 +169,13 @@ impl ActorEntry {
     /// This session's row of a [`DaemonSnapshot`], aliased by `names`.
     fn row(&self, names: Vec<String>) -> SessionRow {
         let shared = &self.shared;
-        // A poisoned summary is still a readable (if stale) summary:
-        // `publish` only ever overwrites whole fields.
-        let published = shared
+        // A poisoned record is still a readable (if stale) record:
+        // `publish` only ever overwrites it whole.
+        let record = shared
             .published
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         SessionRow {
             label: format!("{}/{}", hash_hex(self.key.0), self.key.1),
             names,
@@ -192,11 +184,7 @@ impl ActorEntry {
             worker_alive: shared.alive.load(Ordering::SeqCst),
             breaker_open: shared.breaker.lock().is_ok_and(|b| b.is_open()),
             mailbox_wait: shared.mailbox_wait.lock().map(|h| *h).unwrap_or_default(),
-            summary: published.pairs.clone(),
-            arena_nodes: published.arena_nodes,
-            bdd_resident_nodes: published.bdd_resident_nodes,
-            target_latency: published.target_latency,
-            root_latency: published.root_latency,
+            record,
         }
     }
 }
@@ -1834,7 +1822,7 @@ impl Router {
                 .values()
                 .filter_map(|e| {
                     let published = e.shared.published.lock().ok()?;
-                    Some((e.key, published.auto_preference))
+                    Some((e.key, published.stats.auto_preference))
                 })
                 .collect()
         };

@@ -16,11 +16,65 @@
 
 use crate::daemon::ServerLimits;
 use crate::json::Json;
-use crate::router::{health_name, SHED_REASONS};
+use crate::protocol::render_facts;
+use crate::router::{hash_hex, health_name, SessionKey, SHED_REASONS};
+use qb_core::{Fact, SessionStats, VerifySession};
+use qb_lang::ElaboratedProgram;
 use qb_obs::{Histogram, MetricsSnapshot, TimeSeries};
 
 /// The trailing window `top` computes its rates and percentiles over.
 pub(crate) const TOP_WINDOW_NS: u64 = 60_000_000_000;
+
+/// What a session reports: its program facts and its [`SessionStats`].
+/// Each actor publishes one after every request; `status`, `top` and
+/// `metrics` read the published record instead of queueing behind the
+/// actor's mailbox.
+#[derive(Clone)]
+pub(crate) struct SessionRecord {
+    pub key: SessionKey,
+    pub qubits: usize,
+    pub gates: usize,
+    pub targets: Vec<usize>,
+    /// Verifies served since the session was (re)built.
+    pub verifies: u64,
+    pub stats: SessionStats,
+}
+
+impl SessionRecord {
+    pub(crate) fn new(
+        key: SessionKey,
+        program: &ElaboratedProgram,
+        session: &VerifySession,
+        verifies: u64,
+    ) -> SessionRecord {
+        SessionRecord {
+            key,
+            qubits: program.num_qubits(),
+            gates: program.circuit.size(),
+            targets: program.qubits_to_verify(),
+            verifies,
+            stats: session.stats(),
+        }
+    }
+
+    /// The record's response members: the program facts, then every
+    /// session fact.
+    pub(crate) fn pairs(&self) -> Vec<(&'static str, Json)> {
+        let mut pairs = vec![
+            ("hash", Json::Str(hash_hex(self.key.0))),
+            ("backend", Json::Str(self.key.1.to_string())),
+            ("qubits", int(self.qubits)),
+            ("gates", int(self.gates)),
+            (
+                "targets",
+                Json::Arr(self.targets.iter().map(|&q| int(q)).collect()),
+            ),
+            ("verifies", int(self.verifies)),
+        ];
+        pairs.extend(render_facts(self.stats.facts()));
+        pairs
+    }
+}
 
 /// One live session as every daemon view sees it.
 pub(crate) struct SessionRow {
@@ -33,13 +87,8 @@ pub(crate) struct SessionRow {
     pub worker_alive: bool,
     pub breaker_open: bool,
     pub mailbox_wait: Histogram,
-    /// The actor's published program summary (the members of a
-    /// `status` program entry beyond name, idle time and queue facts).
-    pub summary: Vec<(&'static str, Json)>,
-    pub arena_nodes: usize,
-    pub bdd_resident_nodes: usize,
-    pub target_latency: Histogram,
-    pub root_latency: Histogram,
+    /// The actor's published record.
+    pub record: SessionRecord,
 }
 
 /// Flight-recorder counters.
@@ -95,7 +144,8 @@ impl DaemonSnapshot {
     /// Resident formula-arena and BDD nodes summed over live sessions.
     fn resident(&self) -> (usize, usize) {
         self.sessions.iter().fold((0, 0), |(arena, bdd), row| {
-            (arena + row.arena_nodes, bdd + row.bdd_resident_nodes)
+            let stats = &row.record.stats;
+            (arena + stats.arena_nodes, bdd + stats.bdd_resident_nodes)
         })
     }
 
@@ -119,7 +169,7 @@ impl DaemonSnapshot {
                     ("mailbox_wait_p50_us", us(row.mailbox_wait.p50())),
                     ("mailbox_wait_p95_us", us(row.mailbox_wait.p95())),
                 ];
-                pairs.extend(row.summary.iter().cloned());
+                pairs.extend(row.record.pairs());
                 Json::obj(pairs)
             })
             .collect();
@@ -225,15 +275,19 @@ impl DaemonSnapshot {
             .iter()
             .map(|row| {
                 let depth_max = ts.gauge_max("session_queue_depth", &row.label, W);
-                Json::obj(vec![
+                let mut pairs = vec![
                     ("session", Json::Str(row.label.clone())),
                     ("queue_depth", int(row.queue_depth)),
                     ("queue_depth_max", depth_max.map_or(Json::Null, Json::Int)),
                     ("mailbox_wait_p50_us", us(row.mailbox_wait.p50())),
                     ("mailbox_wait_p95_us", us(row.mailbox_wait.p95())),
-                    ("arena_nodes", int(row.arena_nodes)),
-                    ("bdd_resident_nodes", int(row.bdd_resident_nodes)),
-                ])
+                ];
+                // The session's gauges: its resident sizes.
+                let sizes = row.record.stats.facts().into_iter();
+                pairs.extend(render_facts(
+                    sizes.filter(|(_, fact)| matches!(fact, Fact::Size(_))),
+                ));
+                Json::obj(pairs)
             })
             .collect();
         let (arena, bdd) = self.resident();
@@ -307,8 +361,8 @@ impl DaemonSnapshot {
         let (mut target, mut root, mut wait) =
             (Histogram::new(), Histogram::new(), Histogram::new());
         for row in &self.sessions {
-            target.merge(&row.target_latency);
-            root.merge(&row.root_latency);
+            target.merge(&row.record.stats.target_latency);
+            root.merge(&row.record.stats.root_latency);
             wait.merge(&row.mailbox_wait);
         }
         let text = qb_obs::prometheus_text(

@@ -39,7 +39,7 @@ use qborrow::core::{
 };
 use qborrow::formula::Simplify;
 use qborrow::lang::{elaborate, parse, ElaboratedProgram};
-use qborrow::serve::{Client, Json, ServeOptions, ServerLimits};
+use qborrow::serve::{render_facts, render_verdict, Client, Json, ServeOptions, ServerLimits};
 use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -348,9 +348,10 @@ fn cmd_verify(path: &str, program: &ElaboratedProgram, flags: &[String]) -> Exit
 }
 
 /// Renders a one-shot verify as a single machine-readable JSON object:
-/// verdicts, wall-clock phases, and the per-phase counters the run left
-/// in the process metrics registry (solver propagations/conflicts,
-/// backend cache rates, …).
+/// verdicts as the daemon reports them, wall-clock phases, each
+/// session's facts as the daemon's `status` reports them, and the
+/// per-phase counters the run left in the process metrics registry
+/// (solver propagations/conflicts, backend cache rates, …).
 fn verify_stats_json(
     path: &str,
     program: &ElaboratedProgram,
@@ -360,16 +361,12 @@ fn verify_stats_json(
     let verdicts: Vec<Json> = report
         .verdicts
         .iter()
-        .map(|v| {
-            Json::obj(vec![
-                ("qubit", Json::Int(v.qubit as i64)),
-                ("name", Json::Str(program.qubit_name(v.qubit).to_string())),
-                ("safe", Json::Bool(v.safe)),
-                ("verdict", Json::Str(v.verdict.name().to_string())),
-                ("zero_ns", Json::Int(v.zero_time.as_nanos() as i64)),
-                ("plus_ns", Json::Int(v.plus_time.as_nanos() as i64)),
-            ])
-        })
+        .map(|v| render_verdict(program, v))
+        .collect();
+    let sessions: Vec<Json> = report
+        .sessions
+        .iter()
+        .map(|stats| Json::obj(render_facts(stats.facts())))
         .collect();
     let snapshot = qborrow::obs::metrics_snapshot();
     let counters: Vec<Json> = snapshot
@@ -410,6 +407,7 @@ fn verify_stats_json(
         ),
         ("solve_ns", Json::Int(report.solver_time.as_nanos() as i64)),
         ("verdicts", Json::Arr(verdicts)),
+        ("sessions", Json::Arr(sessions)),
         ("counters", Json::Arr(counters)),
         ("latencies", Json::Arr(phases)),
     ])
@@ -643,12 +641,27 @@ struct ClientFlags {
     interval_ms: Option<u64>,
 }
 
-/// Parses trailing `--socket`/`--addr`/`--name`/`--backend`/
-/// `--deadline-ms`/`--trace-out`/`--json`/`--once`/`--interval-ms`
-/// flags shared by client commands. The backend name is validated
-/// locally so a typo fails fast with exit code 2 instead of a daemon
+/// Every flag the `qborrow client` subcommands take.
+const CLIENT_FLAGS: [&str; 9] = [
+    "--socket",
+    "--addr",
+    "--name",
+    "--backend",
+    "--deadline-ms",
+    "--trace-out",
+    "--json",
+    "--once",
+    "--interval-ms",
+];
+
+/// The flags `qborrow watch` takes.
+const WATCH_FLAGS: [&str; 4] = ["--socket", "--addr", "--backend", "--interval-ms"];
+
+/// Parses trailing client flags, rejecting any not in `accepted` (a
+/// subset of [`CLIENT_FLAGS`]). The backend name is validated locally
+/// so a typo fails fast with exit code 2 instead of a daemon
 /// round-trip.
-fn parse_client_flags(flags: &[String]) -> Result<ClientFlags, String> {
+fn parse_client_flags(flags: &[String], accepted: &[&str]) -> Result<ClientFlags, String> {
     let mut socket = default_socket();
     let mut addr = None;
     let mut name = None;
@@ -661,6 +674,7 @@ fn parse_client_flags(flags: &[String]) -> Result<ClientFlags, String> {
     let mut i = 0;
     while i < flags.len() {
         match flags[i].as_str() {
+            other if !accepted.contains(&other) => return Err(format!("unknown flag {other:?}")),
             "--socket" => {
                 socket = PathBuf::from(
                     flags
@@ -735,7 +749,7 @@ fn parse_client_flags(flags: &[String]) -> Result<ClientFlags, String> {
                 };
                 i += 2;
             }
-            other => return Err(format!("unknown flag {other:?}")),
+            other => unreachable!("accepted flag {other:?} has no parser"),
         }
     }
     Ok(ClientFlags {
@@ -913,7 +927,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
         json,
         once,
         interval_ms,
-    } = match parse_client_flags(&flags) {
+    } = match parse_client_flags(&flags, &CLIENT_FLAGS) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1314,63 +1328,20 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         eprintln!("qborrow watch: needs a real file to poll (not stdin)");
         return usage();
     }
-    let mut socket = default_socket();
-    let mut addr: Option<String> = None;
-    let mut interval_ms = 200u64;
-    let mut backend: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("--socket expects a path");
-                    return usage();
-                };
-                socket = PathBuf::from(p);
-                i += 2;
-            }
-            "--addr" => {
-                let Some(a) = args.get(i + 1) else {
-                    eprintln!("--addr expects a TCP address (e.g. 127.0.0.1:7691)");
-                    return usage();
-                };
-                addr = Some(a.to_string());
-                i += 2;
-            }
-            "--backend" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!(
-                        "--backend expects a name (valid backends: {})",
-                        BackendKind::valid_names()
-                    );
-                    return usage();
-                };
-                if BackendKind::parse(value).is_none() {
-                    eprintln!(
-                        "unknown backend {value:?} (valid backends: {})",
-                        BackendKind::valid_names()
-                    );
-                    return usage();
-                }
-                backend = Some(value.to_string());
-                i += 2;
-            }
-            "--interval-ms" => {
-                interval_ms = match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--interval-ms expects a number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return usage();
-            }
+    let ClientFlags {
+        socket,
+        addr,
+        backend,
+        interval_ms,
+        ..
+    } = match parse_client_flags(&args[1..], &WATCH_FLAGS) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
         }
-    }
+    };
+    let interval_ms = interval_ms.unwrap_or(200);
 
     /// Identity + content stamp of the watched file. mtime alone misses
     /// an editor's save-via-rename landing within the filesystem's mtime

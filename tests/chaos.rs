@@ -8,8 +8,8 @@
 //! slow-solves must deliver exactly one well-formed response per
 //! request, never a wrong verdict, and recover to `ok` health.
 
-use qborrow::core::{verify_circuit_fresh, InitialValue, VerifyOptions};
-use qborrow::lang::{adder_source, elaborate, parse, QubitKind};
+use qborrow::core::{initial_values, verify_circuit_fresh, VerifyOptions};
+use qborrow::lang::{adder_source, elaborate, parse};
 use qborrow::serve::{run, Client, Json, Request, RetryBudget, ServeOptions, ServerLimits};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -67,12 +67,7 @@ fn shutdown(mut client: Client, handle: std::thread::JoinHandle<()>) {
 /// Fresh-pipeline oracle: `(qubit, safe)` per borrow qubit of `source`.
 fn fresh_verdicts(source: &str) -> Vec<(usize, bool)> {
     let program = elaborate(&parse(source).expect("parses")).expect("elaborates");
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let report = verify_circuit_fresh(
         &program.circuit,
         &initial,

@@ -72,6 +72,36 @@ fn unsafe_fixture_exits_1_under_bdd_with_witnessed_violation() {
         stdout.contains("witness"),
         "the canonical BDD produces a concrete witness: {stdout}"
     );
+
+    // `--stats-json` reports the verdict as the daemon does: with the
+    // violated condition and the witness assignment.
+    let out = qborrow()
+        .args(["verify", &fixture("unsafe_copy.qbr"), "--backend", "bdd"])
+        .arg("--stats-json")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "unsafe program exits 1");
+    let json = qborrow::serve::Json::parse(String::from_utf8_lossy(&out.stdout).trim())
+        .expect("one JSON object");
+    let verdicts = json.get("verdicts").and_then(|v| v.as_arr()).unwrap();
+    let unsafe_verdict = verdicts
+        .iter()
+        .find(|v| v.get("verdict").and_then(|s| s.as_str()) == Some("unsafe"))
+        .unwrap_or_else(|| panic!("no unsafe verdict: {json}"));
+    assert!(
+        unsafe_verdict
+            .get("violation")
+            .and_then(|s| s.as_str())
+            .is_some(),
+        "{json}"
+    );
+    assert!(
+        unsafe_verdict
+            .get("witness")
+            .and_then(|w| w.as_arr())
+            .is_some(),
+        "{json}"
+    );
 }
 
 #[test]
@@ -123,4 +153,31 @@ fn stats_json_reports_sat_sweep_counters() {
     for label in ["refuted", "capped"] {
         assert!(counter(label).is_some(), "sweep/{label} missing: {json}");
     }
+    // One sequential session, reporting every session fact.
+    let sessions = json.get("sessions").and_then(|s| s.as_arr()).unwrap();
+    assert_eq!(sessions.len(), 1, "{json}");
+    for (name, _) in qborrow::core::SessionStats::default().facts() {
+        assert!(sessions[0].get(name).is_some(), "{name} missing: {json}");
+    }
+    assert!(
+        sessions[0].get("sweep_merged").and_then(|n| n.as_i64()) > Some(0),
+        "{json}"
+    );
+}
+
+/// `watch` parses its flags as the client does: a zero poll interval
+/// (a busy spin) is refused with exit 2 before any connection attempt.
+#[test]
+fn watch_rejects_zero_interval_before_connecting() {
+    let out = qborrow()
+        .args(["watch", &fixture("cccnot.qbr"), "--interval-ms", "0"])
+        .args(["--socket", "/tmp/qborrow-cli-test-no-daemon.sock"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--interval-ms expects a positive number"),
+        "{stderr}"
+    );
 }

@@ -6,8 +6,8 @@
 //! complete (untorn) response; and the per-session routing fields
 //! (`queue_depth`, `mailbox_wait_p95_us`, `worker_alive`) in `status`.
 
-use qborrow::core::{verify_circuit_fresh, InitialValue, VerifyOptions};
-use qborrow::lang::{adder_source, elaborate, parse, QubitKind};
+use qborrow::core::{initial_values, verify_circuit_fresh, VerifyOptions};
+use qborrow::lang::{adder_source, elaborate, parse};
 use qborrow::serve::{run, Client, Json, Request, ServeOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -59,12 +59,7 @@ fn shutdown(mut client: Client, handle: std::thread::JoinHandle<()>) {
 /// Fresh-pipeline oracle: `(qubit, safe)` per borrow qubit of `source`.
 fn fresh_verdicts(source: &str) -> Vec<(usize, bool)> {
     let program = elaborate(&parse(source).expect("parses")).expect("elaborates");
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let report = verify_circuit_fresh(
         &program.circuit,
         &initial,

@@ -3,11 +3,11 @@
 //! direct circuit generators.
 
 use qborrow::core::{
-    verify_program, AutoPreference, BackendKind, BackendOptions, InitialValue, SessionStats,
+    initial_values, verify_program, AutoPreference, BackendKind, BackendOptions, SessionStats,
     VerifyOptions, VerifySession, Violation,
 };
 use qborrow::formula::Simplify;
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/programs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -163,14 +163,7 @@ fn scheduler_composes_with_verifier_end_to_end() {
 /// returns the session's counters.
 fn auto_sweep(source: &str) -> SessionStats {
     let program = elaborate(&parse(source).unwrap()).unwrap();
-    let initial: Vec<InitialValue> = program
-        .qubit_kinds
-        .iter()
-        .map(|k| match k {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let opts = VerifyOptions {
         backend: BackendKind::Auto,
         ..VerifyOptions::default()

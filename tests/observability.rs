@@ -155,20 +155,15 @@ fn prometheus_samples(resp: &Json) -> Vec<(String, String, f64)> {
 /// export replays as balanced brackets with the full hierarchy present.
 #[test]
 fn traced_adder16_sweep_produces_nested_balanced_trace() {
-    use qborrow::core::{verify_circuit, InitialValue, VerifyOptions};
-    use qborrow::lang::{elaborate, parse, QubitKind};
+    use qborrow::core::{initial_values, verify_circuit, VerifyOptions};
+    use qborrow::lang::{elaborate, parse};
 
     let _guard = obs_lock();
     obs::set_enabled(false);
     let _ = obs::take_all_spans();
 
     let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     obs::set_enabled(true);
     let report = verify_circuit(
         &program.circuit,
@@ -232,8 +227,8 @@ fn traced_adder16_sweep_produces_nested_balanced_trace() {
 /// keeps it for good.
 #[test]
 fn disabled_tracing_overhead_stays_within_five_percent_after_an_enable_cycle() {
-    use qborrow::core::{InitialValue, VerifyOptions, VerifySession};
-    use qborrow::lang::{elaborate, parse, QubitKind};
+    use qborrow::core::{initial_values, VerifyOptions, VerifySession};
+    use qborrow::lang::{elaborate, parse};
     const ROUNDS: usize = 11;
     const SWEEPS: usize = 8;
     const BOUND: f64 = 1.05;
@@ -243,12 +238,7 @@ fn disabled_tracing_overhead_stays_within_five_percent_after_an_enable_cycle() {
     let _ = obs::take_all_spans();
 
     let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let targets = program.qubits_to_verify();
     let sweep = || {
         let t0 = Instant::now();
@@ -636,6 +626,28 @@ fn daemon_facts_agree_across_status_top_and_metrics() {
         verified.get("sweep_merged").and_then(Json::as_i64) > Some(0),
         "the verify response carries the SAT sweep's counters: {verified}"
     );
+    // The verify response and the program's `status` entry render the
+    // same session facts from one table, so nothing in between changes
+    // a value.
+    let status = client.status().unwrap();
+    let entry = status
+        .get("programs")
+        .and_then(Json::as_arr)
+        .and_then(|ps| {
+            ps.iter()
+                .find(|p| p.get("name").and_then(Json::as_str) == Some("sat"))
+        })
+        .unwrap_or_else(|| panic!("no `sat` program entry: {status}"));
+    for (name, _) in qborrow::core::SessionStats::default().facts() {
+        let from_verify = verified
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing from verify: {verified}"));
+        assert_eq!(Some(from_verify), entry.get(name), "{name}: {entry}");
+    }
+    assert!(verified
+        .get("auto_preference")
+        .and_then(Json::as_str)
+        .is_some());
     assert!(ok(&client.verify("auto", None).unwrap()));
     let edit = client
         .edit("sat", &format!("{sat_source}X[q[1]];\nX[q[1]];\n"))

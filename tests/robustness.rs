@@ -5,8 +5,8 @@
 //! non-UTF-8 request lines, and the `client verify --deadline-ms`
 //! CLI path degrading to structured UNKNOWN verdicts.
 
-use qborrow::core::{verify_circuit_fresh, InitialValue, VerifyOptions};
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
+use qborrow::core::{initial_values, verify_circuit_fresh, VerifyOptions};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
 use qborrow::serve::{Client, Json};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -64,12 +64,7 @@ fn shutdown(mut client: Client, mut child: Child) {
 /// Fresh-pipeline oracle: `(qubit, safe)` per borrow qubit of `source`.
 fn fresh_verdicts(source: &str) -> Vec<(usize, bool)> {
     let program = elaborate(&parse(source).expect("parses")).expect("elaborates");
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let report = verify_circuit_fresh(
         &program.circuit,
         &initial,

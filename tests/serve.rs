@@ -5,8 +5,8 @@
 //! Every verdict the daemon returns is cross-checked against the
 //! independent fresh-solver pipeline [`verify_circuit_fresh`].
 
-use qborrow::core::{verify_circuit_fresh, InitialValue, VerifyOptions};
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
+use qborrow::core::{initial_values, verify_circuit_fresh, VerifyOptions};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
 use qborrow::serve::{run, Client, Json, ServeOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -46,12 +46,7 @@ fn shutdown(mut client: Client, handle: std::thread::JoinHandle<()>) {
 /// Returns `(qubit, safe, violation-display)` per `borrow` qubit.
 fn fresh_verdicts(source: &str) -> Vec<(usize, bool, Option<String>)> {
     let program = elaborate(&parse(source).expect("parses")).expect("elaborates");
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let report = verify_circuit_fresh(
         &program.circuit,
         &initial,

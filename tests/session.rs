@@ -6,11 +6,12 @@
 
 use qborrow::circuit::{simulate_classical, BitState, Circuit};
 use qborrow::core::{
-    verify_circuit, verify_circuit_fresh, verify_circuit_parallel, BackendKind, EditStats,
-    InitialValue, SessionStats, VerificationReport, VerifyOptions, VerifySession, Violation,
+    initial_values, verify_circuit, verify_circuit_fresh, verify_circuit_parallel, BackendKind,
+    EditStats, InitialValue, SessionStats, VerificationReport, VerifyOptions, VerifySession,
+    Violation,
 };
 use qborrow::formula::Simplify;
-use qborrow::lang::{adder_source, elaborate, mcx_source, parse, QubitKind};
+use qborrow::lang::{adder_source, elaborate, mcx_source, parse};
 use qborrow::synth::{carry_gadget, gidney_mcx};
 
 fn sat_options() -> Vec<VerifyOptions> {
@@ -350,12 +351,7 @@ fn support_plus_condition_matches_fresh_sat_and_witnesses_replay() {
 /// qubit, so every condition root keeps its node id.
 fn adder16_and_suffix_edit() -> (Circuit, Circuit, Vec<InitialValue>, Vec<usize>) {
     let program = elaborate(&parse(&adder_source(16)).unwrap()).unwrap();
-    let initial = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let targets = program.qubits_to_verify();
     let mut edited = program.circuit.clone();
     edited.x(0);
@@ -505,12 +501,7 @@ fn sat_sweep_matches_fresh_and_simulation_witnesses_replay() {
 #[test]
 fn sat_sweep_merges_survive_arena_collection() {
     let program = elaborate(&parse(&adder_source(32)).unwrap()).unwrap();
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let targets = program.qubits_to_verify();
     let opts = VerifyOptions {
         backend: BackendKind::Sat,

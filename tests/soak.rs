@@ -9,10 +9,10 @@
 use qb_testutil::Rng;
 use qborrow::circuit::Circuit;
 use qborrow::core::{
-    verify_circuit_fresh, AutoPreference, BackendKind, CancelToken, InitialValue, VerifyLimits,
-    VerifyOptions, VerifySession,
+    initial_values, verify_circuit_fresh, AutoPreference, BackendKind, CancelToken, InitialValue,
+    VerifyLimits, VerifyOptions, VerifySession,
 };
-use qborrow::lang::{adder_source, elaborate, parse, QubitKind};
+use qborrow::lang::{adder_source, elaborate, parse};
 use qborrow::serve::{run, Client, Json, ServeOptions, ServerLimits};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -143,12 +143,7 @@ fn arena_gc_keeps_decision_hits_and_solver_work_of_append_only() {
     const BITS: usize = 16;
     const CYCLES: usize = 200;
     let program = elaborate(&parse(&adder_source(BITS)).unwrap()).unwrap();
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let targets = program.qubits_to_verify();
     let opts = VerifyOptions::default();
     let soak = |arena_gc_floor: usize| {
@@ -517,12 +512,7 @@ fn start_daemon(limits: ServerLimits) -> (PathBuf, Client, std::thread::JoinHand
 /// Fresh-pipeline oracle for a source: `(qubit, safe)` per borrow qubit.
 fn fresh_verdicts(source: &str) -> Vec<(usize, bool)> {
     let program = elaborate(&parse(source).expect("parses")).expect("elaborates");
-    let initial: Vec<InitialValue> = (0..program.num_qubits())
-        .map(|q| match program.qubit_kinds[q] {
-            QubitKind::Clean => InitialValue::Zero,
-            _ => InitialValue::Free,
-        })
-        .collect();
+    let initial = initial_values(&program);
     let report = verify_circuit_fresh(
         &program.circuit,
         &initial,

@@ -4,14 +4,12 @@
 //! parameter sweeps over the two benchmark families (the `adder.qbr`
 //! carry gadget of Fig. 6.2 and the borrowed-bit MCX of §10.4) across the
 //! three decision backends, plus table printing used by the `exp_*`
-//! experiment binaries and the Criterion benches.
+//! experiment binaries.
 
 use qb_core::{verify_program, BackendKind, BackendOptions, VerifyOptions};
 use qb_formula::Simplify;
 use qb_lang::{adder_source, elaborate, mcx_source, parse, ElaboratedProgram};
 use std::time::Duration;
-
-pub mod harness;
 
 /// One measurement of a verification sweep.
 #[derive(Debug, Clone)]

@@ -2,30 +2,14 @@
 //! artifact's `./qborrow ../examples/adder.qbr` binary, plus the
 //! verify-on-change serving layer.
 //!
-//! ```text
-//! qborrow verify <file.qbr|-> [--backend sat|anf|bdd|auto] [--simplify raw|full]
-//!                             [--jobs N] [--trace-out <path>] [--stats-json]
-//! qborrow info   <file.qbr|->
-//! qborrow render <file.qbr|->
-//!
-//! qborrow serve  --socket <path> [--tcp <addr>] [--backend ...] [--simplify ...] [--quiet]
-//!                [--default-deadline-ms N] [--state-dir <dir>] [--log-file <path>]
-//!                [--trace-dir <dir>] [--trace-retain N] [--slow-ms N] [--sample-interval-ms N]
-//! qborrow client verify <file.qbr|-> [--socket <path>|--addr <tcp>] [--name <name>]
-//!                       [--backend <name>] [--deadline-ms N] [--trace-out <path>]
-//! qborrow client edit   <file.qbr|-> [--socket <path>|--addr <tcp>] [--name <name>] [--backend <name>]
-//! qborrow client status [--socket <path>|--addr <tcp>] [--json]
-//! qborrow client top    [--socket <path>|--addr <tcp>] [--interval-ms N] [--once] [--json]
-//! qborrow client trace  <request_id> [--socket <path>|--addr <tcp>] [--trace-out <path>]
-//! qborrow client metrics|shutdown [--socket <path>|--addr <tcp>]
-//! qborrow client unload <name> [--socket <path>|--addr <tcp>]
-//! qborrow watch  <file.qbr> [--socket <path>|--addr <tcp>] [--interval-ms N] [--backend <name>]
-//! ```
+//! `usage()` lists every subcommand and flag; each command's flags are one
+//! table of `Flag` rows read by the one parser, `parse_flags`.
 //!
 //! `<file.qbr>` may be `-` to read the program from stdin (for editor
 //! integrations). Exit codes: `0` success/all-safe, `1` verification
 //! found unsafe qubits or a runtime error occurred, `2` malformed input
-//! (unreadable file, parse or elaboration error) or bad usage.
+//! (unreadable file, parse or elaboration error) or bad usage, `3` the
+//! daemon shed the request.
 //!
 //! The daemon keeps one warm verification session per loaded program;
 //! `client verify` loads (or re-uses) and verifies over the daemon, and
@@ -35,14 +19,15 @@
 
 use qborrow::circuit::render_with_labels;
 use qborrow::core::{
-    verify_program, verify_program_parallel, BackendKind, BackendOptions, VerifyOptions, Violation,
+    verify_program, verify_program_parallel, BackendKind, VerifyOptions, Violation,
 };
 use qborrow::formula::Simplify;
 use qborrow::lang::{elaborate, parse, ElaboratedProgram};
 use qborrow::serve::{render_facts, render_verdict, Client, Json, ServeOptions, ServerLimits};
 use std::io::Read;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Exit code for malformed input / bad usage.
 const EXIT_BAD_INPUT: u8 = 2;
@@ -54,25 +39,26 @@ const EXIT_SHED: u8 = 3;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  \
-         qborrow verify <file.qbr|-> [--backend sat|anf|bdd|auto] [--simplify raw|full] [--jobs N]\n  \
-                 [--trace-out <path>] [--stats-json]\n  \
-         qborrow info   <file.qbr|->\n  \
-         qborrow render <file.qbr|->\n  \
-         qborrow serve  --socket <path> [--tcp <addr>] [--backend sat|anf|bdd|auto]\n  \
-                 [--simplify raw|full] [--max-sessions N] [--idle-timeout-ms N]\n  \
-                 [--arena-gc-floor N] [--decision-cache N] [--default-deadline-ms N]\n  \
-                 [--queue-budget N] [--breaker-threshold N] [--breaker-cooldown-ms N]\n  \
-                 [--state-dir <dir>] [--log-file <path>] [--quiet]\n  \
-                 [--trace-dir <dir>] [--trace-retain N] [--slow-ms N] [--sample-interval-ms N]\n  \
-         qborrow client verify|edit <file.qbr|-> [--socket <path>|--addr <tcp>] [--name <name>]\n  \
-                 [--backend <name>] [--deadline-ms N] [--trace-out <path>]\n  \
-         qborrow client status [--socket <path>|--addr <tcp>] [--json]\n  \
-         qborrow client top [--socket <path>|--addr <tcp>] [--interval-ms N] [--once] [--json]\n  \
-         qborrow client trace <request_id> [--socket <path>|--addr <tcp>] [--trace-out <path>]\n  \
-         qborrow client metrics|shutdown [--socket <path>|--addr <tcp>]\n  \
-         qborrow client unload <name> [--socket <path>|--addr <tcp>]\n  \
-         qborrow watch  <file.qbr> [--socket <path>|--addr <tcp>] [--interval-ms N] [--backend <name>]"
+        "\
+usage:
+  qborrow verify <file.qbr|-> [--backend sat|anf|bdd|auto] [--simplify raw|full] [--jobs N]
+          [--trace-out <path>] [--stats-json]
+  qborrow info   <file.qbr|->
+  qborrow render <file.qbr|->
+  qborrow serve  --socket <path> [--tcp <addr>] [--backend sat|anf|bdd|auto]
+          [--simplify raw|full] [--max-sessions N] [--idle-timeout-ms N]
+          [--arena-gc-floor N] [--decision-cache N] [--default-deadline-ms N]
+          [--queue-budget N] [--breaker-threshold N] [--breaker-cooldown-ms N]
+          [--state-dir <dir>] [--log-file <path>] [--quiet]
+          [--trace-dir <dir>] [--trace-retain N] [--slow-ms N] [--sample-interval-ms N]
+  qborrow client verify|edit <file.qbr|-> [--socket <path>|--addr <tcp>] [--name <name>]
+          [--backend <name>] [--deadline-ms N] [--trace-out <path>]
+  qborrow client status [--socket <path>|--addr <tcp>] [--json]
+  qborrow client top [--socket <path>|--addr <tcp>] [--interval-ms N] [--once] [--json]
+  qborrow client trace <request_id> [--socket <path>|--addr <tcp>] [--trace-out <path>]
+  qborrow client metrics|shutdown [--socket <path>|--addr <tcp>]
+  qborrow client unload <name> [--socket <path>|--addr <tcp>]
+  qborrow watch  <file.qbr> [--socket <path>|--addr <tcp>] [--interval-ms N] [--backend <name>]"
     );
     ExitCode::from(EXIT_BAD_INPUT)
 }
@@ -96,52 +82,241 @@ fn load(path: &str) -> Result<ElaboratedProgram, String> {
     elaborate(&ast).map_err(|e| format!("{path}: {e}"))
 }
 
-fn default_socket() -> PathBuf {
-    std::env::var_os("QBORROW_SOCKET")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("qborrow.sock"))
+/// How a flag reads its value. The parser derives each flag's error
+/// message from its kind.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Takes no value.
+    Switch,
+    /// Any text; the noun completes `--X expects <noun>`.
+    Text(&'static str),
+    /// An integer in `min..=max`: "a number" from 0, "a positive number"
+    /// from 1.
+    Int { min: u64, max: u64 },
+    /// A backend name, checked here so a typo fails before any daemon
+    /// round trip.
+    Backend,
+    /// `raw` or `full`.
+    Simplify,
 }
 
-/// Parses `--backend`/`--simplify` at position `i`; returns whether the
-/// flag was consumed.
-fn parse_backend_flag(
-    args: &[String],
-    i: &mut usize,
-    backend: &mut BackendKind,
-    simplify: &mut Simplify,
-) -> Result<bool, String> {
-    match args[*i].as_str() {
-        "--backend" => {
-            *backend = match args.get(*i + 1).map(String::as_str) {
-                Some(name) => match BackendKind::parse(name) {
-                    Some(kind) => kind,
+const NUMBER: Kind = Kind::Int {
+    min: 0,
+    max: u64::MAX,
+};
+const POSITIVE: Kind = Kind::Int {
+    min: 1,
+    max: u64::MAX,
+};
+const PATH: Kind = Kind::Text("a path");
+const DIR: Kind = Kind::Text("a directory path");
+
+/// One row of a command's flag table: the flag and how it reads its value.
+type Flag = (&'static str, Kind);
+
+const VERIFY_FLAGS: &[Flag] = &[
+    ("--backend", Kind::Backend),
+    ("--simplify", Kind::Simplify),
+    ("--jobs", NUMBER),
+    ("--trace-out", PATH),
+    ("--stats-json", Kind::Switch),
+];
+
+const SERVE_FLAGS: &[Flag] = &[
+    ("--socket", PATH),
+    ("--tcp", Kind::Text("an address (e.g. 127.0.0.1:7691)")),
+    ("--backend", Kind::Backend),
+    ("--simplify", Kind::Simplify),
+    ("--max-sessions", POSITIVE),
+    ("--idle-timeout-ms", POSITIVE),
+    ("--arena-gc-floor", NUMBER),
+    ("--decision-cache", POSITIVE),
+    ("--default-deadline-ms", POSITIVE),
+    ("--queue-budget", POSITIVE),
+    (
+        "--breaker-threshold",
+        Kind::Int {
+            min: 1,
+            max: u32::MAX as u64,
+        },
+    ),
+    ("--breaker-cooldown-ms", POSITIVE),
+    ("--state-dir", DIR),
+    ("--log-file", PATH),
+    ("--trace-dir", DIR),
+    ("--trace-retain", POSITIVE),
+    ("--slow-ms", POSITIVE),
+    ("--sample-interval-ms", POSITIVE),
+    ("--quiet", Kind::Switch),
+];
+
+const ADDR: Kind = Kind::Text("a TCP address (e.g. 127.0.0.1:7691)");
+
+/// Every `qborrow client` subcommand takes every client flag.
+const CLIENT_FLAGS: &[Flag] = &[
+    ("--socket", PATH),
+    ("--addr", ADDR),
+    ("--name", Kind::Text("a value")),
+    ("--backend", Kind::Backend),
+    ("--deadline-ms", POSITIVE),
+    ("--trace-out", PATH),
+    ("--json", Kind::Switch),
+    ("--once", Kind::Switch),
+    ("--interval-ms", POSITIVE),
+];
+
+const WATCH_FLAGS: &[Flag] = &[
+    ("--socket", PATH),
+    ("--addr", ADDR),
+    ("--backend", Kind::Backend),
+    ("--interval-ms", POSITIVE),
+];
+
+/// One parsed flag value.
+enum Value {
+    On,
+    Text(String),
+    Int(u64),
+    Backend(BackendKind),
+    Simplify(Simplify),
+}
+
+/// The flags of one command line; a repeated flag keeps its last value.
+struct Flags(Vec<(&'static str, Value)>);
+
+/// Parses `args` against a command's flag `table`. A flag missing from
+/// the table, a missing value or a malformed one prints its message and
+/// the usage text, and ends the command with exit code 2.
+fn parse_flags(args: &[String], table: &[Flag]) -> Result<Flags, ExitCode> {
+    read_flags(args, table).map_err(|e| {
+        eprintln!("{e}");
+        usage()
+    })
+}
+
+fn read_flags(args: &[String], table: &[Flag]) -> Result<Flags, String> {
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(&(flag, kind)) = table.iter().find(|(name, _)| name == arg) else {
+            return Err(format!("unknown flag {arg:?}"));
+        };
+        let mut next = || args.next().map(String::as_str);
+        let value = match kind {
+            Kind::Switch => Value::On,
+            Kind::Text(noun) => Value::Text(next().ok_or(format!("{flag} expects {noun}"))?.into()),
+            Kind::Int { min, max } => match next().and_then(|s| s.parse().ok()) {
+                Some(n) if (min..=max).contains(&n) => Value::Int(n),
+                _ if min == 0 => return Err(format!("{flag} expects a number")),
+                _ => return Err(format!("{flag} expects a positive number")),
+            },
+            Kind::Backend => {
+                let valid = BackendKind::valid_names();
+                let name =
+                    next().ok_or(format!("{flag} expects a name (valid backends: {valid})"))?;
+                match BackendKind::parse(name) {
+                    Some(backend) => Value::Backend(backend),
                     None => {
                         return Err(format!(
-                            "unknown backend {name:?} (valid backends: {})",
-                            BackendKind::valid_names()
+                            "unknown backend {name:?} (valid backends: {valid})"
                         ))
                     }
-                },
-                None => {
+                }
+            }
+            Kind::Simplify => match next() {
+                Some("raw") => Value::Simplify(Simplify::Raw),
+                Some("full") => Value::Simplify(Simplify::Full),
+                Some(mode) => {
                     return Err(format!(
-                        "--backend expects a name (valid backends: {})",
-                        BackendKind::valid_names()
+                        "unknown simplify mode {mode:?} (valid modes: raw, full)"
                     ))
                 }
-            };
-            *i += 2;
-            Ok(true)
+                None => return Err(format!("{flag} expects raw or full")),
+            },
+        };
+        flags.push((flag, value));
+    }
+    Ok(Flags(flags))
+}
+
+impl Flags {
+    fn get(&self, flag: &str) -> Option<&Value> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v)
+    }
+
+    fn on(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        match self.get(flag)? {
+            Value::Text(s) => Some(s),
+            _ => None,
         }
-        "--simplify" => {
-            *simplify = match args.get(*i + 1).map(String::as_str) {
-                Some("raw") => Simplify::Raw,
-                Some("full") => Simplify::Full,
-                other => return Err(format!("unknown simplify mode {other:?}")),
-            };
-            *i += 2;
-            Ok(true)
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.text(flag).map(PathBuf::from)
+    }
+
+    fn int(&self, flag: &str) -> Option<u64> {
+        match self.get(flag)? {
+            Value::Int(n) => Some(*n),
+            _ => None,
         }
-        _ => Ok(false),
+    }
+
+    fn count(&self, flag: &str) -> Option<usize> {
+        self.int(flag)
+            .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
+    }
+
+    fn millis(&self, flag: &str) -> Option<Duration> {
+        self.int(flag).map(Duration::from_millis)
+    }
+
+    fn backend(&self) -> Option<BackendKind> {
+        match self.get("--backend")? {
+            Value::Backend(kind) => Some(*kind),
+            _ => None,
+        }
+    }
+
+    /// The verification settings `--backend` and `--simplify` select.
+    fn verify_options(&self) -> VerifyOptions {
+        let defaults = VerifyOptions::default();
+        let simplify = match self.get("--simplify") {
+            Some(Value::Simplify(mode)) => *mode,
+            _ => defaults.simplify,
+        };
+        VerifyOptions {
+            backend: self.backend().unwrap_or(defaults.backend),
+            simplify,
+            ..defaults
+        }
+    }
+
+    /// The daemon's Unix socket: `--socket`, else `$QBORROW_SOCKET`,
+    /// else `<tmpdir>/qborrow.sock`.
+    fn socket(&self) -> PathBuf {
+        self.path("--socket").unwrap_or_else(|| {
+            std::env::var_os("QBORROW_SOCKET")
+                .map(PathBuf::from)
+                .unwrap_or_else(|| std::env::temp_dir().join("qborrow.sock"))
+        })
+    }
+
+    /// Connects over `--addr` (TCP) when given, else over the Unix
+    /// socket, retrying so the command rides out a daemon restart.
+    fn dial(&self, attempts: u32, delay: Duration) -> std::io::Result<Client> {
+        match self.text("--addr") {
+            Some(addr) => Client::connect_tcp_with_retry(addr, attempts, delay),
+            None => Client::connect_with_retry(self.socket(), attempts, delay),
+        }
     }
 }
 
@@ -201,56 +376,15 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_verify(path: &str, program: &ElaboratedProgram, flags: &[String]) -> ExitCode {
-    let mut backend = BackendKind::Sat;
-    let mut simplify = Simplify::Raw;
-    let mut jobs = 1usize;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut stats_json = false;
-    let mut i = 0;
-    while i < flags.len() {
-        match parse_backend_flag(flags, &mut i, &mut backend, &mut simplify) {
-            Err(e) => {
-                eprintln!("{e}");
-                return usage();
-            }
-            Ok(true) => continue,
-            Ok(false) => {}
-        }
-        match flags[i].as_str() {
-            "--jobs" => {
-                jobs = match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--jobs expects a number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--trace-out" => {
-                let Some(out) = flags.get(i + 1) else {
-                    eprintln!("--trace-out expects a path");
-                    return usage();
-                };
-                trace_out = Some(PathBuf::from(out));
-                i += 2;
-            }
-            "--stats-json" => {
-                stats_json = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return usage();
-            }
-        }
-    }
-    let opts = VerifyOptions {
-        backend,
-        simplify,
-        backend_options: BackendOptions::default(),
+fn cmd_verify(path: &str, program: &ElaboratedProgram, args: &[String]) -> ExitCode {
+    let flags = match parse_flags(args, VERIFY_FLAGS) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
+    let opts = flags.verify_options();
+    let jobs = flags.count("--jobs").unwrap_or(1);
+    let trace_out = flags.path("--trace-out");
+    let stats_json = flags.on("--stats-json");
     let targets = program.qubits_to_verify();
     if targets.is_empty() {
         println!("{path}: no `borrow` qubits to verify (only borrow@/alloc)");
@@ -273,14 +407,9 @@ fn cmd_verify(path: &str, program: &ElaboratedProgram, flags: &[String]) -> Exit
     if let Some(out) = &trace_out {
         qborrow::obs::set_enabled(false);
         let trace = qborrow::obs::chrome_trace(&qborrow::obs::take_all_spans());
-        if let Err(e) = std::fs::write(out, trace) {
-            eprintln!("error: cannot write trace to {}: {e}", out.display());
-            return ExitCode::FAILURE;
+        if let Err(code) = write_trace(out, &trace, "trace") {
+            return code;
         }
-        eprintln!(
-            "trace written to {} (open in Perfetto or chrome://tracing)",
-            out.display()
-        );
     }
     match outcome {
         Err(e) => {
@@ -288,7 +417,10 @@ fn cmd_verify(path: &str, program: &ElaboratedProgram, flags: &[String]) -> Exit
             ExitCode::FAILURE
         }
         Ok(report) if stats_json => {
-            println!("{}", verify_stats_json(path, program, backend, &report));
+            println!(
+                "{}",
+                verify_stats_json(path, program, opts.backend, &report)
+            );
             if report.all_safe() {
                 ExitCode::SUCCESS
             } else {
@@ -333,8 +465,8 @@ fn cmd_verify(path: &str, program: &ElaboratedProgram, flags: &[String]) -> Exit
                 "{path}: {}/{} dirty qubits safe | backend {} ({:?}) | construct {:?} | solve {:?}",
                 report.verdicts.iter().filter(|v| v.safe).count(),
                 report.verdicts.len(),
-                backend,
-                simplify,
+                opts.backend,
+                opts.simplify,
                 report.construction_time,
                 report.solver_time
             );
@@ -413,211 +545,62 @@ fn verify_stats_json(
     ])
 }
 
-fn cmd_serve(flags: &[String]) -> ExitCode {
-    let mut socket = default_socket();
-    let mut tcp: Option<String> = None;
-    let mut backend = BackendKind::Sat;
-    let mut simplify = Simplify::Raw;
-    let mut log = true;
-    let mut limits = ServerLimits::default();
-    let mut state_dir: Option<PathBuf> = None;
-    let mut log_file: Option<PathBuf> = None;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut trace_retain = 32usize;
-    let mut slow_threshold: Option<std::time::Duration> = None;
-    let mut sample_interval = std::time::Duration::from_secs(1);
-    let mut i = 0;
-    while i < flags.len() {
-        match parse_backend_flag(flags, &mut i, &mut backend, &mut simplify) {
-            Err(e) => {
-                eprintln!("{e}");
-                return usage();
-            }
-            Ok(true) => continue,
-            Ok(false) => {}
-        }
-        match flags[i].as_str() {
-            "--socket" => {
-                let Some(path) = flags.get(i + 1) else {
-                    eprintln!("--socket expects a path");
-                    return usage();
-                };
-                socket = PathBuf::from(path);
-                i += 2;
-            }
-            "--tcp" => {
-                let Some(addr) = flags.get(i + 1) else {
-                    eprintln!("--tcp expects an address (e.g. 127.0.0.1:7691)");
-                    return usage();
-                };
-                tcp = Some(addr.to_string());
-                i += 2;
-            }
-            "--max-sessions" => {
-                limits.max_sessions = match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => {
-                        eprintln!("--max-sessions expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--idle-timeout-ms" => {
-                limits.idle_timeout = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => Some(std::time::Duration::from_millis(ms)),
-                    _ => {
-                        eprintln!("--idle-timeout-ms expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--arena-gc-floor" => {
-                limits.arena_gc_floor = match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!("--arena-gc-floor expects a number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--decision-cache" => {
-                limits.decision_cache_cap =
-                    match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                        Some(n) if n > 0 => Some(n),
-                        _ => {
-                            eprintln!("--decision-cache expects a positive number");
-                            return usage();
-                        }
-                    };
-                i += 2;
-            }
-            "--default-deadline-ms" => {
-                limits.default_deadline = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok())
-                {
-                    Some(ms) if ms > 0 => Some(std::time::Duration::from_millis(ms)),
-                    _ => {
-                        eprintln!("--default-deadline-ms expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--queue-budget" => {
-                limits.queue_budget = match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--queue-budget expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--breaker-threshold" => {
-                limits.breaker_threshold =
-                    match flags.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-                        Some(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("--breaker-threshold expects a positive number");
-                            return usage();
-                        }
-                    };
-                i += 2;
-            }
-            "--breaker-cooldown-ms" => {
-                limits.breaker_cooldown = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok())
-                {
-                    Some(ms) if ms > 0 => std::time::Duration::from_millis(ms),
-                    _ => {
-                        eprintln!("--breaker-cooldown-ms expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--state-dir" => {
-                let Some(dir) = flags.get(i + 1) else {
-                    eprintln!("--state-dir expects a directory path");
-                    return usage();
-                };
-                state_dir = Some(PathBuf::from(dir));
-                i += 2;
-            }
-            "--log-file" => {
-                let Some(file) = flags.get(i + 1) else {
-                    eprintln!("--log-file expects a path");
-                    return usage();
-                };
-                log_file = Some(PathBuf::from(file));
-                i += 2;
-            }
-            "--trace-dir" => {
-                let Some(dir) = flags.get(i + 1) else {
-                    eprintln!("--trace-dir expects a directory path");
-                    return usage();
-                };
-                trace_dir = Some(PathBuf::from(dir));
-                i += 2;
-            }
-            "--trace-retain" => {
-                trace_retain = match flags.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--trace-retain expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--slow-ms" => {
-                slow_threshold = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => Some(std::time::Duration::from_millis(ms)),
-                    _ => {
-                        eprintln!("--slow-ms expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--sample-interval-ms" => {
-                sample_interval = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => std::time::Duration::from_millis(ms),
-                    _ => {
-                        eprintln!("--sample-interval-ms expects a positive number");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--quiet" => {
-                log = false;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return usage();
-            }
-        }
+/// Writes a Chrome trace to `out` and names the file on stderr; `what`
+/// says whose trace it is.
+fn write_trace(out: &Path, trace: &str, what: &str) -> Result<(), ExitCode> {
+    if let Err(e) = std::fs::write(out, trace) {
+        eprintln!("error: cannot write trace to {}: {e}", out.display());
+        return Err(ExitCode::FAILURE);
     }
+    eprintln!(
+        "{what} written to {} (open in Perfetto or chrome://tracing)",
+        out.display()
+    );
+    Ok(())
+}
+
+fn cmd_serve(args: &[String]) -> ExitCode {
+    let flags = match parse_flags(args, SERVE_FLAGS) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+    let defaults = ServeOptions::new(flags.socket());
+    let limits = defaults.limits;
     let opts = ServeOptions {
-        socket,
-        tcp,
-        verify: VerifyOptions {
-            backend,
-            simplify,
-            backend_options: BackendOptions::default(),
+        tcp: flags.text("--tcp").map(str::to_string),
+        verify: flags.verify_options(),
+        log: !flags.on("--quiet"),
+        limits: ServerLimits {
+            max_sessions: flags.count("--max-sessions").or(limits.max_sessions),
+            idle_timeout: flags.millis("--idle-timeout-ms").or(limits.idle_timeout),
+            arena_gc_floor: flags.count("--arena-gc-floor").or(limits.arena_gc_floor),
+            decision_cache_cap: flags
+                .count("--decision-cache")
+                .or(limits.decision_cache_cap),
+            default_deadline: flags
+                .millis("--default-deadline-ms")
+                .or(limits.default_deadline),
+            queue_budget: flags.count("--queue-budget").unwrap_or(limits.queue_budget),
+            breaker_threshold: flags
+                .int("--breaker-threshold")
+                .map_or(limits.breaker_threshold, |n| {
+                    u32::try_from(n).expect("the flag table bounds it to u32")
+                }),
+            breaker_cooldown: flags
+                .millis("--breaker-cooldown-ms")
+                .unwrap_or(limits.breaker_cooldown),
         },
-        log,
-        limits,
-        state_dir,
-        log_file,
-        trace_dir,
-        trace_retain,
-        slow_threshold,
-        sample_interval,
+        state_dir: flags.path("--state-dir"),
+        log_file: flags.path("--log-file"),
+        trace_dir: flags.path("--trace-dir"),
+        trace_retain: flags
+            .count("--trace-retain")
+            .unwrap_or(defaults.trace_retain),
+        slow_threshold: flags.millis("--slow-ms"),
+        sample_interval: flags
+            .millis("--sample-interval-ms")
+            .unwrap_or(defaults.sample_interval),
+        ..defaults
     };
     match qborrow::serve::run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
@@ -628,188 +611,7 @@ fn cmd_serve(flags: &[String]) -> ExitCode {
     }
 }
 
-/// Trailing flags shared by the `qborrow client` subcommands.
-struct ClientFlags {
-    socket: PathBuf,
-    addr: Option<String>,
-    name: Option<String>,
-    backend: Option<String>,
-    deadline_ms: Option<u64>,
-    trace_out: Option<PathBuf>,
-    json: bool,
-    once: bool,
-    interval_ms: Option<u64>,
-}
-
-/// Every flag the `qborrow client` subcommands take.
-const CLIENT_FLAGS: [&str; 9] = [
-    "--socket",
-    "--addr",
-    "--name",
-    "--backend",
-    "--deadline-ms",
-    "--trace-out",
-    "--json",
-    "--once",
-    "--interval-ms",
-];
-
-/// The flags `qborrow watch` takes.
-const WATCH_FLAGS: [&str; 4] = ["--socket", "--addr", "--backend", "--interval-ms"];
-
-/// Parses trailing client flags, rejecting any not in `accepted` (a
-/// subset of [`CLIENT_FLAGS`]). The backend name is validated locally
-/// so a typo fails fast with exit code 2 instead of a daemon
-/// round-trip.
-fn parse_client_flags(flags: &[String], accepted: &[&str]) -> Result<ClientFlags, String> {
-    let mut socket = default_socket();
-    let mut addr = None;
-    let mut name = None;
-    let mut backend = None;
-    let mut deadline_ms = None;
-    let mut trace_out = None;
-    let mut json = false;
-    let mut once = false;
-    let mut interval_ms = None;
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            other if !accepted.contains(&other) => return Err(format!("unknown flag {other:?}")),
-            "--socket" => {
-                socket = PathBuf::from(
-                    flags
-                        .get(i + 1)
-                        .ok_or("--socket expects a path")?
-                        .to_string(),
-                );
-                i += 2;
-            }
-            "--addr" => {
-                addr = Some(
-                    flags
-                        .get(i + 1)
-                        .ok_or("--addr expects a TCP address (e.g. 127.0.0.1:7691)")?
-                        .to_string(),
-                );
-                i += 2;
-            }
-            "--name" => {
-                name = Some(
-                    flags
-                        .get(i + 1)
-                        .ok_or("--name expects a value")?
-                        .to_string(),
-                );
-                i += 2;
-            }
-            "--backend" => {
-                let value = flags.get(i + 1).ok_or_else(|| {
-                    format!(
-                        "--backend expects a name (valid backends: {})",
-                        BackendKind::valid_names()
-                    )
-                })?;
-                if BackendKind::parse(value).is_none() {
-                    return Err(format!(
-                        "unknown backend {value:?} (valid backends: {})",
-                        BackendKind::valid_names()
-                    ));
-                }
-                backend = Some(value.to_string());
-                i += 2;
-            }
-            "--deadline-ms" => {
-                deadline_ms = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => Some(ms),
-                    _ => return Err("--deadline-ms expects a positive number".into()),
-                };
-                i += 2;
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(
-                    flags
-                        .get(i + 1)
-                        .ok_or("--trace-out expects a path")?
-                        .to_string(),
-                ));
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--once" => {
-                once = true;
-                i += 1;
-            }
-            "--interval-ms" => {
-                interval_ms = match flags.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => Some(ms),
-                    _ => return Err("--interval-ms expects a positive number".into()),
-                };
-                i += 2;
-            }
-            other => unreachable!("accepted flag {other:?} has no parser"),
-        }
-    }
-    Ok(ClientFlags {
-        socket,
-        addr,
-        name,
-        backend,
-        deadline_ms,
-        trace_out,
-        json,
-        once,
-        interval_ms,
-    })
-}
-
-/// Connects with a short retry window so one-shot client commands ride
-/// out a daemon restart instead of failing into its downtime. `--addr`
-/// selects the TCP transport; the Unix socket is the default.
-fn connect(socket: &PathBuf, addr: &Option<String>) -> Result<Client, ExitCode> {
-    let retries = 5;
-    let delay = std::time::Duration::from_millis(25);
-    if let Some(addr) = addr {
-        return Client::connect_tcp_with_retry(addr, retries, delay).map_err(|e| {
-            eprintln!(
-                "qborrow client: cannot reach daemon at {addr} ({e}); start one with \
-                 `qborrow serve --tcp {addr}`"
-            );
-            ExitCode::FAILURE
-        });
-    }
-    Client::connect_with_retry(socket, retries, delay).map_err(|e| {
-        eprintln!(
-            "qborrow client: cannot reach daemon at {} ({e}); start one with \
-             `qborrow serve --socket {}`",
-            socket.display(),
-            socket.display()
-        );
-        ExitCode::FAILURE
-    })
-}
-
 /// Prints an `ok:false` response; returns `true` when one was printed.
-/// If the daemon shed the request (`overloaded` admission reject or
-/// `unavailable` circuit breaker), prints the retry hint and returns
-/// the dedicated shed exit code so scripts can tell "retry later"
-/// apart from a genuine failure.
-fn print_shed(response: &Json) -> Option<ExitCode> {
-    let retry_after = qborrow::serve::shed_retry_after(response)?;
-    let code = response
-        .get("code")
-        .and_then(Json::as_str)
-        .unwrap_or("overloaded");
-    let msg = response
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or("daemon shed the request");
-    eprintln!("shed ({code}): {msg} (retry after {retry_after}ms)");
-    Some(ExitCode::from(EXIT_SHED))
-}
-
 fn print_error(response: &Json) -> bool {
     match response.get("ok").and_then(Json::as_bool) {
         Some(true) => false,
@@ -900,218 +702,189 @@ fn print_edit_response(label: &str, response: &Json) {
     }
 }
 
+/// One daemon round trip that ends the command when it fails: an I/O
+/// error exits 1; a shed reply (`overloaded` admission reject or
+/// `unavailable` circuit breaker) prints its retry hint and exits
+/// `EXIT_SHED`, so scripts can tell "retry later" from a genuine
+/// failure; any other `ok:false` reply prints its error and exits `code`.
+fn ask(response: std::io::Result<Json>, code: u8) -> Result<Json, ExitCode> {
+    let response = response.map_err(io_failure)?;
+    if let Some(retry_after) = qborrow::serve::shed_retry_after(&response) {
+        let shed = response
+            .get("code")
+            .and_then(Json::as_str)
+            .unwrap_or("overloaded");
+        let msg = response
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("daemon shed the request");
+        eprintln!("shed ({shed}): {msg} (retry after {retry_after}ms)");
+        return Err(ExitCode::from(EXIT_SHED));
+    }
+    if print_error(&response) {
+        return Err(ExitCode::from(code));
+    }
+    Ok(response)
+}
+
+fn io_failure(e: std::io::Error) -> ExitCode {
+    eprintln!("qborrow client: {e}");
+    ExitCode::FAILURE
+}
+
 fn cmd_client(args: &[String]) -> ExitCode {
     let Some(sub) = args.first().map(String::as_str) else {
         return usage();
     };
-    let (positional, flags): (Vec<&String>, Vec<&String>) = {
-        // Positionals come before the first `--flag`.
-        let split = args[1..]
-            .iter()
+    // Positionals come before the first `--flag`.
+    let rest = &args[1..];
+    let (positional, rest) = rest.split_at(
+        rest.iter()
             .position(|a| a.starts_with("--"))
-            .map(|p| p + 1)
-            .unwrap_or(args.len());
-        (
-            args[1..split].iter().collect(),
-            args[split..].iter().collect(),
-        )
+            .unwrap_or(rest.len()),
+    );
+    let flags = match parse_flags(rest, CLIENT_FLAGS) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
-    let flags: Vec<String> = flags.into_iter().cloned().collect();
-    let ClientFlags {
-        socket,
-        addr,
-        name,
-        backend,
-        deadline_ms,
-        trace_out,
-        json,
-        once,
-        interval_ms,
-    } = match parse_client_flags(&flags, &CLIENT_FLAGS) {
-        Ok(v) => v,
+    // The subcommand and its positional are checked before connecting.
+    let target = positional.first().map(String::as_str);
+    let mut source = String::new();
+    let mut request_id = 0;
+    match (sub, target) {
+        ("verify" | "edit", Some(path)) => match read_source(path) {
+            Ok(text) => source = text,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(EXIT_BAD_INPUT);
+            }
+        },
+        ("status" | "metrics" | "top" | "shutdown", _) | ("unload", Some(_)) => {}
+        ("trace", _) => match target.and_then(|s| s.parse().ok()) {
+            Some(rid) => request_id = rid,
+            None => {
+                eprintln!("client trace expects a numeric <request_id>");
+                return usage();
+            }
+        },
+        _ => return usage(),
+    }
+    let mut client = match flags.dial(5, Duration::from_millis(25)) {
+        Ok(client) => client,
         Err(e) => {
-            eprintln!("{e}");
-            return usage();
+            let (at, serve) = match flags.text("--addr") {
+                Some(addr) => (addr.to_string(), format!("--tcp {addr}")),
+                None => {
+                    let socket = flags.socket().display().to_string();
+                    (socket.clone(), format!("--socket {socket}"))
+                }
+            };
+            eprintln!(
+                "qborrow client: cannot reach daemon at {at} ({e}); start one with \
+                 `qborrow serve {serve}`"
+            );
+            return ExitCode::FAILURE;
         }
     };
+    let target = target.unwrap_or_default();
+    client_round_trips(&mut client, sub, target, &source, request_id, &flags)
+        .unwrap_or_else(|code| code)
+}
+
+/// The daemon requests of one checked `client` subcommand and the
+/// rendering of their replies.
+fn client_round_trips(
+    client: &mut Client,
+    sub: &str,
+    target: &str,
+    source: &str,
+    request_id: u64,
+    flags: &Flags,
+) -> Result<ExitCode, ExitCode> {
+    let json = flags.on("--json");
+    let name = flags.text("--name").unwrap_or(target);
+    let backend = flags.backend().map(BackendKind::name);
     match sub {
-        "verify" | "edit" => {
-            let Some(path) = positional.first() else {
-                return usage();
-            };
-            let source = match read_source(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(EXIT_BAD_INPUT);
-                }
-            };
-            let name = name.unwrap_or_else(|| path.to_string());
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            let result = (|| -> std::io::Result<ExitCode> {
-                if sub == "edit" {
-                    let response = client.edit_with(&name, &source, backend.as_deref())?;
-                    if let Some(code) = print_shed(&response) {
-                        return Ok(code);
-                    }
-                    if print_error(&response) {
-                        return Ok(ExitCode::from(EXIT_BAD_INPUT));
-                    }
-                    print_edit_response(&name, &response);
-                } else {
-                    let response = client.load_with(&name, &source, backend.as_deref())?;
-                    if let Some(code) = print_shed(&response) {
-                        return Ok(code);
-                    }
-                    if print_error(&response) {
-                        return Ok(ExitCode::from(EXIT_BAD_INPUT));
-                    }
-                    let reused = response.get("reused").and_then(Json::as_bool) == Some(true);
-                    let response =
-                        client.verify_traced(&name, None, deadline_ms, trace_out.is_some())?;
-                    if let Some(code) = print_shed(&response) {
-                        return Ok(code);
-                    }
-                    if print_error(&response) {
-                        return Ok(ExitCode::FAILURE);
-                    }
-                    if let Some(out) = &trace_out {
-                        let trace = response.get("trace").and_then(Json::as_str).unwrap_or("");
-                        std::fs::write(out, trace)?;
-                        eprintln!(
-                            "trace written to {} (open in Perfetto or chrome://tracing)",
-                            out.display()
-                        );
-                    }
-                    let all_safe = print_verify_response(&name, &response);
-                    if reused {
-                        println!("(warm session re-used)");
-                    }
-                    return Ok(if all_safe {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    });
-                }
-                Ok(ExitCode::SUCCESS)
-            })();
-            result.unwrap_or_else(|e| {
-                eprintln!("qborrow client: {e}");
-                ExitCode::FAILURE
-            })
+        "edit" => {
+            let response = ask(client.edit_with(name, source, backend), EXIT_BAD_INPUT)?;
+            print_edit_response(name, &response);
+        }
+        "verify" => {
+            let loaded = ask(client.load_with(name, source, backend), EXIT_BAD_INPUT)?;
+            let trace_out = flags.path("--trace-out");
+            let deadline_ms = flags.int("--deadline-ms");
+            let response = ask(
+                client.verify_traced(name, None, deadline_ms, trace_out.is_some()),
+                1,
+            )?;
+            if let Some(out) = &trace_out {
+                let trace = response.get("trace").and_then(Json::as_str).unwrap_or("");
+                std::fs::write(out, trace).map_err(io_failure)?;
+                eprintln!(
+                    "trace written to {} (open in Perfetto or chrome://tracing)",
+                    out.display()
+                );
+            }
+            let all_safe = print_verify_response(name, &response);
+            if loaded.get("reused").and_then(Json::as_bool) == Some(true) {
+                println!("(warm session re-used)");
+            }
+            if !all_safe {
+                return Ok(ExitCode::FAILURE);
+            }
         }
         "status" => {
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.status() {
-                Err(e) => {
-                    eprintln!("qborrow client: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(response) => {
-                    if print_error(&response) {
-                        return ExitCode::FAILURE;
-                    }
-                    if json {
-                        println!("{response}");
-                        return ExitCode::SUCCESS;
-                    }
-                    let programs = response
-                        .get("programs")
-                        .and_then(Json::as_arr)
-                        .unwrap_or(&[]);
-                    println!("{} loaded program(s)", programs.len());
-                    for p in programs {
-                        println!(
-                            "  {:<24} hash {} backend {:<4} qubits {:>4} gates {:>6} verifies {:>4} \
-                             edits {:>4} arena nodes {:>7} solver vars {:>7} clauses {:>7} \
-                             bdd nodes {:>7} compactions {}",
-                            p.get("name").and_then(Json::as_str).unwrap_or("?"),
-                            p.get("hash").and_then(Json::as_str).unwrap_or("?"),
-                            p.get("backend").and_then(Json::as_str).unwrap_or("?"),
-                            p.get("qubits").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("gates").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("verifies").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("edits").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("arena_nodes").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("solver_vars").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("live_clauses").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("bdd_resident_nodes").and_then(Json::as_i64).unwrap_or(0),
-                            p.get("compactions").and_then(Json::as_i64).unwrap_or(0),
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
+            let response = ask(client.status(), 1)?;
+            if json {
+                println!("{response}");
+                return Ok(ExitCode::SUCCESS);
+            }
+            let programs = response
+                .get("programs")
+                .and_then(Json::as_arr)
+                .unwrap_or(&[]);
+            println!("{} loaded program(s)", programs.len());
+            for p in programs {
+                println!(
+                    "  {:<24} hash {} backend {:<4} qubits {:>4} gates {:>6} verifies {:>4} \
+                     edits {:>4} arena nodes {:>7} solver vars {:>7} clauses {:>7} \
+                     bdd nodes {:>7} compactions {}",
+                    p.get("name").and_then(Json::as_str).unwrap_or("?"),
+                    p.get("hash").and_then(Json::as_str).unwrap_or("?"),
+                    p.get("backend").and_then(Json::as_str).unwrap_or("?"),
+                    p.get("qubits").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("gates").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("verifies").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("edits").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("arena_nodes").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("solver_vars").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("live_clauses").and_then(Json::as_i64).unwrap_or(0),
+                    p.get("bdd_resident_nodes")
+                        .and_then(Json::as_i64)
+                        .unwrap_or(0),
+                    p.get("compactions").and_then(Json::as_i64).unwrap_or(0),
+                );
             }
         }
         "unload" => {
-            let Some(target) = positional.first() else {
-                return usage();
-            };
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.unload(target) {
-                Err(e) => {
-                    eprintln!("qborrow client: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(response) => {
-                    if print_error(&response) {
-                        ExitCode::FAILURE
-                    } else {
-                        println!("unloaded {target}");
-                        ExitCode::SUCCESS
-                    }
-                }
-            }
+            ask(client.unload(target), 1)?;
+            println!("unloaded {target}");
         }
         "metrics" => {
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.metrics() {
-                Err(e) => {
-                    eprintln!("qborrow client: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(response) => {
-                    if print_error(&response) {
-                        return ExitCode::FAILURE;
-                    }
-                    // Raw Prometheus text exposition, scrape-ready.
-                    print!(
-                        "{}",
-                        response.get("metrics").and_then(Json::as_str).unwrap_or("")
-                    );
-                    ExitCode::SUCCESS
-                }
-            }
+            let response = ask(client.metrics(), 1)?;
+            // Raw Prometheus text exposition, scrape-ready.
+            print!(
+                "{}",
+                response.get("metrics").and_then(Json::as_str).unwrap_or("")
+            );
         }
         "top" => {
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            let interval = std::time::Duration::from_millis(interval_ms.unwrap_or(1000));
+            let once = flags.on("--once");
+            let interval = flags
+                .millis("--interval-ms")
+                .unwrap_or(Duration::from_secs(1));
             loop {
-                let response = match client.top() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("qborrow client: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if print_error(&response) {
-                    return ExitCode::FAILURE;
-                }
+                let response = ask(client.top(), 1)?;
                 if json {
                     println!("{response}");
                 } else {
@@ -1123,66 +896,25 @@ fn cmd_client(args: &[String]) -> ExitCode {
                     print!("{}", render_top(&response));
                 }
                 if once {
-                    return ExitCode::SUCCESS;
+                    break;
                 }
                 std::thread::sleep(interval);
             }
         }
         "trace" => {
-            let Some(rid) = positional.first().and_then(|s| s.parse::<u64>().ok()) else {
-                eprintln!("client trace expects a numeric <request_id>");
-                return usage();
-            };
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.trace(rid) {
-                Err(e) => {
-                    eprintln!("qborrow client: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(response) => {
-                    if print_error(&response) {
-                        return ExitCode::FAILURE;
-                    }
-                    let trace = response.get("trace").and_then(Json::as_str).unwrap_or("");
-                    match &trace_out {
-                        Some(out) => {
-                            if let Err(e) = std::fs::write(out, trace) {
-                                eprintln!("error: cannot write trace to {}: {e}", out.display());
-                                return ExitCode::FAILURE;
-                            }
-                            eprintln!(
-                                "trace for request {rid} written to {} (open in Perfetto or \
-                                 chrome://tracing)",
-                                out.display()
-                            );
-                        }
-                        None => print!("{trace}"),
-                    }
-                    ExitCode::SUCCESS
-                }
+            let response = ask(client.trace(request_id), 1)?;
+            let trace = response.get("trace").and_then(Json::as_str).unwrap_or("");
+            match flags.path("--trace-out") {
+                Some(out) => write_trace(&out, trace, &format!("trace for request {request_id}"))?,
+                None => print!("{trace}"),
             }
         }
-        "shutdown" => {
-            let mut client = match connect(&socket, &addr) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.shutdown() {
-                Err(e) => {
-                    eprintln!("qborrow client: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(_) => {
-                    println!("daemon shut down");
-                    ExitCode::SUCCESS
-                }
-            }
+        _ => {
+            ask(client.shutdown(), 1)?;
+            println!("daemon shut down");
         }
-        _ => usage(),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Renders one `top` response as the text dashboard: windowed request
@@ -1328,20 +1060,11 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         eprintln!("qborrow watch: needs a real file to poll (not stdin)");
         return usage();
     }
-    let ClientFlags {
-        socket,
-        addr,
-        backend,
-        interval_ms,
-        ..
-    } = match parse_client_flags(&args[1..], &WATCH_FLAGS) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+    let flags = match parse_flags(&args[1..], WATCH_FLAGS) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
-    let interval_ms = interval_ms.unwrap_or(200);
+    let interval_ms = flags.int("--interval-ms").unwrap_or(200);
 
     /// Identity + content stamp of the watched file. mtime alone misses
     /// an editor's save-via-rename landing within the filesystem's mtime
@@ -1396,11 +1119,8 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                 return Ok(done(false));
             }
         };
-        let mut client = match &addr {
-            Some(a) => Client::connect_tcp_with_retry(a, 8, std::time::Duration::from_millis(50))?,
-            None => Client::connect_with_retry(&socket, 8, std::time::Duration::from_millis(50))?,
-        };
-        let backend = backend.as_deref();
+        let mut client = flags.dial(8, Duration::from_millis(50))?;
+        let backend = flags.backend().map(BackendKind::name);
         let response = if first {
             client.load_with(path, &source, backend)?
         } else {
@@ -1482,7 +1202,7 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         } else {
             interval_ms
         };
-        std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+        std::thread::sleep(Duration::from_millis(sleep_ms));
         let now = stamp(path);
         if now != last || pending {
             last = now;

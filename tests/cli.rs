@@ -1,6 +1,7 @@
 //! CLI-level tests of the `qborrow` binary: backend selection flags and
 //! their failure modes (exit code 2 + a list of valid backends for a
-//! typo, per the documented exit-code contract).
+//! typo, per the documented exit-code contract), and the message every
+//! value-taking flag gives for a missing or malformed value.
 
 use std::process::Command;
 
@@ -180,4 +181,119 @@ fn watch_rejects_zero_interval_before_connecting() {
         stderr.contains("--interval-ms expects a positive number"),
         "{stderr}"
     );
+}
+
+/// How a value-taking flag reads its value, and so how it fails.
+#[derive(Clone, Copy)]
+enum Value {
+    /// Any text; only a missing value is an error.
+    Text(&'static str),
+    /// A non-negative integer.
+    Number,
+    /// An integer above zero.
+    Positive,
+    Backend,
+    Simplify,
+}
+
+/// Every value-taking flag of every subcommand: the flag, its kind,
+/// and the subcommand prefix it is passed after.
+const VALUE_FLAGS: &[(&str, &[&str], Value)] = {
+    use Value::*;
+    const VERIFY: &[&str] = &["verify", "<fixture>"];
+    const SERVE: &[&str] = &["serve", "--socket", "<sock>"];
+    const CLIENT: &[&str] = &["client", "verify", "<fixture>", "--socket", "<sock>"];
+    const WATCH: &[&str] = &["watch", "<fixture>", "--socket", "<sock>"];
+    &[
+        ("--backend", VERIFY, Backend),
+        ("--simplify", VERIFY, Simplify),
+        ("--jobs", VERIFY, Number),
+        ("--trace-out", VERIFY, Text("a path")),
+        ("--socket", SERVE, Text("a path")),
+        ("--tcp", SERVE, Text("an address (e.g. 127.0.0.1:7691)")),
+        ("--backend", SERVE, Backend),
+        ("--simplify", SERVE, Simplify),
+        ("--max-sessions", SERVE, Positive),
+        ("--idle-timeout-ms", SERVE, Positive),
+        ("--arena-gc-floor", SERVE, Number),
+        ("--decision-cache", SERVE, Positive),
+        ("--default-deadline-ms", SERVE, Positive),
+        ("--queue-budget", SERVE, Positive),
+        ("--breaker-threshold", SERVE, Positive),
+        ("--breaker-cooldown-ms", SERVE, Positive),
+        ("--state-dir", SERVE, Text("a directory path")),
+        ("--log-file", SERVE, Text("a path")),
+        ("--trace-dir", SERVE, Text("a directory path")),
+        ("--trace-retain", SERVE, Positive),
+        ("--slow-ms", SERVE, Positive),
+        ("--sample-interval-ms", SERVE, Positive),
+        ("--socket", CLIENT, Text("a path")),
+        (
+            "--addr",
+            CLIENT,
+            Text("a TCP address (e.g. 127.0.0.1:7691)"),
+        ),
+        ("--name", CLIENT, Text("a value")),
+        ("--backend", CLIENT, Backend),
+        ("--deadline-ms", CLIENT, Positive),
+        ("--trace-out", CLIENT, Text("a path")),
+        ("--interval-ms", CLIENT, Positive),
+        ("--socket", WATCH, Text("a path")),
+        ("--addr", WATCH, Text("a TCP address (e.g. 127.0.0.1:7691)")),
+        ("--backend", WATCH, Backend),
+        ("--interval-ms", WATCH, Positive),
+    ]
+};
+
+/// Every value-taking flag, once with its value missing and once with a
+/// malformed value, exits 2 with that flag's message as the first line
+/// of stderr (then the usage text). A bad `--simplify` mode is named
+/// and the valid modes listed; a missing one says what is expected. `serve`/`client`/`watch` point at a
+/// socket in a fresh directory that must still not exist afterwards:
+/// flags are checked before anything binds or connects.
+#[test]
+fn every_value_flag_rejects_a_missing_and_a_malformed_value() {
+    let dir = std::env::temp_dir().join(format!("qborrow-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sock = dir.join("qb.sock");
+    let valid_backends = "valid backends: sat, anf, bdd, auto";
+    for &(flag, prefix, kind) in VALUE_FLAGS {
+        let missing = match kind {
+            Value::Text(noun) => format!("{flag} expects {noun}"),
+            Value::Number => format!("{flag} expects a number"),
+            Value::Positive => format!("{flag} expects a positive number"),
+            Value::Backend => format!("{flag} expects a name ({valid_backends})"),
+            Value::Simplify => format!("{flag} expects raw or full"),
+        };
+        let malformed = match kind {
+            Value::Text(_) => None,
+            Value::Number => Some(("x", missing.clone())),
+            Value::Positive => Some(("0", missing.clone())),
+            Value::Backend => Some(("zdd", format!("unknown backend \"zdd\" ({valid_backends})"))),
+            Value::Simplify => Some((
+                "fast",
+                "unknown simplify mode \"fast\" (valid modes: raw, full)".to_string(),
+            )),
+        };
+        let runs = std::iter::once((None, missing)).chain(malformed.map(|(v, m)| (Some(v), m)));
+        for (value, expected) in runs {
+            let mut cmd = qborrow();
+            for &arg in prefix {
+                match arg {
+                    "<fixture>" => cmd.arg(fixture("cccnot.qbr")),
+                    "<sock>" => cmd.arg(&sock),
+                    _ => cmd.arg(arg),
+                };
+            }
+            cmd.arg(flag).args(value);
+            let out = cmd.output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let call = format!("{} {flag} {value:?}", prefix[0]);
+            assert_eq!(out.status.code(), Some(2), "{call}: {stderr}");
+            assert_eq!(stderr.lines().next(), Some(expected.as_str()), "{call}");
+            assert!(stderr.contains("usage:"), "{call}: {stderr}");
+            assert!(!sock.exists(), "{call} touched the socket");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

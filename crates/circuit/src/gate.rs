@@ -79,6 +79,23 @@ impl Gate {
     /// The qubits this gate touches, in operand order.
     pub fn qubits(&self) -> Vec<usize> {
         match self {
+            Gate::Mcx { controls, target } => {
+                let mut v = controls.clone();
+                v.push(*target);
+                v
+            }
+            fixed => {
+                let (qs, n) = fixed.fixed_qubits();
+                qs[..n].to_vec()
+            }
+        }
+    }
+
+    /// The operands of a fixed-arity gate, in [`Gate::qubits`] order, as
+    /// an array and its used length (no allocation); `([0; 3], 0)` for
+    /// [`Gate::Mcx`].
+    fn fixed_qubits(&self) -> ([usize; 3], usize) {
+        match *self {
             Gate::X(q)
             | Gate::H(q)
             | Gate::Z(q)
@@ -86,17 +103,11 @@ impl Gate {
             | Gate::Sdg(q)
             | Gate::T(q)
             | Gate::Tdg(q)
-            | Gate::Phase { q, .. } => vec![*q],
-            Gate::Cnot { c, t } | Gate::Cz { c, t } | Gate::CPhase { c, t, .. } => {
-                vec![*c, *t]
-            }
-            Gate::Swap(a, b) => vec![*a, *b],
-            Gate::Toffoli { c1, c2, t } => vec![*c1, *c2, *t],
-            Gate::Mcx { controls, target } => {
-                let mut v = controls.clone();
-                v.push(*target);
-                v
-            }
+            | Gate::Phase { q, .. } => ([q, 0, 0], 1),
+            Gate::Cnot { c, t } | Gate::Cz { c, t } | Gate::CPhase { c, t, .. } => ([c, t, 0], 2),
+            Gate::Swap(a, b) => ([a, b, 0], 2),
+            Gate::Toffoli { c1, c2, t } => ([c1, c2, t], 3),
+            Gate::Mcx { .. } => ([0; 3], 0),
         }
     }
 
@@ -161,19 +172,30 @@ impl Gate {
     ///
     /// Returns a human-readable description of the violation.
     pub fn validate(&self, num_qubits: usize) -> Result<(), String> {
-        let qs = self.qubits();
-        for &q in &qs {
-            if q >= num_qubits {
-                return Err(format!(
-                    "gate {} references qubit {q} but the circuit has {num_qubits} qubits",
-                    self.name()
-                ));
-            }
+        let (fixed, n) = self.fixed_qubits();
+        let mut owned = match self {
+            Gate::Mcx { .. } => self.qubits(),
+            _ => Vec::new(),
+        };
+        let qs = if owned.is_empty() {
+            &fixed[..n]
+        } else {
+            &owned[..]
+        };
+        if let Some(q) = qs.iter().find(|&&q| q >= num_qubits) {
+            return Err(format!(
+                "gate {} references qubit {q} but the circuit has {num_qubits} qubits",
+                self.name()
+            ));
         }
-        let mut sorted = qs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != qs.len() {
+        // Fixed arity: compare the pairs; MCX: sort its own operand list.
+        let repeated = if owned.is_empty() {
+            (1..n).any(|i| qs[..i].contains(&qs[i]))
+        } else {
+            owned.sort_unstable();
+            owned.windows(2).any(|w| w[0] == w[1])
+        };
+        if repeated {
             return Err(format!("gate {} has repeated qubit operands", self.name()));
         }
         Ok(())

@@ -31,7 +31,7 @@
 //! EXPERIMENTS.md and README.md, "Choosing a backend").
 
 use qb_bdd::BddSession;
-use qb_formula::{encode, Anf, Arena, NodeId, Var};
+use qb_formula::{encode, Anf, AnfCache, Arena, NodeId, Var};
 use qb_sat::{Lit, SatResult, Solver};
 use std::collections::HashMap;
 use std::fmt;
@@ -319,10 +319,13 @@ fn solver_add_clause(solver: &mut Solver, clause: &[Lit]) -> bool {
     solver.add_clause(clause)
 }
 
+/// One-shot ANF decision (a throwaway [`AnfCache`]; long-lived
+/// verification sessions keep a persistent one).
 fn decide_anf(arena: &Arena, roots: &[NodeId], cap: usize) -> Result<Decision, BackendError> {
-    let polys =
-        Anf::from_arena(arena, roots, cap).map_err(|e| BackendError::AnfOverflow { cap: e.cap })?;
-    let model = polys.iter().find_map(anf_witness);
+    let mut cache = AnfCache::new();
+    let polys = Anf::from_arena_cached(arena, roots, cap, &mut cache)
+        .map_err(|e| BackendError::AnfOverflow { cap: e.cap })?;
+    let model = polys.iter().find_map(|p| anf_witness(&cache, p));
     Ok(Decision {
         unsat: model.is_none(),
         model,
@@ -330,11 +333,13 @@ fn decide_anf(arena: &Arena, roots: &[NodeId], cap: usize) -> Result<Decision, B
     })
 }
 
-/// The witness of a nonzero polynomial (see [`Anf::satisfying_vars`]);
-/// `None` when it is zero, i.e. unsatisfiable.
-pub(crate) fn anf_witness(poly: &Anf) -> Option<HashMap<Var, bool>> {
-    poly.satisfying_vars()
-        .map(|ones| ones.iter().map(|&v| (v, true)).collect())
+/// The witness of a nonzero polynomial of `cache` (see
+/// [`AnfCache::satisfying_vars`]); `None` when it is zero, i.e.
+/// unsatisfiable.
+pub(crate) fn anf_witness(cache: &AnfCache, poly: &Anf) -> Option<HashMap<Var, bool>> {
+    cache
+        .satisfying_vars(poly)
+        .map(|ones| ones.into_iter().map(|v| (v, true)).collect())
 }
 
 /// One-shot BDD decision (a throwaway [`BddSession`]; long-lived

@@ -232,14 +232,14 @@ mod tests {
     use super::*;
     use crate::symbolic::{symbolic_execute, InitialValue};
     use qb_circuit::Circuit;
-    use qb_formula::{Anf, Simplify};
+    use qb_formula::{Anf, AnfCache, Simplify};
 
     fn exec(c: &Circuit, mode: Simplify) -> SymbolicState {
         symbolic_execute(c, &vec![InitialValue::Free; c.num_qubits()], mode).unwrap()
     }
 
     fn all_unsat(state: &SymbolicState, roots: &[NodeId]) -> bool {
-        Anf::from_arena(&state.arena, roots, 1 << 20)
+        Anf::from_arena_cached(&state.arena, roots, 1 << 20, &mut AnfCache::new())
             .unwrap()
             .iter()
             .all(Anf::is_zero)

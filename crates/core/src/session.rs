@@ -405,6 +405,8 @@ pub struct SessionStats {
     pub anf_cached_polys: usize,
     /// ANF conversions answered from the polynomial cache.
     pub anf_hits: u64,
+    /// Monomials held by the ANF cache's hash-consed store.
+    pub anf_monomials: usize,
     /// Literals propagated by the SAT solver over the session lifetime
     /// (0 for non-SAT backends). Together with [`SessionStats::sat_time`]
     /// this yields the ns/propagation figure the scaling benches gate on,
@@ -514,6 +516,7 @@ impl SessionStats {
             ("auto_preference", Fact::Name(self.auto_preference.name())),
             ("anf_cached_polys", size(self.anf_cached_polys)),
             ("anf_hits", Count(self.anf_hits)),
+            ("anf_monomials", size(self.anf_monomials)),
             ("solver_propagations", Count(self.solver_propagations)),
             ("solver_conflicts", Count(self.solver_conflicts)),
             ("solver_decisions", Count(self.solver_decisions)),
@@ -908,6 +911,7 @@ impl VerifySession {
             deadline_fallbacks: self.deadline_fallbacks,
             anf_cached_polys: anf.cached_polys,
             anf_hits: anf.hits,
+            anf_monomials: anf.monomials,
             auto_preference: self.auto_pref,
             solver_propagations: solver.propagations,
             solver_conflicts: solver.conflicts,
@@ -1372,7 +1376,7 @@ impl VerifySession {
         let polys = Anf::from_arena_cached(&self.state.arena, &[root], cap, cache);
         self.anf_time += t0.elapsed();
         let poly = polys?.remove(0);
-        let model = anf_witness(&poly);
+        let model = anf_witness(cache, &poly);
         Ok(Decision {
             unsat: model.is_none(),
             model,
@@ -1519,7 +1523,7 @@ impl VerifySession {
             } else {
                 let cache = self.anf.as_mut().expect("ANF backend state");
                 let polys = Anf::from_arena_cached(arena, missing, cap, cache)?;
-                polys.iter().map(Anf::support).collect()
+                polys.iter().map(|p| cache.support(p)).collect()
             };
             for (f, support) in missing.drain(..).zip(supports) {
                 self.supports.insert(f, support);
@@ -1546,8 +1550,8 @@ impl VerifySession {
         } else {
             let cache = self.anf.as_mut().expect("ANF backend state");
             let poly = Anf::from_arena_cached(arena, &[f], cap, cache)?.remove(0);
-            let derivative = poly.derivative(var);
-            let model = anf_witness(&derivative);
+            let derivative = cache.derivative(&poly, var);
+            let model = anf_witness(cache, &derivative);
             let model = model.expect("a canonical support holds only real dependencies");
             (model, derivative.len())
         };

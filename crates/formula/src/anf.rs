@@ -7,105 +7,18 @@
 //! conditions of the paper's §6.1 — one of the three backends this
 //! reproduction offers in place of CVC5/Bitwuzla.
 //!
+//! Monomials are hash-consed in the store of an [`AnfCache`], as PolyBoRi's
+//! ZDDs share them (Brickenstein and Dreyer, J. Symb. Comput. 2009): a
+//! monomial is one (prefix, largest variable) node, and a polynomial is a
+//! sorted run of `u32` monomial ids.
+//!
 //! The representation can blow up exponentially (e.g. carry chains of wide
 //! adders), so every conversion takes a term cap and fails gracefully with
 //! [`AnfOverflow`]; callers treat that as "backend inapplicable".
 
 use crate::arena::{Arena, Node, NodeId, NodeRemap, Var};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-
-/// A product of distinct variables; the empty product is the constant `1`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Monomial(Box<[Var]>);
-
-impl Monomial {
-    /// The constant-one monomial (empty product).
-    pub fn one() -> Self {
-        Monomial(Box::new([]))
-    }
-
-    /// The single-variable monomial.
-    pub fn var(v: Var) -> Self {
-        Monomial(Box::new([v]))
-    }
-
-    /// Builds a monomial from an iterator of variables (deduplicated).
-    pub fn from_vars<I: IntoIterator<Item = Var>>(vars: I) -> Self {
-        let mut v: Vec<Var> = vars.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        Monomial(v.into_boxed_slice())
-    }
-
-    /// The variables of this monomial, sorted ascending.
-    pub fn vars(&self) -> &[Var] {
-        &self.0
-    }
-
-    /// Number of variables (polynomial degree of this term).
-    pub fn degree(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Returns `true` if `v` occurs in the monomial.
-    pub fn contains(&self, v: Var) -> bool {
-        self.0.binary_search(&v).is_ok()
-    }
-
-    /// Product of two monomials (`x² = x` over GF(2)).
-    pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut out = Vec::with_capacity(self.0.len() + other.0.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.0[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.0[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.0[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.0[i..]);
-        out.extend_from_slice(&other.0[j..]);
-        Monomial(out.into_boxed_slice())
-    }
-
-    /// Removes `v` from the monomial (used by the formal derivative).
-    fn without(&self, v: Var) -> Monomial {
-        Monomial(
-            self.0
-                .iter()
-                .copied()
-                .filter(|&x| x != v)
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        )
-    }
-}
-
-impl fmt::Display for Monomial {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
-            return write!(f, "1");
-        }
-        for (i, v) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, "·")?;
-            }
-            write!(f, "x{v}")?;
-        }
-        Ok(())
-    }
-}
 
 /// Error raised when an ANF conversion exceeds its term cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,59 +35,34 @@ impl fmt::Display for AnfOverflow {
 
 impl std::error::Error for AnfOverflow {}
 
-/// A polynomial over GF(2) in algebraic normal form.
+/// A polynomial over GF(2) in algebraic normal form: the ids of its
+/// monomials in the store of the [`AnfCache`] that made it. Within one
+/// cache, equal polynomials compare equal; the ids mean nothing to
+/// another cache.
 ///
 /// # Examples
 ///
 /// ```
-/// use qb_formula::Anf;
-/// let x = Anf::var(0);
-/// let y = Anf::var(1);
+/// use qb_formula::AnfCache;
+/// let mut cache = AnfCache::new();
+/// let x = cache.var(0);
+/// let y = cache.var(1);
 /// let p = x.xor(&y).xor(&x); // x ⊕ y ⊕ x = y
-/// assert_eq!(p, Anf::var(1));
+/// assert_eq!(p, y);
+/// assert_eq!(cache.render(&x.xor(&y).not()), "1 ⊕ x0 ⊕ x1");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Anf {
-    /// Sorted, duplicate-free terms; empty means the zero polynomial.
-    terms: Vec<Monomial>,
+    /// Sorted monomial ids (0 is the constant 1); none for the zero.
+    terms: Vec<u32>,
 }
 
 impl Anf {
-    /// The zero polynomial (constant false).
-    pub fn zero() -> Self {
-        Anf { terms: Vec::new() }
-    }
-
-    /// The one polynomial (constant true).
-    pub fn one() -> Self {
+    /// The constant polynomial `b`.
+    pub fn constant(b: bool) -> Self {
         Anf {
-            terms: vec![Monomial::one()],
+            terms: if b { vec![0] } else { Vec::new() },
         }
-    }
-
-    /// The polynomial consisting of a single variable.
-    pub fn var(v: Var) -> Self {
-        Anf {
-            terms: vec![Monomial::var(v)],
-        }
-    }
-
-    /// Builds a polynomial from arbitrary terms (pairs cancel mod 2).
-    pub fn from_terms<I: IntoIterator<Item = Monomial>>(terms: I) -> Self {
-        let mut set: BTreeSet<Monomial> = BTreeSet::new();
-        for t in terms {
-            if !set.remove(&t) {
-                set.insert(t);
-            }
-        }
-        Anf {
-            terms: set.into_iter().collect(),
-        }
-    }
-
-    /// The terms, sorted ascending.
-    pub fn terms(&self) -> &[Monomial] {
-        &self.terms
     }
 
     /// Number of terms.
@@ -182,313 +70,362 @@ impl Anf {
         self.terms.len()
     }
 
-    /// `true` when the polynomial has no terms (alias of
-    /// [`Anf::is_zero`], provided for container-style call sites).
+    /// `true` when the polynomial has no terms (as [`Anf::is_zero`]).
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
     }
 
-    /// Returns `true` for the zero polynomial — i.e. the formula is
-    /// unsatisfiable.
+    /// `true` for the zero polynomial: the formula is unsatisfiable.
     pub fn is_zero(&self) -> bool {
         self.terms.is_empty()
     }
 
-    /// Returns `true` for the constant-one polynomial (tautology).
-    pub fn is_one(&self) -> bool {
-        self.terms.len() == 1 && self.terms[0].degree() == 0
-    }
-
-    /// Polynomial degree (0 for constants).
-    pub fn degree(&self) -> usize {
-        self.terms.iter().map(Monomial::degree).max().unwrap_or(0)
-    }
-
-    /// A satisfying assignment, as the variables to set to `1` (every
-    /// other variable `0`): those of a minimum-degree term. No other term
-    /// is a subset of it, so under that assignment exactly one term is
-    /// `1` and the polynomial evaluates to `1`. `None` for the zero
-    /// polynomial, which no assignment satisfies.
-    pub fn satisfying_vars(&self) -> Option<&[Var]> {
-        self.terms
-            .iter()
-            .min_by_key(|t| t.degree())
-            .map(Monomial::vars)
-    }
-
-    /// GF(2) sum (exclusive-or) of two polynomials.
+    /// GF(2) sum (exclusive-or) of two polynomials of one cache: a merge
+    /// of their id runs that drops the ids both hold.
     pub fn xor(&self, other: &Anf) -> Anf {
-        let mut out = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let (a, b) = (&self.terms, &other.terms);
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.terms.len() && j < other.terms.len() {
-            match self.terms[i].cmp(&other.terms[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.terms[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.terms[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+            if x != y {
+                out.push(x.min(y));
             }
         }
-        out.extend_from_slice(&self.terms[i..]);
-        out.extend_from_slice(&other.terms[j..]);
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
         Anf { terms: out }
-    }
-
-    /// GF(2) product, failing if the result would exceed `cap` terms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnfOverflow`] if the intermediate or final term count
-    /// exceeds `cap`.
-    pub fn mul(&self, other: &Anf, cap: usize) -> Result<Anf, AnfOverflow> {
-        if self.terms.len().saturating_mul(other.terms.len()) > 4 * cap.max(1) {
-            return Err(AnfOverflow { cap });
-        }
-        let mut set: BTreeSet<Monomial> = BTreeSet::new();
-        for a in &self.terms {
-            for b in &other.terms {
-                let m = a.mul(b);
-                if !set.remove(&m) {
-                    set.insert(m);
-                    if set.len() > cap {
-                        return Err(AnfOverflow { cap });
-                    }
-                }
-            }
-        }
-        Ok(Anf {
-            terms: set.into_iter().collect(),
-        })
     }
 
     /// Logical negation: `¬p = p ⊕ 1`.
     pub fn not(&self) -> Anf {
-        self.xor(&Anf::one())
-    }
-
-    /// The sorted support: every variable some term mentions. ANF is
-    /// canonical, so these are exactly the variables the function
-    /// depends on.
-    pub fn support(&self) -> Vec<Var> {
-        let mut vars: Vec<Var> = self.terms.iter().flat_map(|t| t.vars()).copied().collect();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
-
-    /// Substitutes a constant for `v`.
-    pub fn cofactor(&self, v: Var, val: bool) -> Anf {
-        let mut set: BTreeSet<Monomial> = BTreeSet::new();
-        for t in &self.terms {
-            let keep = if t.contains(v) {
-                if !val {
-                    continue; // monomial containing v vanishes when v = 0
-                }
-                t.without(v)
-            } else {
-                t.clone()
-            };
-            if !set.remove(&keep) {
-                set.insert(keep);
-            }
-        }
-        Anf {
-            terms: set.into_iter().collect(),
-        }
-    }
-
-    /// Formal (Boolean) derivative `∂p/∂v = p[v:=0] ⊕ p[v:=1]`.
-    ///
-    /// The derivative is zero exactly when the function is independent of
-    /// `v` — the semantic core of the paper's condition (6.2).
-    pub fn derivative(&self, v: Var) -> Anf {
-        let mut set: BTreeSet<Monomial> = BTreeSet::new();
-        for t in &self.terms {
-            if t.contains(v) {
-                let m = t.without(v);
-                if !set.remove(&m) {
-                    set.insert(m);
-                }
-            }
-        }
-        Anf {
-            terms: set.into_iter().collect(),
-        }
-    }
-
-    /// Evaluates the polynomial under `env` (indexed by variable).
-    pub fn eval(&self, env: &[bool]) -> bool {
-        self.terms.iter().fold(false, |acc, t| {
-            acc ^ t.vars().iter().all(|&v| env[v as usize])
-        })
+        self.xor(&Anf::constant(true))
     }
 
     /// Converts the nodes reachable from `roots` into ANF, bottom-up with
-    /// sharing, failing if any node's polynomial exceeds `cap` terms.
+    /// sharing, memoising per-node polynomials in `cache` across calls: a
+    /// hash-consed [`NodeId`] denotes one function for good, so the pass
+    /// stops at cached nodes (a one-off conversion passes a fresh cache).
+    /// The results read through `cache` until its next conversion, which
+    /// may compact the store and renumber the polynomials it holds.
     ///
     /// # Errors
     ///
-    /// Returns [`AnfOverflow`] on blow-up.
-    pub fn from_arena(
-        arena: &Arena,
-        roots: &[NodeId],
-        cap: usize,
-    ) -> Result<Vec<Anf>, AnfOverflow> {
-        let reach = arena.reachable(roots);
-        let mut table: Vec<Option<Anf>> = vec![None; arena.len()];
-        for i in 0..arena.len() {
-            if !reach[i] {
-                continue;
-            }
-            let id = NodeId::from_index(i);
-            let anf = match arena.node(id) {
-                Node::Const(b) => {
-                    if b {
-                        Anf::one()
-                    } else {
-                        Anf::zero()
-                    }
-                }
-                Node::Var(v) => Anf::var(v),
-                Node::And(children) => {
-                    let mut acc = Anf::one();
-                    for c in children.iter() {
-                        let child = table[c.index()].as_ref().expect("children precede parents");
-                        acc = acc.mul(child, cap)?;
-                    }
-                    acc
-                }
-                Node::Xor(children, parity) => {
-                    let mut acc = if parity { Anf::one() } else { Anf::zero() };
-                    for c in children.iter() {
-                        let child = table[c.index()].as_ref().expect("children precede parents");
-                        acc = acc.xor(child);
-                    }
-                    if acc.len() > cap {
-                        return Err(AnfOverflow { cap });
-                    }
-                    acc
-                }
-            };
-            table[i] = Some(anf);
-        }
-        Ok(roots
-            .iter()
-            .map(|r| table[r.index()].clone().expect("root is reachable"))
-            .collect())
-    }
-
-    /// Like [`Anf::from_arena`], but memoising per-node polynomials in
-    /// `cache` across calls. Hash-consing makes a [`NodeId`] permanently
-    /// denote one Boolean function (in an append-only arena), so a
-    /// cached polynomial answers any later conversion over the same
-    /// structure — across targets, repeat sweeps and edits — and the
-    /// bottom-up pass stops descending at cached nodes entirely.
-    ///
-    /// Results are identical to [`Anf::from_arena`]; only the work
-    /// profile differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnfOverflow`] on blow-up past `cap` terms, exactly as
-    /// the uncached conversion does.
+    /// Returns [`AnfOverflow`] if a node's polynomial, or a product's
+    /// running term count, exceeds `cap` terms.
     pub fn from_arena_cached(
         arena: &Arena,
         roots: &[NodeId],
         cap: usize,
         cache: &mut AnfCache,
     ) -> Result<Vec<Anf>, AnfOverflow> {
-        // Frontier traversal: descend only into nodes without a
-        // memoised polynomial, so a warm root costs O(1).
+        cache.compact_if_sparse();
+        // Descend only into nodes without a memoised polynomial.
         let mut visited = vec![false; arena.len()];
         let mut need: Vec<NodeId> = Vec::new();
         let mut stack: Vec<NodeId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if visited[id.index()] {
+            if std::mem::replace(&mut visited[id.index()], true) {
                 continue;
-            }
-            visited[id.index()] = true;
-            if cache.touch(id) {
+            } else if cache.stamp(id) {
+                cache.counts.hits += 1;
                 continue;
             }
             need.push(id);
             stack.extend_from_slice(arena.children(id));
         }
-        // Children precede parents in arena order; oversized polynomials
-        // are not admitted into the cache and live in `local` instead.
+        // Children precede parents; oversized polynomials live in `local`.
         need.sort_unstable();
-        // Children are borrowed from `local` or the cache — mul/xor only
-        // need references, so no polynomial is copied per operand.
-        fn child_poly<'a>(
-            id: NodeId,
-            local: &'a HashMap<NodeId, Anf>,
-            cache: &'a AnfCache,
-        ) -> &'a Anf {
-            local
-                .get(&id)
-                .or_else(|| cache.peek_ref(id))
-                .expect("children precede parents")
+        let mut local: Map<Anf> = HashMap::new();
+        type Map<T> = HashMap<NodeId, T>;
+        fn poly<'a>(id: NodeId, local: &'a Map<Anf>, map: &'a Map<AnfEntry>) -> &'a Anf {
+            let cached = map.get(&id).map(|e| &e.poly);
+            local.get(&id).or(cached).expect("children precede parents")
         }
-        let mut local: HashMap<NodeId, Anf> = HashMap::new();
         for id in need {
             let anf = match arena.node(id) {
-                Node::Const(b) => {
-                    if b {
-                        Anf::one()
-                    } else {
-                        Anf::zero()
-                    }
-                }
-                Node::Var(v) => Anf::var(v),
+                Node::Const(b) => Anf::constant(b),
+                Node::Var(v) => cache.var(v),
                 Node::And(children) => {
-                    let mut acc = Anf::one();
-                    for c in children.iter() {
-                        acc = acc.mul(child_poly(*c, &local, cache), cap)?;
+                    let mut acc = vec![0];
+                    for c in children {
+                        let child = &poly(*c, &local, &cache.map).terms;
+                        acc = cache.store.mul(&acc, child, cap)?;
                     }
-                    acc
+                    Anf { terms: acc }
                 }
                 Node::Xor(children, parity) => {
-                    let mut acc = if parity { Anf::one() } else { Anf::zero() };
-                    for c in children.iter() {
-                        acc = acc.xor(child_poly(*c, &local, cache));
-                    }
+                    let sum = |acc: Anf, c: &NodeId| acc.xor(poly(*c, &local, &cache.map));
+                    let acc = children.iter().fold(Anf::constant(parity), sum);
                     if acc.len() > cap {
                         return Err(AnfOverflow { cap });
                     }
                     acc
                 }
             };
-            if !cache.admit(id, &anf) {
-                local.insert(id, anf);
+            if let Some(oversized) = cache.admit(id, anf) {
+                local.insert(id, oversized);
             }
         }
         let out = roots
             .iter()
-            .map(|r| {
-                local
-                    .get(r)
-                    .cloned()
-                    .or_else(|| cache.peek(*r))
-                    .expect("root is reachable")
-            })
+            .map(|r| poly(*r, &local, &cache.map).clone())
             .collect();
+        // Stamped last, the roots survive this batch's eviction.
+        for r in roots {
+            cache.stamp(*r);
+        }
         cache.evict_over_capacity();
         Ok(out)
     }
 }
 
-/// A memoised ANF polynomial for one arena node.
+/// The hash-consed monomials of one [`AnfCache`]: id 0 is the empty
+/// product `1`, id `i > 0` is `prefix[i] · x_top[i]` with `top[i]` above
+/// every variable of `prefix[i]`, an older (smaller) id.
+#[derive(Debug, Clone, Default)]
+struct Store {
+    prefix: Vec<u32>,
+    top: Vec<Var>,
+    /// Per-monomial stamps: a product's toggles, a mark pass's visits.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Open-addressed cons table of ids (0 is empty), at most half full.
+    table: Vec<u32>,
+    /// Lossy product memo, direct-mapped: `[a, b, a·b]` with `a < b`.
+    memo: Vec<[u32; 3]>,
+    /// Reused buffers: a chain walk's steps, a product's toggled ids, and
+    /// a lexicographic sort's variables, (start, end, id) spans and ids.
+    steps: Vec<(Var, u32)>,
+    touched: Vec<u32>,
+    lex: Vec<Var>,
+    spans: Vec<(usize, usize, u32)>,
+    order: Vec<u32>,
+}
+
+/// Slots of the product memo.
+const PRODUCT_MEMO_SLOTS: usize = 1 << 12;
+
+fn hash(a: u32, b: u32) -> usize {
+    ((u64::from(a) << 32 | u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+}
+
+impl Store {
+    fn new() -> Self {
+        Store {
+            prefix: vec![0],
+            top: vec![0],
+            mark: vec![0],
+            memo: vec![[0; 3]; PRODUCT_MEMO_SLOTS],
+            ..Store::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.prefix.len()
+    }
+
+    /// The monomial `prefix · x_var`; `var` lies above every variable of
+    /// `prefix`.
+    fn cons(&mut self, prefix: u32, var: Var) -> u32 {
+        if 2 * self.len() >= self.table.len() {
+            self.rehash((2 * self.table.len()).max(64));
+        }
+        let mask = self.table.len() - 1;
+        let mut slot = hash(prefix, var) & mask;
+        while self.table[slot] != 0 {
+            let id = self.table[slot];
+            if self.prefix[id as usize] == prefix && self.top[id as usize] == var {
+                return id;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.table[slot] = self.len() as u32;
+        self.prefix.push(prefix);
+        self.top.push(var);
+        self.mark.push(0);
+        self.table[slot]
+    }
+
+    fn rehash(&mut self, slots: usize) {
+        self.table = vec![0; slots];
+        for id in 1..self.len() {
+            let mut slot = hash(self.prefix[id], self.top[id]) & (slots - 1);
+            while self.table[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.table[slot] = id as u32;
+        }
+    }
+
+    /// A fresh stamp pair for [`Store::mark`]: `(off, on)`.
+    fn next_epoch(&mut self) -> (u32, u32) {
+        if self.epoch >= u32::MAX - 2 {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
+    }
+
+    /// Conses the `steps` (taken top-down) back onto `base`; a step whose
+    /// node already sits on `base` is that node, with no lookup.
+    fn rebuild(&mut self, mut base: u32, steps: &[(Var, u32)]) -> u32 {
+        for &(var, node) in steps.iter().rev() {
+            let on_base = self.prefix[node as usize] == base;
+            base = if on_base { node } else { self.cons(base, var) };
+        }
+        base
+    }
+
+    /// The product of two monomials (`x² = x`): a loop down both prefix
+    /// chains that takes the larger top variable each step, until a chain
+    /// ends or the two meet, then conses the taken variables back. So
+    /// `m·x` with `x` above `m` is one lookup, and nothing recurses.
+    fn mono_mul(&mut self, a: u32, b: u32) -> u32 {
+        let (a, b) = (a.min(b), a.max(b));
+        if a == 0 || a == b {
+            return b;
+        }
+        let slot = hash(a, b) & (PRODUCT_MEMO_SLOTS - 1);
+        if self.memo[slot][..2] == [a, b] {
+            return self.memo[slot][2];
+        }
+        let mut steps = std::mem::take(&mut self.steps);
+        steps.clear();
+        let (mut x, mut y) = (a as usize, b as usize);
+        while x != 0 && y != 0 && x != y {
+            let (tx, ty) = (self.top[x], self.top[y]);
+            let node = if tx >= ty { x } else { y };
+            steps.push((tx.max(ty), node as u32));
+            x = if tx >= ty { self.prefix[x] as usize } else { x };
+            y = if ty >= tx { self.prefix[y] as usize } else { y };
+        }
+        let m = self.rebuild(x.max(y) as u32, &steps);
+        self.steps = steps;
+        self.memo[slot] = [a, b, m];
+        m
+    }
+
+    /// `m` with `var` removed, or `None` when `m` lacks it.
+    fn without(&mut self, m: u32, var: Var) -> Option<u32> {
+        let mut steps = std::mem::take(&mut self.steps);
+        steps.clear();
+        let mut x = m as usize;
+        while x != 0 && self.top[x] > var {
+            steps.push((self.top[x], x as u32));
+            x = self.prefix[x] as usize;
+        }
+        let found = (x != 0 && self.top[x] == var).then(|| self.rebuild(self.prefix[x], &steps));
+        self.steps = steps;
+        found
+    }
+
+    /// `a` then `b`, each sorted lexicographically by its terms' variables,
+    /// in the `order` buffer (for the caller to put back).
+    fn lex_order(&mut self, a: &[u32], b: &[u32]) -> Vec<u32> {
+        let (mut vars, mut spans) = (
+            std::mem::take(&mut self.lex),
+            std::mem::take(&mut self.spans),
+        );
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        vars.clear();
+        for terms in [a, b] {
+            for &m in terms {
+                let start = vars.len();
+                vars.extend(self.chain(m).map(|m| self.top[m as usize]));
+                vars[start..].reverse();
+                spans.push((start, vars.len(), m));
+            }
+            spans.sort_unstable_by(|x, y| vars[x.0..x.1].cmp(&vars[y.0..y.1]));
+            order.extend(spans.drain(..).map(|s| s.2));
+        }
+        (self.lex, self.spans) = (vars, spans);
+        order
+    }
+
+    /// Toggles the product of every pair of `a × b` in [`Store::mark`]
+    /// under a fresh epoch, listing first-touched ids in `touched`, until
+    /// `stop(live, left)` holds for the running term count and the pairs
+    /// left. Returns the `on` stamp, or `None` when stopped.
+    fn toggle(&mut self, a: &[u32], b: &[u32], stop: impl Fn(usize, usize) -> bool) -> Option<u32> {
+        let (off, on) = self.next_epoch();
+        self.touched.clear();
+        let (mut live, mut left) = (0usize, a.len() * b.len());
+        for (&x, &y) in a.iter().flat_map(|x| b.iter().map(move |y| (x, y))) {
+            let m = self.mono_mul(x, y);
+            let stamp = &mut self.mark[m as usize];
+            if *stamp != off && *stamp != on {
+                self.touched.push(m);
+            }
+            live = if *stamp == on { live - 1 } else { live + 1 };
+            *stamp = if *stamp == on { off } else { on };
+            left -= 1;
+            if stop(live, left) {
+                return None;
+            }
+        }
+        Some(on)
+    }
+
+    /// GF(2) product of two id runs. It fails past `4 · cap` pairs, or
+    /// once the running term count of a sorted term set, taking the pairs
+    /// in lexicographic term order, exceeds `cap`.
+    fn mul(&mut self, a: &[u32], b: &[u32], cap: usize) -> Result<Vec<u32>, AnfOverflow> {
+        let pairs = a.len().saturating_mul(b.len());
+        if a == [0] && b.len() <= cap {
+            return Ok(b.to_vec());
+        } else if pairs > 4 * cap.max(1) {
+            return Err(AnfOverflow { cap });
+        }
+        // In id order, stopped once the pairs left cannot bring the count
+        // back within `cap` (then every order overflows).
+        let on = self.toggle(a, b, |live, left| live > cap + left);
+        self.touched.retain(|&m| Some(self.mark[m as usize]) == on);
+        let mut out = self.touched.clone();
+        out.sort_unstable();
+        // Only a product of more than `cap` pairs can pass `cap` on the
+        // way; its count is replayed in lexicographic order.
+        let mut within = on.is_some();
+        if within && pairs > cap {
+            let order = self.lex_order(a, b);
+            let (a, b) = order.split_at(a.len());
+            within = self.toggle(a, b, |live, _| live > cap).is_some();
+            self.order = order;
+        }
+        within.then_some(out).ok_or(AnfOverflow { cap })
+    }
+
+    /// `m` and its prefixes, down to (not including) the constant 1.
+    fn chain(&self, m: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(m), |&m| Some(self.prefix[m as usize])).take_while(|&m| m != 0)
+    }
+
+    /// The variables of `m`, ascending.
+    fn vars(&self, m: u32) -> Vec<Var> {
+        let mut vars: Vec<Var> = self.chain(m).map(|m| self.top[m as usize]).collect();
+        vars.reverse();
+        vars
+    }
+
+    /// Marks `m` and its prefix chain with `on`, pushing the top
+    /// variable of each monomial not marked yet onto `tops`.
+    fn mark_chain(&mut self, mut m: u32, on: u32, tops: &mut Vec<Var>) {
+        while m != 0 && self.mark[m as usize] != on {
+            self.mark[m as usize] = on;
+            tops.push(self.top[m as usize]);
+            m = self.prefix[m as usize];
+        }
+    }
+}
+
+/// A memoised polynomial and the logical time of its last use (LRU order).
 #[derive(Debug, Clone)]
 struct AnfEntry {
     poly: Anf,
-    /// Logical timestamp of the last hit or insertion (LRU order).
     last_used: u64,
 }
 
@@ -499,7 +436,9 @@ pub struct AnfCacheStats {
     pub cached_polys: usize,
     /// Total terms across the memoised polynomials.
     pub cached_terms: usize,
-    /// Conversions answered from the cache.
+    /// Monomials held by the store, the constant 1 included.
+    pub monomials: usize,
+    /// Nodes answered from the cache.
     pub hits: u64,
     /// Nodes converted fresh.
     pub misses: u64,
@@ -514,22 +453,25 @@ const ANF_CACHE_CAPACITY: usize = 1 << 12;
 /// huge entries would defeat the entry-count bound).
 const ANF_CACHE_MAX_TERMS: usize = 1 << 12;
 
-/// A size-bounded memo of per-node ANF polynomials keyed by [`NodeId`],
-/// used by [`Anf::from_arena_cached`] so long-lived verification
-/// sessions stop recomputing shared subcircuits per target. Eviction is
-/// least-recently-used in batches; [`AnfCache::remap_nodes`] follows
-/// `Arena::collect`'s [`NodeRemap`] (entries whose node was reclaimed
-/// are dropped — sound, because a collected id is never issued for its
-/// old structure again).
+/// The monomial store is never compacted below this many monomials.
+pub const ANF_STORE_FLOOR: usize = 1 << 16;
+
+/// A size-bounded memo of per-node ANF polynomials keyed by [`NodeId`]
+/// (see [`Anf::from_arena_cached`]), evicted least-recently-used in
+/// batches and following `Arena::collect` through
+/// [`AnfCache::remap_nodes`]; and the monomial store they point into,
+/// which a conversion first compacts once it holds more than twice the
+/// monomials the memoised polynomials use, above [`ANF_STORE_FLOOR`].
 #[derive(Debug, Clone)]
 pub struct AnfCache {
     map: HashMap<NodeId, AnfEntry>,
+    store: Store,
+    /// Store size above which the next conversion looks for garbage.
+    compact_at: usize,
     clock: u64,
     cap: usize,
-    max_terms: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    /// The hit, miss and eviction counters.
+    counts: AnfCacheStats,
 }
 
 impl Default for AnfCache {
@@ -541,19 +483,13 @@ impl Default for AnfCache {
 impl AnfCache {
     /// Creates a cache with the default entry bound.
     pub fn new() -> Self {
-        AnfCache::with_capacity(ANF_CACHE_CAPACITY)
-    }
-
-    /// Creates a cache bounded to `cap` memoised polynomials.
-    pub fn with_capacity(cap: usize) -> Self {
         AnfCache {
             map: HashMap::new(),
+            store: Store::new(),
+            compact_at: ANF_STORE_FLOOR,
             clock: 0,
-            cap: cap.max(1),
-            max_terms: ANF_CACHE_MAX_TERMS,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            cap: ANF_CACHE_CAPACITY,
+            counts: AnfCacheStats::default(),
         }
     }
 
@@ -563,102 +499,166 @@ impl AnfCache {
         self.evict_over_capacity();
     }
 
-    /// Number of memoised polynomials.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` when nothing is memoised.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Reuse counters.
     pub fn stats(&self) -> AnfCacheStats {
         AnfCacheStats {
             cached_polys: self.map.len(),
             cached_terms: self.map.values().map(|e| e.poly.len()).sum(),
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
+            monomials: self.store.len(),
+            ..self.counts
         }
+    }
+
+    /// The polynomial consisting of a single variable.
+    pub fn var(&mut self, v: Var) -> Anf {
+        Anf {
+            terms: vec![self.store.cons(0, v)],
+        }
+    }
+
+    /// GF(2) product.
+    ///
+    /// # Errors
+    ///
+    /// [`AnfOverflow`] past `4 · cap` term pairs, or once the running
+    /// term count exceeds `cap`.
+    pub fn mul(&mut self, a: &Anf, b: &Anf, cap: usize) -> Result<Anf, AnfOverflow> {
+        let terms = self.store.mul(&a.terms, &b.terms, cap)?;
+        Ok(Anf { terms })
+    }
+
+    /// The sorted support: every variable some term mentions. ANF is
+    /// canonical, so these are exactly the variables the function
+    /// depends on.
+    pub fn support(&mut self, p: &Anf) -> Vec<Var> {
+        let (_, on) = self.store.next_epoch();
+        let mut vars = Vec::new();
+        for &m in &p.terms {
+            self.store.mark_chain(m, on, &mut vars);
+        }
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
+
+    /// Formal (Boolean) derivative `∂p/∂v = p[v:=0] ⊕ p[v:=1]`: the
+    /// terms holding `v`, with `v` removed (distinct terms stay
+    /// distinct, so nothing cancels). It is zero exactly when the
+    /// function is independent of `v` — the core of condition (6.2).
+    pub fn derivative(&mut self, p: &Anf, v: Var) -> Anf {
+        let without = |m: &u32| self.store.without(*m, v);
+        let mut terms: Vec<u32> = p.terms.iter().filter_map(without).collect();
+        terms.sort_unstable();
+        Anf { terms }
+    }
+
+    /// The variables to set to `1` (the rest `0`) to satisfy `p`: those of
+    /// its lexicographically first minimum-degree term, a subset of no
+    /// other term, so exactly one term is `1`. `None` for zero.
+    pub fn satisfying_vars(&self, p: &Anf) -> Option<Vec<Var>> {
+        let degree = |&m: &u32| self.store.chain(m).count();
+        let min = p.terms.iter().map(degree).min()?;
+        let vars = p.terms.iter().filter(|m| degree(m) == min);
+        vars.map(|&m| self.store.vars(m)).min()
+    }
+
+    /// The terms of `p` as ascending variable lists, in lexicographic
+    /// order (the constant 1 is the empty list, first).
+    pub fn terms(&self, p: &Anf) -> Vec<Vec<Var>> {
+        let mut terms: Vec<Vec<Var>> = p.terms.iter().map(|&m| self.store.vars(m)).collect();
+        terms.sort_unstable();
+        terms
+    }
+
+    /// `p` written out, terms in lexicographic order: `1 ⊕ x0·x2`, or
+    /// `0`.
+    pub fn render(&self, p: &Anf) -> String {
+        let var = |v: &Var| format!("x{v}");
+        let term = |t: Vec<Var>| t.iter().map(var).reduce(|a, b| a + "·" + &b);
+        let terms = self
+            .terms(p)
+            .into_iter()
+            .map(|t| term(t).unwrap_or("1".into()));
+        terms.reduce(|a, b| a + " ⊕ " + &b).unwrap_or("0".into())
     }
 
     /// Stamps `id` as used; returns whether it is cached.
-    fn touch(&mut self, id: NodeId) -> bool {
+    fn stamp(&mut self, id: NodeId) -> bool {
         self.clock += 1;
-        match self.map.get_mut(&id) {
-            Some(entry) => {
-                entry.last_used = self.clock;
-                self.hits += 1;
-                true
-            }
-            None => false,
-        }
+        let clock = self.clock;
+        self.map.get_mut(&id).map(|e| e.last_used = clock).is_some()
     }
 
-    /// The cached polynomial of `id`, if any (no stamp update).
-    fn peek(&self, id: NodeId) -> Option<Anf> {
-        self.peek_ref(id).cloned()
-    }
-
-    /// Borrows the cached polynomial of `id` (no stamp update, no copy).
-    fn peek_ref(&self, id: NodeId) -> Option<&Anf> {
-        self.map.get(&id).map(|e| &e.poly)
-    }
-
-    /// Admits a freshly computed polynomial unless it is oversized;
-    /// returns whether it was cached.
-    fn admit(&mut self, id: NodeId, poly: &Anf) -> bool {
-        self.misses += 1;
-        if poly.len() > self.max_terms {
-            return false;
+    /// Admits a freshly computed polynomial, or hands it back when it
+    /// is oversized.
+    fn admit(&mut self, id: NodeId, poly: Anf) -> Option<Anf> {
+        self.counts.misses += 1;
+        if poly.len() > ANF_CACHE_MAX_TERMS {
+            return Some(poly);
         }
         self.clock += 1;
-        self.map.insert(
-            id,
-            AnfEntry {
-                poly: poly.clone(),
-                last_used: self.clock,
-            },
-        );
-        true
+        let last_used = self.clock;
+        self.map.insert(id, AnfEntry { poly, last_used });
+        None
     }
 
     /// Keeps the cache within its LRU bound (batch eviction down to ¾
     /// capacity, amortising the stamp sort).
     fn evict_over_capacity(&mut self) {
-        self.evictions +=
+        self.counts.evictions +=
             crate::lru_evict_batch(&mut self.map, self.cap, |e| e.last_used, |_, _| {});
+    }
+
+    /// Compacts the store once it outgrows the last pass's threshold and
+    /// more than half of it is garbage (the live monomials are the
+    /// memoised polynomials' terms and their prefixes). Renumbering
+    /// keeps id order, so every memoised run stays sorted.
+    fn compact_if_sparse(&mut self) {
+        if self.store.len() <= self.compact_at {
+            return;
+        }
+        let (_, on) = self.store.next_epoch();
+        let mut tops = Vec::new();
+        for &m in self.map.values().flat_map(|e| &e.poly.terms) {
+            self.store.mark_chain(m, on, &mut tops);
+        }
+        let live = tops.len() + 1;
+        self.compact_at = ANF_STORE_FLOOR.max(2 * live);
+        if self.store.len() <= 2 * live {
+            return;
+        }
+        // Keep the marked monomials (every prefix of one is marked),
+        // renumbered in order.
+        let store = &mut self.store;
+        let mut renumber = vec![0u32; store.len()];
+        let mut next = 1;
+        for old in 1..store.len() {
+            if store.mark[old] == on {
+                renumber[old] = next as u32;
+                store.prefix[next] = renumber[store.prefix[old] as usize];
+                store.top[next] = store.top[old];
+                next += 1;
+            }
+        }
+        store.prefix.truncate(next);
+        store.top.truncate(next);
+        (store.mark, store.epoch) = (vec![0; next], 0);
+        store.rehash((2 * next + 1).next_power_of_two().max(64));
+        store.memo.fill([0; 3]);
+        for m in self.map.values_mut().flat_map(|e| &mut e.poly.terms) {
+            *m = renumber[*m as usize];
+        }
     }
 
     /// Follows a formula-arena collection: keys are rewritten through
     /// `remap` and entries whose node was reclaimed are dropped.
     pub fn remap_nodes(&mut self, remap: &NodeRemap) {
-        let map = std::mem::take(&mut self.map);
-        for (id, entry) in map {
-            match remap.remap(id) {
-                Some(new) => {
-                    self.map.insert(new, entry);
-                }
-                None => self.evictions += 1,
-            }
-        }
-    }
-}
-
-impl fmt::Display for Anf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
-            return write!(f, "0");
-        }
-        for (i, t) in self.terms.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ⊕ ")?;
-            }
-            write!(f, "{t}")?;
-        }
-        Ok(())
+        let before = self.map.len();
+        let map = std::mem::take(&mut self.map).into_iter();
+        self.map = map
+            .filter_map(|(id, e)| Some((remap.remap(id)?, e)))
+            .collect();
+        self.counts.evictions += (before - self.map.len()) as u64;
     }
 }
 
@@ -667,62 +667,90 @@ mod tests {
     use super::*;
     use crate::arena::Simplify;
 
+    /// One conversion of `roots` on a fresh cache.
+    fn convert(f: &Arena, roots: &[NodeId], cap: usize) -> (AnfCache, Vec<Anf>) {
+        let mut cache = AnfCache::new();
+        let polys = Anf::from_arena_cached(f, roots, cap, &mut cache).unwrap();
+        (cache, polys)
+    }
+
+    fn eval(cache: &AnfCache, p: &Anf, env: &[bool]) -> bool {
+        cache
+            .terms(p)
+            .iter()
+            .fold(false, |acc, t| acc ^ t.iter().all(|&v| env[v as usize]))
+    }
+
     #[test]
     fn xor_cancels_pairs() {
-        let x = Anf::var(0);
+        let x = AnfCache::new().var(0);
         assert!(x.xor(&x).is_zero());
     }
 
     #[test]
     fn mul_is_idempotent_on_vars() {
-        let x = Anf::var(0);
-        let xx = x.mul(&x, 100).unwrap();
+        let mut cache = AnfCache::new();
+        let x = cache.var(0);
+        let xx = cache.mul(&x, &x, 100).unwrap();
         assert_eq!(xx, x);
     }
 
     #[test]
     fn distributes() {
         // (x ⊕ y)·z = xz ⊕ yz
-        let x = Anf::var(0);
-        let y = Anf::var(1);
-        let z = Anf::var(2);
-        let lhs = x.xor(&y).mul(&z, 100).unwrap();
-        let rhs = x.mul(&z, 100).unwrap().xor(&y.mul(&z, 100).unwrap());
+        let mut c = AnfCache::new();
+        let (x, y, z) = (c.var(0), c.var(1), c.var(2));
+        let lhs = c.mul(&x.xor(&y), &z, 100).unwrap();
+        let rhs = c
+            .mul(&x, &z, 100)
+            .unwrap()
+            .xor(&c.mul(&y, &z, 100).unwrap());
         assert_eq!(lhs, rhs);
+        assert_eq!(c.render(&lhs), "x0·x2 ⊕ x1·x2");
     }
 
     #[test]
     fn derivative_detects_dependence() {
         // p = x ⊕ yz depends on x, y, z but not w.
-        let p = Anf::var(0).xor(&Anf::var(1).mul(&Anf::var(2), 10).unwrap());
-        assert!(!p.derivative(0).is_zero());
-        assert!(!p.derivative(1).is_zero());
-        assert!(p.derivative(3).is_zero());
+        let mut c = AnfCache::new();
+        let (x, y, z) = (c.var(0), c.var(1), c.var(2));
+        let p = x.xor(&c.mul(&y, &z, 10).unwrap());
+        assert!(!c.derivative(&p, 0).is_zero());
+        assert!(!c.derivative(&p, 1).is_zero());
+        assert!(c.derivative(&p, 3).is_zero());
         // ∂p/∂x = 1, ∂p/∂y = z.
-        assert!(p.derivative(0).is_one());
-        assert_eq!(p.derivative(1), Anf::var(2));
+        assert_eq!(c.derivative(&p, 0), Anf::constant(true));
+        assert_eq!(c.derivative(&p, 1), z);
         // The support is exactly the variables with a nonzero derivative.
-        assert_eq!(p.support(), vec![0, 1, 2]);
-        assert!(Anf::one().support().is_empty());
+        assert_eq!(c.support(&p), vec![0, 1, 2]);
+        assert!(c.support(&Anf::constant(true)).is_empty());
     }
 
     #[test]
     fn cofactor_agrees_with_derivative() {
-        let p = Anf::var(0)
-            .xor(&Anf::var(1).mul(&Anf::var(0), 10).unwrap())
-            .xor(&Anf::one());
-        let d = p.cofactor(0, false).xor(&p.cofactor(0, true));
-        assert_eq!(d, p.derivative(0));
+        // p = x ⊕ xy ⊕ 1: the ANF of p[x:=0] ⊕ p[x:=1] is ∂p/∂x.
+        let mut f = Arena::new(Simplify::Raw);
+        let (x, y) = (f.var(0), f.var(1));
+        let xy = f.and2(x, y);
+        let t = f.xor2(x, xy);
+        let p = f.not(t);
+        let p0 = f.cofactor(p, 0, false);
+        let p1 = f.cofactor(p, 0, true);
+        let d = f.xor2(p0, p1);
+        let (mut cache, polys) = convert(&f, &[p, d], 1 << 10);
+        assert_eq!(cache.derivative(&polys[0], 0), polys[1]);
+        assert_eq!(cache.render(&polys[1]), "1 ⊕ x1");
     }
 
     #[test]
     fn overflow_is_reported() {
         // Product of t many disjoint (xᵢ ⊕ yᵢ) factors has 2^t terms.
-        let mut acc = Anf::one();
+        let mut c = AnfCache::new();
+        let mut acc = Anf::constant(true);
         let mut failed = false;
         for i in 0..20 {
-            let f = Anf::var(2 * i).xor(&Anf::var(2 * i + 1));
-            match acc.mul(&f, 64) {
+            let f = c.var(2 * i).xor(&c.var(2 * i + 1));
+            match c.mul(&acc, &f, 64) {
                 Ok(next) => acc = next,
                 Err(AnfOverflow { cap }) => {
                     assert_eq!(cap, 64);
@@ -738,20 +766,26 @@ mod tests {
     fn satisfying_vars_satisfy_every_nonzero_polynomial() {
         // Every polynomial over three variables: each subset of the
         // eight monomials.
-        let monomials: Vec<Monomial> = (0..8u32)
-            .map(|m| Monomial::from_vars((0..3).filter(|v| m & (1 << v) != 0)))
+        let mut c = AnfCache::new();
+        let monomials: Vec<Anf> = (0..8u32)
+            .map(|m| {
+                (0..3)
+                    .filter(|v| m & (1 << v) != 0)
+                    .fold(Anf::constant(true), |acc, v| {
+                        let x = c.var(v);
+                        c.mul(&acc, &x, 8).unwrap()
+                    })
+            })
             .collect();
         for subset in 0..256u32 {
-            let p = Anf::from_terms(
-                (0..8)
-                    .filter(|i| subset & (1 << i) != 0)
-                    .map(|i| monomials[i].clone()),
-            );
-            match p.satisfying_vars() {
+            let p = (0..8)
+                .filter(|i| subset & (1 << i) != 0)
+                .fold(Anf::constant(false), |acc, i| acc.xor(&monomials[i]));
+            match c.satisfying_vars(&p) {
                 None => assert!(p.is_zero()),
                 Some(ones) => {
                     let env: Vec<bool> = (0..3).map(|v| ones.contains(&v)).collect();
-                    assert!(p.eval(&env), "{p} at {env:?}");
+                    assert!(eval(&c, &p, &env), "{} at {env:?}", c.render(&p));
                 }
             }
         }
@@ -767,10 +801,14 @@ mod tests {
             let xy = f.and2(x, y);
             let t = f.xor2(xy, z);
             let root = f.not(t);
-            let anf = Anf::from_arena(&f, &[root], 1000).unwrap().remove(0);
+            let (cache, polys) = convert(&f, &[root], 1000);
             for bits in 0..8u32 {
                 let env = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
-                assert_eq!(anf.eval(&env), f.eval(root, &env), "mode {mode:?}");
+                assert_eq!(
+                    eval(&cache, &polys[0], &env),
+                    f.eval(root, &env),
+                    "{mode:?}"
+                );
             }
         }
     }
@@ -781,16 +819,19 @@ mod tests {
         let x = f.var(0);
         let nx = f.not(x);
         let contradiction = f.and2(x, nx);
-        let anf = Anf::from_arena(&f, &[contradiction], 100)
-            .unwrap()
-            .remove(0);
-        assert!(anf.is_zero());
+        let (_, polys) = convert(&f, &[contradiction], 100);
+        assert!(polys[0].is_zero());
     }
 
     #[test]
     fn display_renders_terms() {
-        let p = Anf::var(1).xor(&Anf::one());
-        assert_eq!(p.to_string(), "1 ⊕ x1");
+        // Ids follow creation order; the rendering is lexicographic.
+        let mut c = AnfCache::new();
+        let (x2, x1, x0) = (c.var(2), c.var(1), c.var(0));
+        let x0x2 = c.mul(&x0, &x2, 8).unwrap();
+        let p = x2.xor(&x1).xor(&x0x2).not();
+        assert_eq!(c.render(&p), "1 ⊕ x0·x2 ⊕ x1 ⊕ x2");
+        assert_eq!(c.render(&Anf::constant(false)), "0");
     }
 
     #[test]
@@ -806,12 +847,14 @@ mod tests {
             let r2 = f.or2(x, z);
             let mut cache = AnfCache::new();
             let cached = Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache).unwrap();
-            let plain = Anf::from_arena(&f, &[r1, r2], 1 << 16).unwrap();
-            assert_eq!(cached, plain, "mode {mode:?}");
+            let (fresh, plain) = convert(&f, &[r1, r2], 1 << 16);
+            for (a, b) in cached.iter().zip(&plain) {
+                assert_eq!(cache.terms(a), fresh.terms(b), "mode {mode:?}");
+            }
             // Warm re-conversion answers from the cache without fresh work.
             let misses = cache.stats().misses;
             let again = Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache).unwrap();
-            assert_eq!(again, plain);
+            assert_eq!(again, cached);
             assert_eq!(cache.stats().misses, misses, "no re-conversion");
             assert!(cache.stats().hits >= 2);
         }
@@ -842,7 +885,11 @@ mod tests {
             let b = f.var(2 * i + 1);
             roots.push(f.and2(a, b));
         }
-        let mut cache = AnfCache::with_capacity(8);
+        let mut cache = {
+            let mut c = AnfCache::new();
+            c.set_capacity(8);
+            c
+        };
         for r in &roots {
             Anf::from_arena_cached(&f, &[*r], 1 << 16, &mut cache).unwrap();
         }
@@ -865,7 +912,7 @@ mod tests {
         let polys = Anf::from_arena_cached(&wide, &[root], 1 << 20, &mut cache).unwrap();
         assert_eq!(polys[0].len(), 1 << 13);
         assert!(
-            cache.peek(root).is_none(),
+            !cache.map.contains_key(&root),
             "oversized root not admitted: {:?}",
             cache.stats()
         );
@@ -892,5 +939,95 @@ mod tests {
         let after = Anf::from_arena_cached(&f, &[new_root], 1 << 16, &mut cache).unwrap();
         assert_eq!(before[0], after[0], "warm polynomial survived the remap");
         assert_eq!(cache.stats().misses, misses, "renumbered root still hits");
+    }
+
+    #[test]
+    fn a_batch_keeps_its_own_roots() {
+        // Eight roots, each over its own cone, through a cache of four:
+        // the batch's eviction drops inner nodes, never the roots.
+        let mut f = Arena::new(Simplify::Raw);
+        let roots: Vec<NodeId> = (0..8u32)
+            .map(|i| {
+                let (a, b, c) = (f.var(3 * i), f.var(3 * i + 1), f.var(3 * i + 2));
+                let ab = f.xor2(a, b);
+                f.and2(ab, c)
+            })
+            .collect();
+        let mut cache = {
+            let mut c = AnfCache::new();
+            c.set_capacity(12);
+            c
+        };
+        Anf::from_arena_cached(&f, &roots, 1 << 10, &mut cache).unwrap();
+        assert!(cache.stats().evictions > 0, "{:?}", cache.stats());
+        let misses = cache.stats().misses;
+        Anf::from_arena_cached(&f, &roots, 1 << 10, &mut cache).unwrap();
+        assert_eq!(cache.stats().misses, misses, "every root answered warm");
+    }
+
+    #[test]
+    fn products_are_loops_not_recursion() {
+        // Degree-20000 monomials: a recursive chain walk would need a
+        // stack frame per variable.
+        let mut f = Arena::new(Simplify::Raw);
+        let evens: Vec<NodeId> = (0..20_000).map(|v| f.var(2 * v)).collect();
+        let odds: Vec<NodeId> = (0..20_000).map(|v| f.var(2 * v + 1)).collect();
+        let (a, b) = (f.and(&evens), f.and(&odds));
+        let ab = f.and2(a, b);
+        let root = f.xor2(ab, a);
+        let handle = std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn(move || {
+                let (mut cache, polys) = convert(&f, &[root], 16);
+                let d = cache.derivative(&polys[0], 1);
+                (cache.satisfying_vars(&polys[0]).unwrap().len(), d.len())
+            })
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), (20_000, 1));
+    }
+
+    #[test]
+    fn store_compaction_keeps_sorted_polynomials() {
+        // Distinct 2^k-term products churn the store past its floor; an
+        // LRU of four keeps few of them alive, so the store compacts.
+        let mut f = Arena::new(Simplify::Raw);
+        let mut roots = Vec::new();
+        for r in 0..40u32 {
+            let factors: Vec<NodeId> = (0..11)
+                .map(|i| {
+                    let a = f.var(40 * r + 2 * i);
+                    let b = f.var(40 * r + 2 * i + 1);
+                    f.xor2(a, b)
+                })
+                .collect();
+            roots.push(f.and(&factors));
+        }
+        let mut cache = {
+            let mut c = AnfCache::new();
+            c.set_capacity(4);
+            c
+        };
+        let mut peak = 0;
+        let mut kept = Vec::new();
+        for (i, r) in roots.iter().enumerate() {
+            let p = Anf::from_arena_cached(&f, &[*r], 1 << 12, &mut cache).unwrap();
+            peak = peak.max(cache.stats().monomials);
+            if i == 0 {
+                kept = cache.terms(&p[0]);
+            }
+        }
+        assert!(
+            cache.stats().monomials < 2 * ANF_STORE_FLOOR,
+            "{:?}",
+            cache.stats()
+        );
+        assert!(peak > ANF_STORE_FLOOR, "the churn passed the floor: {peak}");
+        // Memoised runs stay sorted through renumbering, and a root
+        // reconverted after compaction reads the same terms.
+        for e in cache.map.values() {
+            assert!(e.poly.terms.windows(2).all(|w| w[0] < w[1]));
+        }
+        let again = Anf::from_arena_cached(&f, &roots[..1], 1 << 12, &mut cache).unwrap();
+        assert_eq!(cache.terms(&again[0]), kept);
     }
 }

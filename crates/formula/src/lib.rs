@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use qb_formula::{Arena, Simplify, Anf};
+//! use qb_formula::{Anf, AnfCache, Arena, Simplify};
 //!
 //! // b_a after the first Toffoli of Fig. 6.1: a ⊕ q1·q2
 //! let mut f = Arena::new(Simplify::Full);
@@ -34,8 +34,9 @@
 //! assert_eq!(restored, a);
 //!
 //! // ANF is canonical: independence from q1 is a zero derivative.
-//! let anf = Anf::from_arena(&f, &[restored], 1 << 20).unwrap().remove(0);
-//! assert!(anf.derivative(1).is_zero());
+//! let mut cache = AnfCache::new();
+//! let anf = Anf::from_arena_cached(&f, &[restored], 1 << 20, &mut cache).unwrap();
+//! assert!(cache.derivative(&anf[0], 1).is_zero());
 //! ```
 
 mod anf;
@@ -44,7 +45,7 @@ mod cnf;
 mod incremental;
 mod lru;
 
-pub use anf::{Anf, AnfCache, AnfCacheStats, AnfOverflow, Monomial};
+pub use anf::{Anf, AnfCache, AnfCacheStats, AnfOverflow, ANF_STORE_FLOOR};
 pub use arena::{sim_input, Arena, Node, NodeId, NodeRemap, Simplify, Var};
 pub use cnf::{encode, Cnf, Encoding};
 pub use incremental::{CnfSink, IncrementalEncoder};
@@ -170,10 +171,15 @@ mod randomized {
             let e = rand_expr(&mut rng, NVARS, 5);
             let mut raw = Arena::new(Simplify::Raw);
             let root = build(&mut raw, &e);
-            let anf = Anf::from_arena(&raw, &[root], 1 << 16).unwrap().remove(0);
+            let mut cache = AnfCache::new();
+            let anf = Anf::from_arena_cached(&raw, &[root], 1 << 16, &mut cache).unwrap();
+            let terms = cache.terms(&anf[0]);
             for bits in 0u32..(1 << NVARS) {
                 let env: Vec<bool> = (0..NVARS).map(|i| bits >> i & 1 == 1).collect();
-                assert_eq!(anf.eval(&env), eval_expr(&e, &env));
+                let value = terms
+                    .iter()
+                    .fold(false, |acc, t| acc ^ t.iter().all(|&v| env[v as usize]));
+                assert_eq!(value, eval_expr(&e, &env));
             }
         }
     }
@@ -189,11 +195,10 @@ mod randomized {
             let mut full = Arena::new(Simplify::Full);
             let r_raw = build(&mut raw, &e);
             let r_full = build(&mut full, &e);
-            let a = Anf::from_arena(&raw, &[r_raw], 1 << 16).unwrap().remove(0);
-            let b = Anf::from_arena(&full, &[r_full], 1 << 16)
-                .unwrap()
-                .remove(0);
-            assert_eq!(a, b);
+            let (mut ca, mut cb) = (AnfCache::new(), AnfCache::new());
+            let a = Anf::from_arena_cached(&raw, &[r_raw], 1 << 16, &mut ca).unwrap();
+            let b = Anf::from_arena_cached(&full, &[r_full], 1 << 16, &mut cb).unwrap();
+            assert_eq!(ca.terms(&a[0]), cb.terms(&b[0]));
         }
     }
 

@@ -1,8 +1,8 @@
-//! Heap allocations of the formula arena, counted by a global allocator
+//! Heap allocations of the formula arena and the ANF rung, counted by a global allocator
 //! (which is why this file is its own test binary). Counts are kept per
 //! thread, so tests running side by side do not see each other's.
 
-use qb_formula::{Arena, NodeId, Simplify};
+use qb_formula::{Anf, AnfCache, Arena, NodeId, Simplify};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -104,4 +104,34 @@ fn collect_allocations(nodes: usize) -> u64 {
 #[test]
 fn collect_allocations_do_not_grow_with_the_arena() {
     assert_eq!(collect_allocations(1 << 10), collect_allocations(1 << 14));
+}
+
+/// Allocations of two products of cached polynomials of `terms` terms,
+/// `p = x0 ⊕ x2 ⊕ …` and `q = x1 ⊕ x3 ⊕ …`, made once before so that
+/// their monomials are in the store and the buffers have grown: `p·q`,
+/// all `terms²` products distinct, and `p·p = p` under a cap below
+/// `terms²`, whose count is also replayed in lexicographic order.
+fn anf_product_allocations(terms: u32) -> u64 {
+    let mut f = Arena::new(Simplify::Raw);
+    let xs: Vec<NodeId> = (0..terms).map(|v| f.var(2 * v)).collect();
+    let ys: Vec<NodeId> = (0..terms).map(|v| f.var(2 * v + 1)).collect();
+    let roots = [f.xor(&xs), f.xor(&ys)];
+    let mut cache = AnfCache::new();
+    let polys = Anf::from_arena_cached(&f, &roots, 1 << 20, &mut cache).unwrap();
+    let (p, q, square) = (&polys[0], &polys[1], (terms * terms) as usize);
+    let both = |cache: &mut AnfCache| {
+        let pq = cache.mul(p, q, square).unwrap();
+        let pp = cache.mul(p, p, square - 1);
+        assert_eq!(pq.len(), square);
+        assert!(pp.map_or(true, |pp| pp == *p));
+    };
+    both(&mut cache);
+    let before = allocations();
+    both(&mut cache);
+    allocations() - before
+}
+
+#[test]
+fn anf_products_allocate_a_fixed_number_of_times() {
+    assert_eq!(anf_product_allocations(8), anf_product_allocations(256));
 }

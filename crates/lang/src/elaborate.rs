@@ -217,10 +217,11 @@ impl Context {
                         c2: qubits[1],
                         t: qubits[2],
                     },
-                    GateKind::Mcx => Gate::Mcx {
-                        controls: qubits[..qubits.len() - 1].to_vec(),
-                        target: qubits[qubits.len() - 1],
-                    },
+                    GateKind::Mcx => {
+                        let mut controls = qubits;
+                        let target = controls.pop().expect("MCX has a target");
+                        Gate::Mcx { controls, target }
+                    }
                 };
                 self.gates.push((gate, *span));
                 Ok(())
@@ -234,18 +235,22 @@ impl Context {
             } => {
                 let s = self.eval(start)?;
                 let e = self.eval(end)?;
-                let values: Vec<i64> = if s <= e {
-                    (s..=e).collect()
-                } else {
-                    (e..=s).rev().collect()
-                };
-                for v in values {
-                    self.scopes.push(HashMap::from([(var.clone(), v)]));
-                    let result = self.block(body);
-                    self.scopes.pop();
-                    result?;
+                let step = if s <= e { 1 } else { -1 };
+                // One scope serves every iteration: it is reset to the
+                // loop variable alone before each pass over the body.
+                self.scopes.push(HashMap::from([(var.clone(), s)]));
+                let mut result = Ok(());
+                for k in 0..=(e - s).abs() {
+                    let scope = self.scopes.last_mut().expect("the loop scope");
+                    scope.retain(|name, _| name == var);
+                    *scope.get_mut(var).expect("the loop variable") = s + step * k;
+                    result = self.block(body);
+                    if result.is_err() {
+                        break;
+                    }
                 }
-                Ok(())
+                self.scopes.pop();
+                result
             }
         }
     }

@@ -341,6 +341,11 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_BAD_INPUT);
         }
     };
+    if matches!(command, "info" | "render") {
+        if let Err(code) = parse_flags(&args[2..], &[]) {
+            return code;
+        }
+    }
     match command {
         "info" => {
             println!(
@@ -819,11 +824,7 @@ fn client_round_trips(
             )?;
             if let Some(out) = &trace_out {
                 let trace = response.get("trace").and_then(Json::as_str).unwrap_or("");
-                std::fs::write(out, trace).map_err(io_failure)?;
-                eprintln!(
-                    "trace written to {} (open in Perfetto or chrome://tracing)",
-                    out.display()
-                );
+                write_trace(out, trace, "trace")?;
             }
             let all_safe = print_verify_response(name, &response);
             if loaded.get("reused").and_then(Json::as_bool) == Some(true) {

@@ -297,3 +297,68 @@ fn every_value_flag_rejects_a_missing_and_a_malformed_value() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn info_and_render_reject_trailing_arguments() {
+    for command in ["info", "render"] {
+        for extra in [&["extra"][..], &["--jobs", "2"]] {
+            let out = qborrow()
+                .arg(command)
+                .arg(fixture("cccnot.qbr"))
+                .args(extra)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {extra:?}: {stderr}");
+            let expected = format!("unknown flag {:?}", extra[0]);
+            assert_eq!(stderr.lines().next(), Some(expected.as_str()), "{command}");
+            assert!(stderr.contains("usage:"), "{command}: {stderr}");
+            assert!(out.stdout.is_empty(), "{command} printed nothing");
+        }
+        let out = qborrow()
+            .args([command, &fixture("cccnot.qbr")])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{command} alone still works");
+    }
+}
+
+#[test]
+fn client_verify_names_an_unwritable_trace_path() {
+    let dir = std::env::temp_dir().join(format!("qborrow-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sock = dir.join("qb.sock");
+    let mut daemon = qborrow()
+        .arg("serve")
+        .arg("--socket")
+        .arg(&sock)
+        .arg("--quiet")
+        .spawn()
+        .expect("daemon starts");
+    for _ in 0..100 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let trace = dir.join("no-such-dir").join("t.json");
+    let out = qborrow()
+        .args(["client", "verify", &fixture("cccnot.qbr"), "--socket"])
+        .arg(&sock)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let shutdown = qborrow()
+        .args(["client", "shutdown", "--socket"])
+        .arg(&sock)
+        .output()
+        .expect("binary runs");
+    daemon.wait().expect("daemon exits");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let expected = format!("error: cannot write trace to {}: ", trace.display());
+    assert!(stderr.starts_with(&expected), "{stderr}");
+    assert_eq!(shutdown.status.code(), Some(0));
+}

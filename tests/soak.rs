@@ -12,6 +12,7 @@ use qborrow::core::{
     initial_values, verify_circuit_fresh, AutoPreference, BackendKind, CancelToken, InitialValue,
     VerifyLimits, VerifyOptions, VerifySession,
 };
+use qborrow::formula::ANF_STORE_FLOOR;
 use qborrow::lang::{adder_source, elaborate, parse};
 use qborrow::serve::{run, Client, Json, ServeOptions, ServerLimits};
 use std::collections::HashMap;
@@ -235,6 +236,7 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
         let mut peak_bdd = 0usize;
         let mut bdd_shrank = false;
         let mut last_bdd = 0usize;
+        let mut peak_monomials = 0usize;
         for cycle in 0..CYCLES {
             let mut edited = Circuit::new(N);
             edited.toffoli(0, 1, 2).cnot(2, 3);
@@ -290,6 +292,11 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
                 stats.cached_decisions <= CACHE_CAP,
                 "{backend}: cycle {cycle}: decision cache bounded, got {stats:?}"
             );
+            peak_monomials = peak_monomials.max(stats.anf_monomials);
+            assert!(
+                stats.anf_monomials <= ANF_STORE_FLOOR,
+                "{backend}: cycle {cycle}: ANF monomial store bounded, got {stats:?}"
+            );
             assert!(
                 stats.support_memo_entries <= stats.arena_nodes,
                 "{backend}: cycle {cycle}: support memo keys are resident arena nodes \
@@ -341,6 +348,10 @@ fn cross_backend_soak_bdd_anf_auto_stay_exact_and_bounded() {
                 assert!(
                     stats.anf_cached_polys <= 64,
                     "{backend}: polynomial cache bounded: {stats:?}"
+                );
+                assert!(
+                    peak_monomials > 1,
+                    "{backend}: the store held the polynomials' monomials: {stats:?}"
                 );
             }
             _ => unreachable!("{backend} decided on {decided_by}: {stats:?}"),
